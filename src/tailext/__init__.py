@@ -25,7 +25,6 @@ from .losses import (
     bal_ce_batch,
     bal_ce_merged,
     balanced_error,
-    batch_loss,
     ns_ce,
     ns_ce_batch,
 )
@@ -33,11 +32,8 @@ from .metrics import EvalReport, assign_splits, count_rank_gap, evaluate
 from .model import (
     ClassifierState,
     TrainLog,
-    forward,
     linear_probe_retrain,
     load_checkpoint,
-    mask_classifier,
-    predict,
     save_checkpoint,
     train,
 )

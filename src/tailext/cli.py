@@ -132,6 +132,18 @@ def _expand_tags(text) -> tuple[str, ...]:
     return tags
 
 
+def _read_names(path: str) -> dict[int, str]:
+    p = Path(path)
+    if not p.is_file():
+        raise DataError(f"names file not found: {p}")
+    try:
+        return {int(k): str(v) for k, v in json.loads(p.read_text()).items()}
+    except (AttributeError, ValueError) as exc:
+        raise DataError(
+            f"names file {p} must hold a JSON object mapping class ids to names: {exc}"
+        ) from exc
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -175,10 +187,7 @@ def cmd_synth(args) -> int:
     )
     train_ds, test_ds = make_hierarchy(spec, counts, cfg["seed"], cfg["test_per_class"])
 
-    names = None
-    if cfg["names"]:
-        raw = json.loads(Path(cfg["names"]).read_text())
-        names = {int(k): str(v) for k, v in raw.items()}
+    names = _read_names(cfg["names"]) if cfg["names"] else None
     space = LabelSpace(num_target=cfg["num_classes"], class_names=names)
 
     meta = {
@@ -225,7 +234,6 @@ def cmd_pilot(args) -> int:
         "max_count": 300,
         "test_per_class": 100,
         "sigma_fine": 2.5,
-        "jobs": 1,
     }
     cfg = _resolve(defaults, args)
     out = _out_dir(args)
@@ -239,7 +247,6 @@ def cmd_pilot(args) -> int:
         s_grid,
         b_grid,
         seeds,
-        jobs=cfg["jobs"],
         num_classes=cfg["num_classes"],
         feature_dim=cfg["feature_dim"],
         max_count=cfg["max_count"],
@@ -325,46 +332,27 @@ def cmd_curate(args) -> int:
     return 0
 
 
-def _run_config_from(cfg: dict) -> RunConfig:
-    ratio = cfg["ratio"]
-    if isinstance(ratio, str):
-        ratio = _parse_ratio(ratio)
-    elif isinstance(ratio, list):
-        ratio = tuple(ratio)
-    return RunConfig(
-        seed=cfg["seed"],
-        lambda_s=cfg["lambda_s"],
-        gamma1=cfg["gamma1"],
-        gamma2=cfg["gamma2"],
-        per_class_cap=cfg["cap"],
-        aux_ratio=ratio,
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        learning_rate=cfg["lr"],
-        optimizer=cfg["optimizer"],
-        momentum=cfg["momentum"],
-        weight_decay=cfg["weight_decay"],
-        hidden_dim=cfg["hidden_dim"],
-    )
+# train flags named differently from the RunConfig field they set
+_FLAG_FIELDS = {"cap": "per_class_cap", "ratio": "aux_ratio", "lr": "learning_rate"}
+_FIELD_FLAGS = {field: flag for flag, field in _FLAG_FIELDS.items()}
 
-
+# every training default comes from RunConfig; its aux_ratio of None is
+# spelled "derive" on the command line
 _TRAIN_DEFAULTS = {
     "data": None,
     "aux": None,
-    "seed": 0,
-    "lambda_s": 0.1,
-    "gamma1": 0.7,
-    "gamma2": 0.98,
-    "cap": 50,
+    **{_FIELD_FLAGS.get(k, k): v for k, v in RunConfig().to_json().items()},
     "ratio": "derive",
-    "epochs": 30,
-    "batch_size": 128,
-    "lr": 0.15,
-    "optimizer": "sgd",
-    "momentum": 0.0,
-    "weight_decay": 0.0,
-    "hidden_dim": None,
 }
+
+
+def _run_config_from(cfg: dict) -> RunConfig:
+    fields = {
+        _FLAG_FIELDS.get(k, k): v for k, v in cfg.items() if k not in ("data", "aux")
+    }
+    if isinstance(fields["aux_ratio"], str):
+        fields["aux_ratio"] = _parse_ratio(fields["aux_ratio"])
+    return RunConfig(**fields)
 
 
 def cmd_train(args) -> int:
@@ -432,8 +420,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from concurrent.futures import ThreadPoolExecutor
-
     from .experiments import BENCH_CONFIG, build_benchmark
     from .model import train as train_model
 
@@ -441,14 +427,13 @@ def cmd_sweep(args) -> int:
         "axis": None,
         "values": None,
         "seeds": "0,1,2",
-        "jobs": 1,
         "num_classes": 100,
         "num_superclasses": 10,
         "feature_dim": 64,
         "max_count": 300,
         "imbalance": 0.01,
         "test_per_class": 100,
-        "epochs": 30,
+        "epochs": BENCH_CONFIG.epochs,
     }
     cfg = _resolve(defaults, args)
     out = _out_dir(args)
@@ -495,13 +480,7 @@ def cmd_sweep(args) -> int:
         rep = evaluate(state, te, splits, mask=True, seed=seed)
         return {"axis": axis, "value": value}, rep
 
-    points = [(v, s) for v in values for s in seeds]
-    if cfg["jobs"] > 1:
-        with ThreadPoolExecutor(max_workers=cfg["jobs"]) as pool:
-            futures = [pool.submit(run_point, v, s) for v, s in points]
-            rows = [f.result() for f in futures]
-    else:
-        rows = [run_point(v, s) for v, s in points]
+    rows = [run_point(v, s) for v in values for s in seeds]
 
     (out / "sweep.csv").write_text(reports_to_csv(rows, ("axis", "value")))
     _write_manifest(out, "sweep", cfg)
@@ -521,8 +500,10 @@ def cmd_report(args) -> int:
             print(f"== {path} ==")
             print(path.read_text(), end="")
             continue
-        obj = json.loads(path.read_text())
-        report = EvalReport.from_json(obj)
+        try:
+            report = EvalReport.from_json(json.loads(path.read_text()))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: not an eval report: {exc!r}") from exc
         rows.append(({"source": str(path)}, report))
         print(f"== {path} ==")
         print(report.to_text())
@@ -580,7 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-count", dest="max_count", type=int)
     p.add_argument("--test-per-class", dest="test_per_class", type=int)
     p.add_argument("--sigma-fine", dest="sigma_fine", type=float)
-    p.add_argument("--jobs", type=int)
     p.set_defaults(func=cmd_pilot)
 
     p = sub.add_parser("curate", help="LLM-driven auxiliary category curation")
@@ -601,8 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="target training manifest")
     p.add_argument("--aux", help="auxiliary manifest (merged label space)")
     p.add_argument("--lambda-s", dest="lambda_s", type=float)
-    p.add_argument("--gamma1", type=float)
-    p.add_argument("--gamma2", type=float)
     p.add_argument("--cap", type=int)
     p.add_argument("--ratio", help="h:m:t attachment counts, or 'derive'")
     p.add_argument("--epochs", type=int)
@@ -633,7 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", choices=sorted(SWEEP_OPTIONS))
     p.add_argument("--values", help="override the built-in option set")
     p.add_argument("--seeds")
-    p.add_argument("--jobs", type=int)
     p.add_argument("--num-classes", dest="num_classes", type=int)
     p.add_argument("--num-superclasses", dest="num_superclasses", type=int)
     p.add_argument("--feature-dim", dest="feature_dim", type=int)

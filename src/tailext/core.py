@@ -181,13 +181,6 @@ class ClassStats:
     def log_counts(self) -> np.ndarray:
         return np.log(self.counts.astype(np.float64))
 
-    def to_json(self) -> dict:
-        return {"counts": self.counts.tolist()}
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "ClassStats":
-        return cls(np.asarray(obj["counts"], dtype=np.int64))
-
 
 def imbalance_factor(stats: ClassStats) -> float:
     """max(counts) / min(counts); 1.0 for a perfectly balanced dataset."""
@@ -324,8 +317,12 @@ def read_dataset(path: str | Path) -> tuple[FeatureDataset, LabelSpace, dict]:
         raise DataError(f"manifest not found: {path}")
     if not sidecar.exists():
         raise DataError(f"header sidecar not found: {sidecar}")
-    meta = json.loads(sidecar.read_text())
-    space = LabelSpace.from_json(meta["label_space"])
+    try:
+        meta = json.loads(sidecar.read_text())
+        space = LabelSpace.from_json(meta["label_space"])
+        dim = int(meta["feature_dim"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{sidecar}: bad header sidecar: {exc!r}") from exc
     ids: list[str] = []
     labels: list[int] = []
     rows: list[list[float]] = []
@@ -341,13 +338,16 @@ def read_dataset(path: str | Path) -> tuple[FeatureDataset, LabelSpace, dict]:
                 rows.append(rec["features"])
             except (KeyError, ValueError) as exc:
                 raise DataError(f"{path}:{line_no}: bad manifest record: {exc}") from exc
-    feats = np.asarray(rows, dtype=np.float64)
+    try:
+        feats = np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: feature rows do not form a numeric matrix: {exc}") from exc
     if feats.size == 0:
-        feats = feats.reshape(0, int(meta["feature_dim"]))
-    if feats.shape[1] != int(meta["feature_dim"]):
+        feats = feats.reshape(0, dim)
+    if feats.ndim != 2 or feats.shape[1] != dim:
         raise DataError(
-            f"{path}: feature dim {feats.shape[1]} disagrees with sidecar "
-            f"{meta['feature_dim']}"
+            f"{path}: feature rows of shape {feats.shape[1:]} disagree with sidecar "
+            f"feature dim {dim}"
         )
     ds = FeatureDataset(
         features=feats,
@@ -361,27 +361,28 @@ def read_dataset(path: str | Path) -> tuple[FeatureDataset, LabelSpace, dict]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Hyper-parameters of one training run.
+    """Hyper-parameters of one training run, and the only place their
+    defaults are written.
 
     The determinism contract: identical RunConfig plus identical inputs must
     produce bit-identical metric outputs. Defaults follow the recommended
-    operating point: lambda_s=0.1, keep band (0.7, 0.98), per-class cap 50.
-    ``aux_ratio`` of None means derive the head:medium:tail attachment counts
-    from split totals by ceiling division.
+    operating point: lambda_s=0.1, per-class cap 50, plain SGD at lr 0.15.
+    Plain SGD (momentum 0) keeps heavily crowded pilot cells out of the
+    oscillatory regime that momentum falls into when many same-ring classes
+    fight over the same region; the balanced-data gap then stays near zero
+    instead of wandering. ``aux_ratio`` of None means derive the
+    head:medium:tail attachment counts from split totals by ceiling division.
     """
 
     seed: int = 0
     lambda_s: float = 0.1
-    gamma1: float = 0.7
-    gamma2: float = 0.98
     per_class_cap: int = 50
     aux_ratio: tuple[float, float, float] | None = None
     epochs: int = 30
     batch_size: int = 128
-    learning_rate: float = 0.05
+    learning_rate: float = 0.15
     optimizer: str = "sgd"
-    momentum: float = 0.9
-    adam_betas: tuple[float, float] = (0.9, 0.95)
+    momentum: float = 0.0
     weight_decay: float = 0.0
     hidden_dim: int | None = None
 
@@ -393,10 +394,6 @@ class RunConfig:
                 f"lambda_s={self.lambda_s} > 1 amplifies neighbor competition "
                 "instead of silencing it",
                 stacklevel=2,
-            )
-        if not (0.0 <= self.gamma1 < self.gamma2 <= 1.0):
-            raise ConfigError(
-                f"need 0 <= gamma1 < gamma2 <= 1, got ({self.gamma1}, {self.gamma2})"
             )
         if self.per_class_cap < 1:
             raise ConfigError(f"per_class_cap must be >= 1, got {self.per_class_cap}")
@@ -411,7 +408,6 @@ class RunConfig:
             if len(ratio) != 3 or any(r < 0 for r in ratio):
                 raise ConfigError(f"aux_ratio must be 3 non-negative numbers, got {ratio}")
             object.__setattr__(self, "aux_ratio", ratio)
-        object.__setattr__(self, "adam_betas", tuple(self.adam_betas))
 
     def with_overrides(self, **kwargs) -> "RunConfig":
         return replace(self, **kwargs)
@@ -420,8 +416,6 @@ class RunConfig:
         return {
             "seed": self.seed,
             "lambda_s": self.lambda_s,
-            "gamma1": self.gamma1,
-            "gamma2": self.gamma2,
             "per_class_cap": self.per_class_cap,
             "aux_ratio": list(self.aux_ratio) if self.aux_ratio is not None else None,
             "epochs": self.epochs,
@@ -429,16 +423,10 @@ class RunConfig:
             "learning_rate": self.learning_rate,
             "optimizer": self.optimizer,
             "momentum": self.momentum,
-            "adam_betas": list(self.adam_betas),
             "weight_decay": self.weight_decay,
             "hidden_dim": self.hidden_dim,
         }
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "RunConfig":
-        kwargs = dict(obj)
-        if kwargs.get("aux_ratio") is not None:
-            kwargs["aux_ratio"] = tuple(kwargs["aux_ratio"])
-        if "adam_betas" in kwargs:
-            kwargs["adam_betas"] = tuple(kwargs["adam_betas"])
-        return cls(**kwargs)
+        return cls(**obj)

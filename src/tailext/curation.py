@@ -287,8 +287,11 @@ class FixtureRetriever:
     """Serves candidates from a JSONL corpus keyed by proposed class name.
 
     Each line: {"class": str, "image_ref": str, "caption": str,
-    "features": [float, ...]}.
+    "features": [float, ...]}; a record lacking any of the four keys is
+    rejected when the corpus is loaded.
     """
+
+    KEYS = frozenset({"class", "image_ref", "caption", "features"})
 
     def __init__(self, corpus_path: str | Path):
         path = Path(corpus_path)
@@ -302,9 +305,14 @@ class FixtureRetriever:
                     continue
                 try:
                     rec = json.loads(line)
+                    missing = self.KEYS - rec.keys()
                     key = normalize_name(rec["class"])
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                except (json.JSONDecodeError, AttributeError, KeyError, TypeError) as exc:
                     raise DataError(f"bad corpus record at line {line_no}: {exc!r}")
+                if missing:
+                    raise DataError(
+                        f"bad corpus record at line {line_no}: missing {sorted(missing)}"
+                    )
                 self._by_name.setdefault(key, []).append(rec)
 
     def retrieve(self, class_name: str, source_target: int) -> list[Candidate]:

@@ -2,22 +2,19 @@
 
 Each driver builds its synthetic data, trains, and evaluates from a single
 seed, so a grid of runs is reproducible cell by cell. Desk-scale defaults
-(100 classes, 64 dims, max 150 samples per class) keep a full pilot grid or
+(100 classes, 64 dims, max 300 samples per class) keep a full pilot grid or
 benchmark under a few minutes on one core.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 from .core import ClassStats, LabelSpace, RunConfig
 from .metrics import EvalReport, assign_splits, count_rank_gap, evaluate
 from .model import linear_probe_retrain, train
-from .sampling import derive_ratio
 from .synth import CountProfile, HierarchySpec, make_auxiliary, make_counts, make_hierarchy
 
 __all__ = [
-    "PILOT_CONFIG",
     "BENCH_CONFIG",
     "MLP_CONFIG",
     "run_pilot_cell",
@@ -25,25 +22,17 @@ __all__ = [
     "build_benchmark",
     "run_method_pair",
     "run_ablation_cell",
-    "ratio_for_counts",
 ]
-
-# Plain SGD keeps the heavily crowded cells out of the oscillatory regime
-# that momentum falls into when many same-ring classes fight over the same
-# region; the balanced-data gap then stays near zero instead of wandering.
-PILOT_CONFIG = RunConfig(learning_rate=0.15, momentum=0.0)
 
 # Benchmark default: linear classifier, 1:1:3 attachment ratio. Used for the
 # method-vs-baseline comparison and the masking-vs-probe comparison, both of
 # which live in the classifier head.
-BENCH_CONFIG = RunConfig(learning_rate=0.15, momentum=0.0, aux_ratio=(1, 1, 3))
+BENCH_CONFIG = RunConfig(aux_ratio=(1, 1, 3))
 
 # Representation-learning variant: one tanh layer. Silencing strength only
 # matters once a shared feature layer exists for the auxiliary classes to
 # distort, so the lambda ablation runs on this config.
-MLP_CONFIG = RunConfig(
-    learning_rate=0.05, momentum=0.0, aux_ratio=(1, 1, 3), hidden_dim=128
-)
+MLP_CONFIG = RunConfig(learning_rate=0.05, aux_ratio=(1, 1, 3), hidden_dim=128)
 
 
 def run_pilot_cell(
@@ -76,7 +65,7 @@ def run_pilot_cell(
         sigma_fine=sigma_fine,
     )
     train_ds, test_ds = make_hierarchy(spec, counts, seed, test_per_class)
-    run_cfg = (cfg or PILOT_CONFIG).with_overrides(seed=seed)
+    run_cfg = (cfg or RunConfig()).with_overrides(seed=seed)
     state, log = train(train_ds, None, LabelSpace(num_target=num_classes), run_cfg)
     stats = ClassStats(train_ds.class_counts(num_classes))
     report = evaluate(state, test_ds, assign_splits(stats), mask=True, seed=seed)
@@ -96,24 +85,15 @@ def run_pilot_grid(
     superclass_grid: Sequence[int],
     imbalance_grid: Sequence[float],
     seeds: Sequence[int],
-    jobs: int = 1,
     **cell_kwargs,
 ) -> list[dict]:
     """Full pilot grid in a deterministic row order (S, imbalance, seed)."""
-    cells = [
-        (s, b, seed)
+    return [
+        run_pilot_cell(s, b, seed, **cell_kwargs)
         for s in superclass_grid
         for b in imbalance_grid
         for seed in seeds
     ]
-    if jobs <= 1:
-        return [run_pilot_cell(s, b, seed, **cell_kwargs) for s, b, seed in cells]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(run_pilot_cell, s, b, seed, **cell_kwargs)
-            for s, b, seed in cells
-        ]
-        return [f.result() for f in futures]
 
 
 def build_benchmark(
@@ -204,9 +184,3 @@ def run_ablation_cell(seed: int, cfg: RunConfig | None = None, **geometry) -> di
     out["probe"] = evaluate(probe, test_ds, splits, mask=True, seed=seed)
     return out
 
-
-def ratio_for_counts(counts: ClassStats) -> tuple[int, int, int]:
-    """The ceiling head:medium:tail sampling ratio for a count profile."""
-    splits = assign_splits(counts)
-    totals = splits.totals(counts.counts)
-    return derive_ratio((totals["many"], totals["medium"], totals["few"]))

@@ -26,7 +26,6 @@ __all__ = [
     "bal_ce_merged",
     "ns_ce",
     "ns_ce_batch",
-    "batch_loss",
 ]
 
 
@@ -136,16 +135,6 @@ class SilenceWeights:
             return np.asarray([space.neighbor_of[true_class]], dtype=np.int64)
         return self._aux_by_target.get(true_class, np.empty(0, dtype=np.int64))
 
-    def pair_weight(self, i: int, j: int) -> float:
-        if i == j:
-            return 1.0
-        space = self.space
-        if space.is_auxiliary(i) and space.neighbor_of[i] == j:
-            return self.lambda_s
-        if space.is_auxiliary(j) and space.neighbor_of[j] == i:
-            return self.lambda_s
-        return 1.0
-
     def rows(self, labels: np.ndarray, n_classes: int) -> np.ndarray:
         """Weight matrix (B, n_classes): row b holds lambda_{labels[b], j}."""
         w = np.ones((labels.size, n_classes), dtype=np.float64)
@@ -243,30 +232,3 @@ def bal_ce_batch(
     grads[rows, labels] -= 1.0
     return losses, grads
 
-
-def batch_loss(
-    batch: Sequence[tuple[np.ndarray, int]],
-    loss_kind: str,
-    stats: ClassStats,
-    space: LabelSpace | None = None,
-    lambda_s: float | None = None,
-) -> tuple[float, np.ndarray]:
-    """Arithmetic mean of per-sample losses plus the per-sample gradients.
-
-    ``loss_kind`` is one of "bal_ce", "bal_ce_merged", "ns_ce"; the latter
-    requires ``space`` and ``lambda_s``. Gradients are aligned with the input
-    order and are per-sample (not divided by the batch size).
-    """
-    if not batch:
-        raise DataError("empty batch")
-    Z = np.stack([np.asarray(z, dtype=np.float64) for z, _ in batch])
-    labels = np.asarray([y for _, y in batch], dtype=np.int64)
-    if loss_kind in ("bal_ce", "bal_ce_merged"):
-        losses, grads = bal_ce_batch(Z, labels, stats)
-    elif loss_kind == "ns_ce":
-        if space is None or lambda_s is None:
-            raise DataError("ns_ce needs space and lambda_s")
-        losses, grads = ns_ce_batch(Z, labels, stats, space, lambda_s)
-    else:
-        raise DataError(f"unknown loss kind {loss_kind!r}")
-    return float(losses.mean()), grads

@@ -32,10 +32,7 @@ from .sampling import AuxSamplingPlan, build_plan, sample_epoch
 __all__ = [
     "ClassifierState",
     "TrainLog",
-    "forward",
-    "predict",
     "train",
-    "mask_classifier",
     "linear_probe_retrain",
     "save_checkpoint",
     "load_checkpoint",
@@ -49,8 +46,7 @@ class ClassifierState:
     """Classifier weights, one row per class id of the owning label space.
 
     ``weights`` is (L+K, D) where D is the feature dim for a linear model or
-    the hidden width when a hidden layer is configured. Optimizer slots live
-    alongside the parameters during training but are not checkpointed.
+    the hidden width of the tanh hidden layer when one is configured.
     """
 
     weights: np.ndarray
@@ -58,8 +54,6 @@ class ClassifierState:
     space: LabelSpace
     hidden_weights: np.ndarray | None = None
     hidden_bias: np.ndarray | None = None
-    activation: str = "tanh"
-    opt_slots: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -78,8 +72,6 @@ class ClassifierState:
             self.hidden_bias = np.asarray(self.hidden_bias, dtype=np.float64)
             if self.weights.shape[1] != self.hidden_weights.shape[0]:
                 raise DataError("output layer width must equal hidden width")
-            if self.activation not in ("tanh", "relu"):
-                raise DataError(f"unknown activation {self.activation!r}")
 
     @property
     def num_classes(self) -> int:
@@ -94,8 +86,7 @@ class ClassifierState:
     def _represent(self, X: np.ndarray) -> np.ndarray:
         if self.hidden_weights is None:
             return X
-        pre = X @ self.hidden_weights.T + self.hidden_bias
-        return np.tanh(pre) if self.activation == "tanh" else np.maximum(pre, 0.0)
+        return np.tanh(X @ self.hidden_weights.T + self.hidden_bias)
 
     def logits_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -125,31 +116,7 @@ class ClassifierState:
             space=masked_space,
             hidden_weights=None if self.hidden_weights is None else self.hidden_weights.copy(),
             hidden_bias=None if self.hidden_bias is None else self.hidden_bias.copy(),
-            activation=self.activation,
         )
-
-
-def forward(state: ClassifierState, features: np.ndarray) -> np.ndarray:
-    """Logits z = W.f + b (through the hidden layer when configured)."""
-    f = np.asarray(features, dtype=np.float64)
-    if f.ndim != 1:
-        raise DataError(f"expected a single feature vector, got shape {f.shape}")
-    return state.logits_batch(f[None, :])[0]
-
-
-def predict(state: ClassifierState, features: np.ndarray) -> int:
-    """Argmax of the logits; ties broken by the lowest class id."""
-    return int(np.argmax(forward(state, features)))
-
-
-def mask_classifier(state: ClassifierState, space: LabelSpace) -> ClassifierState:
-    """Keep only the rows of the target classes of ``space``; no re-training."""
-    if space.num_target != state.space.num_target:
-        raise DataError(
-            f"mask space has {space.num_target} targets, state has "
-            f"{state.space.num_target}"
-        )
-    return state.masked()
 
 
 @dataclass
@@ -176,6 +143,8 @@ class TrainLog:
 class _Optimizer:
     """SGD with momentum, or AdamW with the (0.9, 0.95) beta preset."""
 
+    ADAM_BETAS = (0.9, 0.95)
+
     def __init__(self, cfg: RunConfig, params: dict[str, np.ndarray]):
         self.cfg = cfg
         self.kind = cfg.optimizer
@@ -199,7 +168,7 @@ class _Optimizer:
                 slot["v"][:] = cfg.momentum * slot["v"] + g
                 p -= cfg.learning_rate * slot["v"]
             else:
-                b1, b2 = cfg.adam_betas
+                b1, b2 = self.ADAM_BETAS
                 if cfg.weight_decay:
                     p *= 1.0 - cfg.learning_rate * cfg.weight_decay
                 slot["m"][:] = b1 * slot["m"] + (1 - b1) * g
@@ -311,7 +280,6 @@ def train(
         params["hidden_weights"] = state.hidden_weights
         params["hidden_bias"] = state.hidden_bias
     optimizer = _Optimizer(cfg, params)
-    state.opt_slots = optimizer.slots
 
     log = TrainLog(
         seed=cfg.seed,
@@ -348,11 +316,7 @@ def train(
             grad_b[rows] = Gm.sum(axis=0)
             grads = {"weights": grad_w, "bias": grad_b}
             if state.hidden_weights is not None:
-                dH = Gm @ state.weights[rows]
-                if state.activation == "tanh":
-                    dA = dH * (1.0 - H * H)
-                else:
-                    dA = dH * (H > 0)
+                dA = (Gm @ state.weights[rows]) * (1.0 - H * H)
                 grads["hidden_weights"] = dA.T @ Xb
                 grads["hidden_bias"] = dA.sum(axis=0)
             optimizer.step(params, grads)
@@ -411,7 +375,6 @@ def linear_probe_retrain(
         space=masked.space,
         hidden_weights=masked.hidden_weights,
         hidden_bias=masked.hidden_bias,
-        activation=state.activation,
     )
 
 
@@ -422,7 +385,6 @@ def save_checkpoint(state: ClassifierState, path: str | Path) -> None:
         "label_space": state.space.to_json(),
         "weights": state.weights.tolist(),
         "bias": state.bias.tolist(),
-        "activation": state.activation,
         "hidden": None,
     }
     if state.hidden_weights is not None:
@@ -434,19 +396,34 @@ def save_checkpoint(state: ClassifierState, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ClassifierState:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    A checkpoint that names an activation is accepted only when it is tanh,
+    the one hidden-layer activation the model has.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"checkpoint not found: {path}")
-    payload = json.loads(path.read_text())
+    try:
+        payload = json.loads(path.read_text())
+    except ValueError as exc:
+        raise DataError(f"{path}: checkpoint is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: checkpoint must hold a JSON object")
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {version!r}")
+    activation = payload.get("activation", "tanh")
+    if activation != "tanh":
+        raise DataError(f"{path}: unsupported activation {activation!r}")
     hidden = payload.get("hidden")
-    return ClassifierState(
-        weights=np.asarray(payload["weights"], dtype=np.float64),
-        bias=np.asarray(payload["bias"], dtype=np.float64),
-        space=LabelSpace.from_json(payload["label_space"]),
-        hidden_weights=None if hidden is None else np.asarray(hidden["weights"]),
-        hidden_bias=None if hidden is None else np.asarray(hidden["bias"]),
-        activation=payload.get("activation", "tanh"),
-    )
+    try:
+        return ClassifierState(
+            weights=np.asarray(payload["weights"], dtype=np.float64),
+            bias=np.asarray(payload["bias"], dtype=np.float64),
+            space=LabelSpace.from_json(payload["label_space"]),
+            hidden_weights=None if hidden is None else np.asarray(hidden["weights"]),
+            hidden_bias=None if hidden is None else np.asarray(hidden["bias"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad checkpoint: {exc!r}") from exc

@@ -16,6 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import ConfigError, DataError, FeatureDataset, LabelSpace, derive_rng
+from .metrics import SplitAssignment
 
 __all__ = ["AuxSamplingPlan", "derive_ratio", "build_plan", "sample_epoch"]
 
@@ -85,11 +86,8 @@ def build_plan(
     ``ratio`` of None derives the default from split sample totals, which
     requires all three splits to be non-empty.
     """
-    counts = np.asarray(target_counts, dtype=np.int64)
     if ratio is None:
-        totals = {"many": 0, "medium": 0, "few": 0}
-        for y, tag in enumerate(split_tags):
-            totals[tag] += int(counts[y])
+        totals = SplitAssignment(tuple(split_tags)).totals(target_counts)
         ratio = derive_ratio((totals["many"], totals["medium"], totals["few"]))
     return AuxSamplingPlan(
         per_class_cap=per_class_cap,

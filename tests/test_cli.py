@@ -4,6 +4,7 @@ Everything drives main() in process with argv lists; no subprocesses needed.
 """
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -188,15 +189,16 @@ class TestSweepAndReport:
         assert [r[1] for r in rows[1:]] == ["0.0", "1.0"]
         assert all(r[0] == "lambda_s" for r in rows[1:])
 
-    def test_sweep_jobs_matches_serial(self, tmp_path):
+    def test_sweep_reruns_byte_identical(self, tmp_path):
         base = ["sweep", "--axis", "per_class_cap", "--values", "10,50",
                 "--seeds", "0", "--num-classes", "10", "--num-superclasses",
                 "2", "--feature-dim", "8", "--max-count", "120",
                 "--test-per-class", "5", "--epochs", "2"]
-        a, b = tmp_path / "serial", tmp_path / "parallel"
+        a, b = tmp_path / "a", tmp_path / "b"
         assert run(*base, "--out", a) == 0
-        assert run(*base, "--jobs", "2", "--out", b) == 0
-        assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+        assert run(*base, "--out", b) == 0
+        for fname in ("sweep.csv", "manifest.json"):
+            assert (a / fname).read_bytes() == (b / fname).read_bytes()
 
     def test_report_merges_eval_jsons(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -223,6 +225,54 @@ class TestSweepAndReport:
         assert "lambda_s,0.1" in capsys.readouterr().out
 
 
+def _dataset_copy(tmp_path: Path) -> Path:
+    d = tmp_path / "ds"
+    d.mkdir()
+    for name in ("train.jsonl", "train.meta.json"):
+        shutil.copy(FIXTURES / name, d / name)
+    return d / "train.jsonl"
+
+
+def _bad_sidecar(tmp_path):
+    data = _dataset_copy(tmp_path)
+    data.with_suffix(".meta.json").write_text('{"feature_dim": 8,')
+    return ["train", "--data", data]
+
+
+def _ragged_rows(tmp_path):
+    data = _dataset_copy(tmp_path)
+    with data.open("a") as fh:
+        fh.write('{"id": "short", "label": 0, "features": [1.0, 2.0]}\n')
+    return ["train", "--data", data]
+
+
+def _checkpoint(text):
+    def build(tmp_path):
+        ck = tmp_path / "checkpoint.json"
+        ck.write_text(text)
+        return ["eval", "--checkpoint", ck, "--test", FIXTURES / "train.jsonl",
+                "--data", FIXTURES / "train.jsonl"]
+    return build
+
+
+def _report(text):
+    def build(tmp_path):
+        rep = tmp_path / "report.json"
+        rep.write_text(text)
+        return ["report", rep]
+    return build
+
+
+MALFORMED_JSON_INPUTS = {
+    "sidecar-not-json": _bad_sidecar,
+    "ragged-feature-rows": _ragged_rows,
+    "checkpoint-not-json": _checkpoint('{"format_version": 1'),
+    "checkpoint-missing-keys": _checkpoint('{"format_version": 1, "bias": [0.0]}'),
+    "report-not-json": _report("[1, 2"),
+    "report-missing-keys": _report('{"overall_acc": 50.0}'),
+}
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -244,6 +294,32 @@ class TestExitCodes:
         assert run("eval", "--checkpoint", tmp_path / "no.json",
                    "--test", FIXTURES / "train.jsonl") == 3
         assert run("report", tmp_path / "missing.json") == 3
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_JSON_INPUTS))
+    def test_malformed_json_input_is_3(self, tmp_path, capsys, case):
+        argv = MALFORMED_JSON_INPUTS[case](tmp_path)
+        assert run(*argv, "--out", tmp_path / "out") == 3
+        assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("names", [None, '{"0": "cat",', '{"zero": "cat"}'])
+    def test_bad_names_file_is_3(self, tmp_path, capsys, names):
+        path = tmp_path / "names.json"
+        if names is not None:
+            path.write_text(names)
+        assert run("synth", "--out", tmp_path / "data", *SMALL_SYNTH,
+                   "--names", path) == 3
+        assert "names file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", [
+        ("train", "gamma1"), ("train", "gamma2"), ("pilot", "jobs"), ("sweep", "jobs"),
+    ])
+    def test_manifest_with_removed_key_is_2(self, tmp_path, capsys, command, key):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"command": command, "version": "0.1.0", "config": {"seed": 0, key: 1}}
+        ))
+        assert run(command, "--config", manifest, "--out", tmp_path / "o") == 2
+        assert f"'{key}'" in capsys.readouterr().err
 
     def test_external_service_error_is_4(self, tmp_path, capsys):
         empty = tmp_path / "llm"

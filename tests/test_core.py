@@ -178,13 +178,11 @@ class TestRunConfig:
         cfg = RunConfig()
         assert cfg.lambda_s == 0.1
         assert cfg.per_class_cap == 50
-        assert (cfg.gamma1, cfg.gamma2) == (0.7, 0.98)
+        assert (cfg.learning_rate, cfg.momentum) == (0.15, 0.0)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
             RunConfig(lambda_s=-0.1)
-        with pytest.raises(ConfigError):
-            RunConfig(gamma1=0.99, gamma2=0.98)
         with pytest.raises(ConfigError):
             RunConfig(per_class_cap=0)
         with pytest.raises(ConfigError):

@@ -221,6 +221,16 @@ class TestFixtureBackends:
         with pytest.raises(DataError):
             FixtureRetriever(tmp_path / "absent.jsonl")
 
+    @pytest.mark.parametrize("key", ["image_ref", "caption", "features"])
+    def test_retriever_rejects_record_missing_key_at_load(self, tmp_path, key):
+        good = {"class": "tabby", "image_ref": "i1", "caption": "a tabby",
+                "features": [1.0, 2.0]}
+        bad = {k: v for k, v in good.items() if k != key}
+        p = tmp_path / "corpus.jsonl"
+        p.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(DataError, match=f"line 2.*{key}"):
+            FixtureRetriever(p)
+
 
 class _Handler(BaseHTTPRequestHandler):
     payload: dict = {}

@@ -1,14 +1,11 @@
 """Experiment drivers at toy scale; the real directions run in acceptance."""
-import numpy as np
 import pytest
 
-from tailext.core import ClassStats, RunConfig
+from tailext.core import RunConfig
 from tailext.experiments import (
     BENCH_CONFIG,
     MLP_CONFIG,
-    PILOT_CONFIG,
     build_benchmark,
-    ratio_for_counts,
     run_ablation_cell,
     run_method_pair,
     run_pilot_cell,
@@ -19,8 +16,7 @@ from tailext.metrics import EvalReport
 TOY = dict(num_classes=10, num_superclasses=2, feature_dim=8,
            max_count=120, test_per_class=5)
 
-FAST_CFG = RunConfig(learning_rate=0.15, momentum=0.0, aux_ratio=(1, 1, 3),
-                     epochs=4)
+FAST_CFG = BENCH_CONFIG.with_overrides(epochs=4)
 
 
 class TestPilot:
@@ -35,13 +31,11 @@ class TestPilot:
         c = run_pilot_cell(3, 0.1, seed=2, **kw)
         assert c["rank_gap"] != a["rank_gap"]
 
-    def test_grid_order_and_jobs(self):
+    def test_grid_order(self):
         kw = dict(num_classes=12, feature_dim=8, max_count=40, test_per_class=5)
-        serial = run_pilot_grid([2, 3], [1.0], [0, 1], jobs=1, **kw)
-        parallel = run_pilot_grid([2, 3], [1.0], [0, 1], jobs=4, **kw)
-        key = [(r["num_superclasses"], r["imbalance"], r["seed"]) for r in serial]
+        rows = run_pilot_grid([2, 3], [1.0], [0, 1], **kw)
+        key = [(r["num_superclasses"], r["imbalance"], r["seed"]) for r in rows]
         assert key == [(2, 1.0, 0), (2, 1.0, 1), (3, 1.0, 0), (3, 1.0, 1)]
-        assert [r["rank_gap"] for r in serial] == [r["rank_gap"] for r in parallel]
 
 
 class TestBenchmark:
@@ -95,14 +89,8 @@ class TestAblationCell:
 
 class TestConfigsAndRatios:
     def test_preset_fields(self):
-        assert PILOT_CONFIG.momentum == 0.0
-        assert BENCH_CONFIG.aux_ratio == (1, 1, 3)
+        assert BENCH_CONFIG == RunConfig(aux_ratio=(1, 1, 3))
+        assert BENCH_CONFIG.momentum == 0.0
         assert BENCH_CONFIG.hidden_dim is None
         assert MLP_CONFIG.hidden_dim == 128
         assert BENCH_CONFIG.lambda_s == pytest.approx(0.1)
-
-    def test_ratio_for_counts_oracle(self):
-        counts = ClassStats(np.array([300, 150, 50, 30, 10, 5]))
-        # many=450, medium=80, few=15
-        assert ratio_for_counts(counts) == (1, 6, 30)
-        assert ratio_for_counts(ClassStats(np.array([101, 50, 5]))) == (1, 3, 21)

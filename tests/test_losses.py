@@ -16,7 +16,6 @@ from tailext.losses import (
     bal_ce_batch,
     bal_ce_merged,
     balanced_error,
-    batch_loss,
     ns_ce,
     ns_ce_batch,
 )
@@ -202,23 +201,6 @@ class TestBatchForms:
             assert losses[b] == pytest.approx(l, rel=1e-14)
             np.testing.assert_allclose(grads[b], g, atol=1e-14)
 
-    def test_batch_loss_mean_and_dispatch(self):
-        stats = ClassStats(np.array([1, 1]))
-        batch = [(np.array([2.0, 0.0]), 0), (np.zeros(2), 0)]
-        mean, grads = batch_loss(batch, "bal_ce", stats)
-        want = (0.12692801104297263 + 0.6931471805599453) / 2
-        assert mean == pytest.approx(want, rel=1e-14)
-        assert grads.shape == (2, 2)
-
-    def test_batch_loss_errors(self):
-        stats = ClassStats(np.array([1, 1]))
-        with pytest.raises(DataError):
-            batch_loss([], "bal_ce", stats)
-        with pytest.raises(DataError):
-            batch_loss([(np.zeros(2), 0)], "ns_ce", stats)  # missing space
-        with pytest.raises(DataError):
-            batch_loss([(np.zeros(2), 0)], "focal", stats)
-
     def test_input_validation(self):
         stats = ClassStats(np.array([1, 1]))
         space = LabelSpace(num_target=2)
@@ -239,20 +221,32 @@ class TestSilenceWeights:
         # targets 0..2, aux 3 and 4 both queried from target 1
         space = build_label_space(3, [(3, 1), (4, 1)])
         w = SilenceWeights(space, 0.2)
-        assert w.pair_weight(1, 3) == 0.2
-        assert w.pair_weight(3, 1) == 0.2
-        assert w.pair_weight(4, 1) == 0.2
-        assert w.pair_weight(3, 4) == 1.0  # siblings do not silence each other
-        assert w.pair_weight(0, 3) == 1.0  # not its querying target
-        assert w.pair_weight(0, 1) == 1.0
-        assert w.pair_weight(3, 3) == 1.0
+
+        def pair_weight(i, j):
+            return w.rows(np.array([i]), 5)[0, j]
+
+        assert pair_weight(1, 3) == 0.2
+        assert pair_weight(3, 1) == 0.2
+        assert pair_weight(4, 1) == 0.2
+        assert pair_weight(3, 4) == 1.0  # siblings do not silence each other
+        assert pair_weight(0, 3) == 1.0  # not its querying target
+        assert pair_weight(0, 1) == 1.0
+        assert pair_weight(3, 3) == 1.0
 
     def test_silenced_indices(self):
+        # targets 0..2, aux 3 and 4 both queried from target 1
         space = build_label_space(3, [(3, 1), (4, 1)])
-        w = SilenceWeights(space, 0.0)
+        w = SilenceWeights(space, 0.2)
         np.testing.assert_array_equal(w.silenced_indices(1), [3, 4])
-        np.testing.assert_array_equal(w.silenced_indices(0), [])
+        np.testing.assert_array_equal(w.silenced_indices(0), [])  # not its querying target
+        np.testing.assert_array_equal(w.silenced_indices(2), [])
+        # an auxiliary silences only its target: never itself or its sibling
         np.testing.assert_array_equal(w.silenced_indices(3), [1])
+        np.testing.assert_array_equal(w.silenced_indices(4), [1])
+        rows = w.rows(np.array([1, 3, 0]), 5)
+        np.testing.assert_array_equal(rows[0], [1.0, 1.0, 1.0, 0.2, 0.2])
+        np.testing.assert_array_equal(rows[1], [1.0, 0.2, 1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(rows[2], np.ones(5))
 
     def test_negative_lambda_rejected_and_gt_one_warns(self):
         space = build_label_space(1, [(1, 0)])

@@ -1,4 +1,6 @@
 """Training loop, parameter gradients, masking, probes, checkpoints."""
+import json
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,8 @@ from tailext.losses import bal_ce
 from tailext.model import (
     CHECKPOINT_VERSION,
     ClassifierState,
-    forward,
     linear_probe_retrain,
     load_checkpoint,
-    mask_classifier,
-    predict,
     save_checkpoint,
     train,
 )
@@ -223,21 +222,6 @@ class TestMasking:
         masked.weights[:] = 0.0
         np.testing.assert_array_equal(state.weights, before)
 
-    def test_mask_classifier_checks_target_count(self):
-        state = self.make_state()
-        assert mask_classifier(state, state.space).num_classes == 3
-        with pytest.raises(DataError):
-            mask_classifier(state, LabelSpace(num_target=4))
-
-    def test_forward_predict_single(self):
-        state = self.make_state()
-        x = np.ones(4)
-        z = forward(state, x)
-        assert z.shape == (5,)
-        assert predict(state, x) == int(np.argmax(z))
-        with pytest.raises(DataError):
-            forward(state, np.ones((2, 4)))
-
 
 class TestProbe:
     def test_probe_replaces_head_and_freezes_hidden(self):
@@ -277,7 +261,6 @@ class TestCheckpoint:
             space=space,
             hidden_weights=rng.normal(size=(5, 4)),
             hidden_bias=rng.normal(size=5),
-            activation="relu",
         )
         p = tmp_path / "ck.json"
         save_checkpoint(state, p)
@@ -285,8 +268,26 @@ class TestCheckpoint:
         np.testing.assert_array_equal(back.weights, state.weights)
         np.testing.assert_array_equal(back.bias, state.bias)
         np.testing.assert_array_equal(back.hidden_weights, state.hidden_weights)
+        np.testing.assert_array_equal(back.hidden_bias, state.hidden_bias)
         assert back.space == space
-        assert back.activation == "relu"
+
+    def test_activation_key_must_be_tanh(self, tmp_path):
+        space = LabelSpace(num_target=2)
+        state = ClassifierState(
+            np.ones((2, 3)), np.zeros(2), space,
+            hidden_weights=np.ones((3, 4)), hidden_bias=np.zeros(3),
+        )
+        p = tmp_path / "ck.json"
+        save_checkpoint(state, p)
+        payload = json.loads(p.read_text())
+        assert "activation" not in payload
+        payload["activation"] = "tanh"  # written by older versions
+        p.write_text(json.dumps(payload))
+        np.testing.assert_array_equal(load_checkpoint(p).hidden_weights, np.ones((3, 4)))
+        payload["activation"] = "relu"
+        p.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="relu"):
+            load_checkpoint(p)
 
     def test_version_and_missing_file(self, tmp_path):
         p = tmp_path / "bad.json"

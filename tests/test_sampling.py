@@ -5,12 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailext.core import (
+    ClassStats,
     ConfigError,
     DataError,
     FeatureDataset,
     build_label_space,
     derive_rng,
 )
+from tailext.metrics import assign_splits
 from tailext.sampling import AuxSamplingPlan, build_plan, derive_ratio, sample_epoch
 
 
@@ -58,6 +60,14 @@ class TestPlan:
         assert plan.ratio == (1.0, 8.0, 17.0)
         assert plan.expanded_targets == {3: "few", 4: "few"}
         assert plan.to_json()["expanded_targets"] == {"3": "few", "4": "few"}
+
+    def test_build_plan_ratio_oracles(self):
+        for counts, want in (
+            ([300, 150, 50, 30, 10, 5], (1.0, 6.0, 30.0)),  # many=450, medium=80, few=15
+            ([101, 50, 5], (1.0, 3.0, 21.0)),
+        ):
+            tags = assign_splits(ClassStats(np.array(counts))).tags
+            assert build_plan(np.array(counts), tags, [], 50, ratio=None).ratio == want
 
     def test_build_plan_explicit_ratio_passthrough(self):
         plan = build_plan(np.array([5, 5]), ("few", "few"), [0], 20, (1, 1, 3))
