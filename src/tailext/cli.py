@@ -90,14 +90,31 @@ def _load_config_file(path: str, command: str | None = None) -> dict:
     return obj
 
 
+def _check_type(key: str, value, default) -> None:
+    """A config-file value must have its default's type; an int may stand
+    for a float, a bool never for an int. Keys whose default is None take
+    any value."""
+    if default is None:
+        return
+    want = type(default)
+    if type(value) not in ((int, float) if want is float else (want,)):
+        raise ConfigError(
+            f"config key {key!r} must be {want.__name__}, got {type(value).__name__} "
+            f"{value!r}"
+        )
+
+
 def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
-    """flag > config file > default, with unknown file keys rejected."""
+    """flag > config file > default, with unknown keys and values of the
+    wrong type in the file rejected."""
     cfg = dict(defaults)
     if getattr(args, "config", None):
         file_cfg = _load_config_file(args.config, getattr(args, "command", None))
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            _check_type(key, value, defaults[key])
         cfg.update(file_cfg)
     for key in defaults:
         val = getattr(args, key, None)
@@ -119,13 +136,11 @@ def _write_manifest(out: Path, command: str, cfg: dict) -> None:
     )
 
 
-def _expand_tags(text) -> tuple[str, ...]:
-    if isinstance(text, (list, tuple)):
-        tags = tuple(text)
-    elif text == "all":
+def _expand_tags(text: str) -> tuple[str, ...]:
+    if text == "all":
         tags = ("many", "medium", "few")
     else:
-        tags = tuple(t.strip() for t in str(text).split(",") if t.strip())
+        tags = tuple(t.strip() for t in text.split(",") if t.strip())
     bad = set(tags) - {"many", "medium", "few"}
     if bad or not tags:
         raise ConfigError(f"expand must name splits or 'all', got {text!r}")
@@ -283,16 +298,18 @@ def cmd_pilot(args) -> int:
 def cmd_curate(args) -> int:
     from .curation import CurationConfig, FixtureLLMClient, FixtureRetriever, HttpLLMClient, curate
 
+    # every curation default comes from CurationConfig
+    cur_defaults = CurationConfig()
     defaults = {
         "data": None,
         "llm_fixture": None,
         "corpus": None,
-        "k": 5,
-        "gamma1": 0.7,
-        "gamma2": 0.98,
-        "expand": "medium,few",
-        "retries": 2,
-        "jobs": 8,
+        "k": cur_defaults.k,
+        "gamma1": cur_defaults.gamma_low,
+        "gamma2": cur_defaults.gamma_high,
+        "expand": ",".join(cur_defaults.expand),
+        "retries": cur_defaults.retries,
+        "jobs": cur_defaults.concurrency,
         "seed": 0,
     }
     cfg = _resolve(defaults, args)

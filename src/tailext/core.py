@@ -73,13 +73,16 @@ class LabelSpace:
 
     Ids 0..L-1 are target classes; L..L+K-1 are auxiliary. ``neighbor_of``
     maps each auxiliary id to the target id it was queried from. K = 0 is the
-    plain closed-set baseline.
+    plain closed-set baseline. ``query_target`` is the same relation as a
+    read-only (L+K,) array, built once: the target each auxiliary id was
+    queried from, and -1 at every target id.
     """
 
     num_target: int
     num_auxiliary: int = 0
     neighbor_of: Mapping[int, int] = field(default_factory=dict)
     class_names: Mapping[int, str] | None = None
+    query_target: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         L, K = self.num_target, self.num_auxiliary
@@ -99,6 +102,11 @@ class LabelSpace:
         object.__setattr__(self, "neighbor_of", dict(self.neighbor_of))
         if self.class_names is not None:
             object.__setattr__(self, "class_names", dict(self.class_names))
+        query_target = np.full(L + K, -1, dtype=np.int64)
+        for aux, tgt in self.neighbor_of.items():
+            query_target[aux] = tgt
+        query_target.setflags(write=False)
+        object.__setattr__(self, "query_target", query_target)
 
     @property
     def num_classes(self) -> int:
@@ -426,7 +434,3 @@ class RunConfig:
             "weight_decay": self.weight_decay,
             "hidden_dim": self.hidden_dim,
         }
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "RunConfig":
-        return cls(**obj)

@@ -159,8 +159,19 @@ class FixtureLLMClient:
             path = path / "responses.json"
         if not path.exists():
             raise DataError(f"LLM fixture not found: {path}")
+        try:
+            recorded = json.loads(path.read_text())
+        except ValueError as exc:
+            raise DataError(f"LLM fixture {path} is not valid JSON: {exc}") from exc
+        if not isinstance(recorded, dict) or not all(
+            isinstance(v, str) for v in recorded.values()
+        ):
+            raise DataError(
+                f"LLM fixture {path} must hold a JSON object mapping query names "
+                "to response strings"
+            )
         self.responses: dict[str, str] = {
-            normalize_name(k): v for k, v in json.loads(path.read_text()).items()
+            normalize_name(k): v for k, v in recorded.items()
         }
 
     def complete(self, prompt: str) -> str:

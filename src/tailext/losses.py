@@ -108,8 +108,9 @@ class SilenceWeights:
     neighbor of the other, else 1. The relation holds only between a target
     and its own auxiliary classes: two auxiliaries queried from the same
     target do not silence each other, and target-target pairs always weigh 1.
-    The relation is sparse (one entry per auxiliary class), so rows are built
-    per true class instead of materializing the dense pairwise matrix.
+    The relation is sparse (one entry per auxiliary class), so the dense
+    pairwise matrix is never built: the rows of a batch are read off the
+    label space's ``query_target`` array with array operations.
     """
 
     def __init__(self, space: LabelSpace, lambda_s: float):
@@ -121,27 +122,34 @@ class SilenceWeights:
             )
         self.space = space
         self.lambda_s = float(lambda_s)
-        by_target: dict[int, list[int]] = {}
-        for aux, tgt in sorted(space.neighbor_of.items()):
-            by_target.setdefault(tgt, []).append(aux)
-        self._aux_by_target = {
-            t: np.asarray(a, dtype=np.int64) for t, a in by_target.items()
-        }
 
     def silenced_indices(self, true_class: int) -> np.ndarray:
         """Class ids whose pair weight with ``true_class`` is lambda_s."""
         space = self.space
         if space.is_auxiliary(true_class):
-            return np.asarray([space.neighbor_of[true_class]], dtype=np.int64)
-        return self._aux_by_target.get(true_class, np.empty(0, dtype=np.int64))
+            return space.query_target[[true_class]]
+        if 0 <= true_class < space.num_target:
+            return np.flatnonzero(space.query_target == true_class)
+        return np.empty(0, dtype=np.int64)
 
     def rows(self, labels: np.ndarray, n_classes: int) -> np.ndarray:
-        """Weight matrix (B, n_classes): row b holds lambda_{labels[b], j}."""
-        w = np.ones((labels.size, n_classes), dtype=np.float64)
-        for b, y in enumerate(labels):
-            idx = self.silenced_indices(int(y))
-            if idx.size:
-                w[b, idx] = self.lambda_s
+        """Weight matrix (B, n_classes): row b holds lambda_{labels[b], j}.
+
+        A target label silences the auxiliary columns queried from it; an
+        auxiliary label silences the one target it was queried from.
+        """
+        query_target = self.space.query_target
+        if n_classes != query_target.size:
+            raise DataError(
+                f"{n_classes} weight columns for a {query_target.size}-class label space"
+            )
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.min(initial=0) < 0 or labels.max(initial=0) >= n_classes:
+            raise DataError("labels out of range")
+        w = np.where(query_target[None, :] == labels[:, None], self.lambda_s, 1.0)
+        partner = query_target[labels]
+        aux_rows = np.flatnonzero(partner >= 0)
+        w[aux_rows, partner[aux_rows]] = self.lambda_s
         return w
 
 
@@ -158,9 +166,10 @@ def ns_ce_batch(
 
     Returns (losses (B,), gradients (B, M)). Folding the leading 1 in as the
     true class's own term (exponent 0, weight 1) turns the expression into a
-    weighted log-sum-exp; the shift uses the max exponent among positive
-    weights only, so fully silenced terms (lambda_s = 0) cannot drag the
-    reference below every surviving term.
+    weighted log-sum-exp. With lambda_s > 0 every weight is positive and the
+    shift is the plain row maximum; with lambda_s = 0 the fully silenced
+    terms are dropped before the shift, so a dominant silenced logit can
+    neither push the reference above every surviving term nor overflow.
     """
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] != len(stats):
@@ -180,9 +189,11 @@ def ns_ce_batch(
     u = Z + stats.log_counts()[None, :]
     t = u - u[rows, labels][:, None]
     w = weights.rows(labels, len(stats))
-    w[rows, labels] = 1.0
-    support = w > 0
-    m = np.where(support, t, -np.inf).max(axis=1)
+    if weights.lambda_s == 0:
+        # silenced terms leave the shift and the sum: their exponent becomes
+        # exp(-inf) = 0, where 0 * exp(t - m) would overflow to 0 * inf = nan
+        t = np.where(w > 0, t, -np.inf)
+    m = t.max(axis=1)
     scaled = w * np.exp(t - m[:, None])
     total = scaled.sum(axis=1)
     losses = m + np.log(total)

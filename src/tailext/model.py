@@ -165,8 +165,10 @@ class _Optimizer:
             if self.kind == "sgd":
                 if cfg.weight_decay:
                     g = g + cfg.weight_decay * p
-                slot["v"][:] = cfg.momentum * slot["v"] + g
-                p -= cfg.learning_rate * slot["v"]
+                v = slot["v"]
+                np.multiply(v, cfg.momentum, out=v)
+                v += g
+                p -= cfg.learning_rate * v
             else:
                 b1, b2 = self.ADAM_BETAS
                 if cfg.weight_decay:
@@ -219,19 +221,19 @@ def _epoch_view(
             LabelSpace(num_target=L),
         )
     active_aux = np.flatnonzero(eff_counts > 0) + L
-    remap = {int(orig): L + r for r, orig in enumerate(active_aux)}
+    view_ids = L + np.arange(active_aux.size)
+    remap = np.full(space.num_classes, -1, dtype=np.int64)
+    remap[active_aux] = view_ids
     view_space = LabelSpace(
         num_target=L,
-        num_auxiliary=len(active_aux),
-        neighbor_of={
-            L + r: space.neighbor_of[int(orig)] for r, orig in enumerate(active_aux)
-        },
+        num_auxiliary=active_aux.size,
+        neighbor_of=dict(
+            zip(view_ids.tolist(), space.query_target[active_aux].tolist())
+        ),
     )
     stats = ClassStats(np.concatenate([target_counts, eff_counts[active_aux - L]]))
     feats = np.concatenate([dataset.features, aux_subset.features])
-    labels = np.concatenate(
-        [dataset.labels, np.asarray([remap[int(l)] for l in aux_subset.labels])]
-    )
+    labels = np.concatenate([dataset.labels, remap[aux_subset.labels]])
     rows = np.concatenate([np.arange(L), active_aux])
     return feats, labels, rows, stats, view_space
 
@@ -303,7 +305,8 @@ def train(
             Xb, yb = feats[idx], labels[idx]
             B = idx.size
             H = state._represent(Xb)
-            Z = H @ state.weights[rows].T + state.bias[rows]
+            W = state.weights[rows]
+            Z = H @ W.T + state.bias[rows]
             if ep_space.num_auxiliary > 0:
                 losses, G = ns_ce_batch(Z, yb, ep_stats, ep_space, cfg.lambda_s)
             else:
@@ -316,7 +319,7 @@ def train(
             grad_b[rows] = Gm.sum(axis=0)
             grads = {"weights": grad_w, "bias": grad_b}
             if state.hidden_weights is not None:
-                dA = (Gm @ state.weights[rows]) * (1.0 - H * H)
+                dA = (Gm @ W) * (1.0 - H * H)
                 grads["hidden_weights"] = dA.T @ Xb
                 grads["hidden_bias"] = dA.sum(axis=0)
             optimizer.step(params, grads)

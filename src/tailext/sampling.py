@@ -118,27 +118,33 @@ def sample_epoch(
         return aux.subset(np.empty(0, dtype=np.int64)), eff
 
     aux.validate_against(space)
-    by_class: dict[int, np.ndarray] = {
-        int(c): np.flatnonzero(aux.labels == c) for c in np.unique(aux.labels)
-    }
+    # a stable sort keeps each class's sample indices in ascending order, so
+    # class c's pool is the slice by_label[start[c]:end[c]]
+    by_label = np.argsort(aux.labels, kind="stable")
+    counts = np.bincount(aux.labels, minlength=space.num_classes)
+    end = np.cumsum(counts)
+    start = end - counts
+    # auxiliary ids with samples, ascending, and the target each was queried from
+    sampled = np.flatnonzero((space.query_target >= 0) & (counts > 0))
+    sampled_target = space.query_target[sampled]
 
     chosen: list[np.ndarray] = []
     for target in sorted(plan.expanded_targets):
         tag = plan.expanded_targets[target]
-        categories = [c for c in space.neighbors_of_target(target) if c in by_class]
-        if not categories:
+        categories = sampled[sampled_target == target]
+        if not categories.size:
             continue
-        n_attach = min(len(categories), plan.categories_for(tag))
+        n_attach = min(categories.size, plan.categories_for(tag))
         if n_attach == 0:
             continue
-        if n_attach < len(categories):
+        if n_attach < categories.size:
             rng = derive_rng(seed, "aux-attach", epoch, target)
-            order = rng.permutation(len(categories))[:n_attach]
-            attached = [categories[i] for i in sorted(order)]
+            order = rng.permutation(categories.size)[:n_attach]
+            attached = categories[np.sort(order)]
         else:
             attached = categories
         for c in attached:
-            pool = by_class[c]
+            pool = by_label[start[c] : end[c]]
             take = min(pool.size, plan.per_class_cap)
             if take < pool.size:
                 rng = derive_rng(seed, "aux-sample", epoch, c)

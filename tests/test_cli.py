@@ -332,6 +332,38 @@ class TestExitCodes:
         assert code == 4
         assert "external service error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("responses", ['{"cat": ', '["cat"]', '{"cat": ["dog"]}'])
+    def test_malformed_llm_fixture_is_3(self, tmp_path, capsys, responses):
+        fixture = tmp_path / "llm"
+        fixture.mkdir()
+        (fixture / "responses.json").write_text(responses)
+        code = run("curate", "--data", FIXTURES / "train.jsonl",
+                   "--llm-fixture", fixture,
+                   "--corpus", FIXTURES / "candidates.jsonl",
+                   "--out", tmp_path / "out")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "responses.json" in err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "epochs", "5"),
+        ("train", "epochs", True),
+        ("train", "epochs", 5.0),
+        ("train", "lr", "0.1"),
+        ("train", "lambda_s", False),
+        ("train", "ratio", [1, 1, 3]),
+        ("eval", "mask_aux", 1),
+        ("synth", "expand", ["few"]),
+        ("curate", "k", "5"),
+        ("pilot", "num_classes", None),
+    ])
+    def test_config_value_of_wrong_type_is_2(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run(command, "--config", cfg, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"'{key}'" in err
+
     def test_curate_without_retriever_is_2(self, tmp_path):
         assert run("curate", "--data", FIXTURES / "train.jsonl",
                    "--llm-fixture", FIXTURES, "--out", tmp_path / "o") == 2
@@ -351,6 +383,20 @@ class TestConfigResolution:
         assert manifest["config"]["lr"] == 0.4         # flag wins
         assert manifest["config"]["cap"] == 50         # default survives
         assert manifest["command"] == "train"
+
+    @pytest.mark.parametrize("file_cfg", [
+        {"lr": 1, "momentum": 0, "lambda_s": 1},  # an int stands for a float
+        {"hidden_dim": 4},  # a None default takes any value
+        {"epochs": 2, "ratio": "1:1:3", "optimizer": "adamw"},
+    ])
+    def test_config_values_of_default_type_accepted(self, tmp_path, file_cfg):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1, **file_cfg}))
+        out = tmp_path / "run"
+        assert run("train", "--data", FIXTURES / "train.jsonl", "--config", cfg,
+                   "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {k: manifest["config"][k] for k in file_cfg} == file_cfg
 
     def test_manifest_rejected_by_other_command(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -197,5 +197,5 @@ class TestRunConfig:
     def test_overrides_and_json(self):
         cfg = RunConfig(aux_ratio=(1, 1, 3)).with_overrides(seed=9, lambda_s=0.5)
         assert cfg.seed == 9 and cfg.lambda_s == 0.5
-        again = RunConfig.from_json(json.loads(json.dumps(cfg.to_json())))
+        again = RunConfig(**json.loads(json.dumps(cfg.to_json())))
         assert again == cfg

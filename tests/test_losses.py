@@ -256,6 +256,68 @@ class TestSilenceWeights:
             SilenceWeights(space, 1.2)
 
 
+def space_with_bare_targets(rng):
+    """Random label space with 0-2 auxiliaries per target; at least one
+    target has none."""
+    L = int(rng.integers(2, 7))
+    per_target = rng.integers(0, 3, size=L)
+    per_target[int(rng.integers(0, L))] = 0
+    owners = rng.permutation(np.repeat(np.arange(L), per_target))
+    return build_label_space(L, [(L + k, int(t)) for k, t in enumerate(owners)])
+
+
+def brute_pair_weights(space, lam):
+    """(M, M) pair weights straight from the definition over neighbor_of."""
+    nb = space.neighbor_of
+    M = space.num_classes
+    return np.array([
+        [lam if nb.get(j) == i or nb.get(i) == j else 1.0 for j in range(M)]
+        for i in range(M)
+    ])
+
+
+class TestArrayForms:
+    @given(st.integers(0, 10**6), st.sampled_from([0.0, 0.1, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_brute_force_pair_rule(self, seed, lam):
+        rng = derive_rng(seed, "rows-brute")
+        space = space_with_bare_targets(rng)
+        M = space.num_classes
+        want = brute_pair_weights(space, lam)
+        labels = np.concatenate([np.arange(M), rng.integers(0, M, size=5)])
+        w = SilenceWeights(space, lam)
+        np.testing.assert_array_equal(w.rows(labels, M), want[labels])
+        silenced = brute_pair_weights(space, 0.0) == 0
+        for y in range(M):
+            np.testing.assert_array_equal(w.silenced_indices(y), np.flatnonzero(silenced[y]))
+
+    @given(st.integers(0, 10**6), st.sampled_from([0.0, 0.1, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_loss_matches_masked_reference(self, seed, lam):
+        # every silenced term dominates its row by 1000; at lambda_s = 0 it
+        # must drop out of the shift as well as out of the sum
+        rng = derive_rng(seed, "ns-masked")
+        space = space_with_bare_targets(rng)
+        M = space.num_classes
+        stats = ClassStats(rng.integers(1, 300, size=M))
+        labels = rng.integers(0, M, size=8)
+        silenced = brute_pair_weights(space, 0.0)[labels] == 0
+        Z = rng.normal(scale=5.0, size=(8, M)) + 1000.0 * silenced
+        losses, grads = ns_ce_batch(Z, labels, stats, space, lam)
+        assert np.isfinite(losses).all() and np.isfinite(grads).all()
+        pair = brute_pair_weights(space, lam)
+        u = Z + stats.log_counts()
+        for b, y in enumerate(labels):
+            keep = pair[y] > 0
+            t = u[b] - u[b, y]
+            want = logsumexp(t[keep], b=pair[y][keep])
+            assert losses[b] == pytest.approx(want, rel=1e-12, abs=1e-12)
+            want_grad = np.zeros(M)
+            want_grad[keep] = pair[y][keep] * np.exp(t[keep] - want)
+            want_grad[y] -= 1.0
+            np.testing.assert_allclose(grads[b], want_grad, atol=1e-12)
+
+
 class TestBalancedError:
     def test_hand_counted(self):
         # class 0: 3 samples 1 wrong; class 1: 1 sample 0 wrong

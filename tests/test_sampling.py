@@ -148,3 +148,65 @@ class TestSampleEpoch:
     def test_small_pool_taken_whole(self):
         _, eff = sample_epoch(self.aux, self.space, self.plan, seed=2, epoch=0)
         assert eff[7 - 3] == 10  # pool below cap comes back in full
+
+
+def reference_sample_epoch(aux, space, plan, seed, epoch):
+    """sample_epoch written out per class: a flatnonzero pool per label and a
+    scan of neighbor_of per expanded target, drawing from the same streams."""
+    L, K = space.num_target, space.num_auxiliary
+    eff = np.zeros(K, dtype=np.int64)
+    by_class = {int(c): np.flatnonzero(aux.labels == c) for c in np.unique(aux.labels)}
+    chosen = []
+    for target in sorted(plan.expanded_targets):
+        categories = [c for c in space.neighbors_of_target(target) if c in by_class]
+        n_attach = min(len(categories), plan.categories_for(plan.expanded_targets[target]))
+        if n_attach == 0:
+            continue
+        if n_attach < len(categories):
+            order = derive_rng(seed, "aux-attach", epoch, target).permutation(len(categories))
+            categories = [categories[i] for i in sorted(order[:n_attach])]
+        for c in categories:
+            pool = by_class[c]
+            take = min(pool.size, plan.per_class_cap)
+            if take < pool.size:
+                rng = derive_rng(seed, "aux-sample", epoch, c)
+                pool = pool[np.sort(rng.choice(pool.size, size=take, replace=False))]
+            chosen.append(pool)
+            eff[c - L] = take
+    idx = np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
+    return aux.subset(idx), eff
+
+
+class TestSampleEpochReference:
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_class_reference(self, seed):
+        rng = derive_rng(seed, "sample-ref")
+        L = int(rng.integers(2, 7))
+        per_target = rng.integers(0, 4, size=L)
+        per_target[int(rng.integers(0, L))] = 0  # a target with no auxiliaries
+        owners = rng.permutation(np.repeat(np.arange(L), per_target))
+        space = build_label_space(L, [(L + k, int(t)) for k, t in enumerate(owners)])
+        # some auxiliary classes have no samples at all
+        pools = {L + k: int(n) for k, n in enumerate(rng.integers(0, 40, size=owners.size))}
+        pools = {c: n for c, n in pools.items() if n}
+        if pools:
+            aux = make_aux(pools, seed=seed)
+        else:
+            aux = FeatureDataset(np.zeros((0, 4)), np.zeros(0, dtype=int))
+        aux = aux.subset(rng.permutation(len(aux)))  # interleave the classes
+        tags = ("many", "medium", "few")
+        plan = AuxSamplingPlan(
+            per_class_cap=int(rng.integers(1, 30)),
+            ratio=tuple(float(r) for r in rng.choice([0, 0.5, 1, 2, 3], size=3)),
+            expanded_targets={
+                t: tags[int(rng.integers(0, 3))] for t in range(L) if rng.random() < 0.8
+            },
+        )
+        epoch = int(rng.integers(0, 5))
+        got, got_eff = sample_epoch(aux, space, plan, seed, epoch)
+        want, want_eff = reference_sample_epoch(aux, space, plan, seed, epoch)
+        np.testing.assert_array_equal(got_eff, want_eff)
+        assert got.sample_ids() == want.sample_ids()
+        np.testing.assert_array_equal(got.labels, want.labels)
+        np.testing.assert_array_equal(got.features, want.features)
