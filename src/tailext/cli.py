@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -26,6 +27,8 @@ from .core import (
     read_dataset,
     write_dataset,
 )
+from .curation import CurationConfig
+from .experiments import BENCH_CONFIG, build_benchmark, run_pilot_cell, run_pilot_grid
 from .metrics import EvalReport, assign_splits, evaluate, reports_to_csv, write_report
 from .model import load_checkpoint, save_checkpoint, train
 from .synth import CountProfile, HierarchySpec, make_auxiliary, make_counts, make_hierarchy
@@ -159,31 +162,42 @@ def _read_names(path: str) -> dict[int, str]:
         ) from exc
 
 
+def _keyword_defaults(fn, *names: str) -> dict:
+    """The defaults of ``fn``'s parameters ``names``, in that order."""
+    params = inspect.signature(fn).parameters
+    return {name: params[name].default for name in names}
+
+
 # ---------------------------------------------------------------- commands
+#
+# Each command's settings table is the one declaration of its settings:
+# build_parser gives every key a flag, and _resolve fills the table from
+# flag > config file > default.
+
+
+_SYNTH_DEFAULTS = {
+    "num_classes": 100,
+    "num_superclasses": 10,
+    "feature_dim": 64,
+    "profile": "exponential",
+    "imbalance": 0.01,
+    "alpha": 6.0,
+    "max_count": 300,
+    "test_per_class": 100,
+    "sigma_super": 10.0,
+    "sigma_fine": 2.5,
+    "sigma_sample": 1.0,
+    "aux_per_target": 0,
+    "samples_per_aux": 120,
+    "aux_offset": 3.0,
+    "expand": "medium,few",
+    "names": None,
+    "seed": 0,
+}
 
 
 def cmd_synth(args) -> int:
-    defaults = {
-        "num_classes": 100,
-        "num_superclasses": 10,
-        "feature_dim": 64,
-        "profile": "exponential",
-        "imbalance": 0.01,
-        "alpha": 6.0,
-        "max_count": 300,
-        "test_per_class": 100,
-        "sigma_super": 10.0,
-        "sigma_fine": 2.5,
-        "sigma_sample": 1.0,
-        "aux_per_target": 0,
-        "samples_per_aux": 120,
-        "aux_offset": 3.0,
-        "expand": "medium,few",
-        "names": None,
-        "seed": 0,
-    }
-    cfg = _resolve(defaults, args)
-    out = _out_dir(args)
+    cfg = _resolve(_SYNTH_DEFAULTS, args)
     profile = CountProfile(
         cfg["profile"],
         cfg["num_classes"],
@@ -191,6 +205,7 @@ def cmd_synth(args) -> int:
         imbalance=cfg["imbalance"],
         alpha=cfg["alpha"],
     )
+    out = _out_dir(args)
     counts = make_counts(profile, cfg["seed"])
     spec = HierarchySpec(
         num_superclasses=cfg["num_superclasses"],
@@ -237,20 +252,18 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_pilot(args) -> int:
-    from .experiments import run_pilot_grid
+# pilot geometry defaults are run_pilot_cell's
+_PILOT_GEOMETRY = ("num_classes", "feature_dim", "max_count", "test_per_class", "sigma_fine")
+_PILOT_DEFAULTS = {
+    "superclasses": "5,25",
+    "imbalances": "1.0,0.01",
+    "seeds": "0,1,2,3,4",
+    **_keyword_defaults(run_pilot_cell, *_PILOT_GEOMETRY),
+}
 
-    defaults = {
-        "superclasses": "5,25",
-        "imbalances": "1.0,0.01",
-        "seeds": "0,1,2,3,4",
-        "num_classes": 100,
-        "feature_dim": 64,
-        "max_count": 300,
-        "test_per_class": 100,
-        "sigma_fine": 2.5,
-    }
-    cfg = _resolve(defaults, args)
+
+def cmd_pilot(args) -> int:
+    cfg = _resolve(_PILOT_DEFAULTS, args)
     out = _out_dir(args)
     s_grid = _parse_int_list(cfg["superclasses"])
     b_grid = _parse_float_list(cfg["imbalances"])
@@ -259,14 +272,7 @@ def cmd_pilot(args) -> int:
         raise ConfigError("pilot grid needs superclasses, imbalances, and seeds")
 
     rows = run_pilot_grid(
-        s_grid,
-        b_grid,
-        seeds,
-        num_classes=cfg["num_classes"],
-        feature_dim=cfg["feature_dim"],
-        max_count=cfg["max_count"],
-        test_per_class=cfg["test_per_class"],
-        sigma_fine=cfg["sigma_fine"],
+        s_grid, b_grid, seeds, **{key: cfg[key] for key in _PILOT_GEOMETRY}
     )
 
     lines = ["num_superclasses,imbalance,mean_gap,std_gap,num_seeds"]
@@ -295,24 +301,26 @@ def cmd_pilot(args) -> int:
     return 0
 
 
-def cmd_curate(args) -> int:
-    from .curation import CurationConfig, FixtureLLMClient, FixtureRetriever, HttpLLMClient, curate
+# every curation default comes from CurationConfig
+_CURATION = CurationConfig()
+_CURATE_DEFAULTS = {
+    "data": None,
+    "llm_fixture": None,
+    "corpus": None,
+    "k": _CURATION.k,
+    "gamma1": _CURATION.gamma_low,
+    "gamma2": _CURATION.gamma_high,
+    "expand": ",".join(_CURATION.expand),
+    "retries": _CURATION.retries,
+    "jobs": _CURATION.concurrency,
+    "seed": 0,
+}
 
-    # every curation default comes from CurationConfig
-    cur_defaults = CurationConfig()
-    defaults = {
-        "data": None,
-        "llm_fixture": None,
-        "corpus": None,
-        "k": cur_defaults.k,
-        "gamma1": cur_defaults.gamma_low,
-        "gamma2": cur_defaults.gamma_high,
-        "expand": ",".join(cur_defaults.expand),
-        "retries": cur_defaults.retries,
-        "jobs": cur_defaults.concurrency,
-        "seed": 0,
-    }
-    cfg = _resolve(defaults, args)
+
+def cmd_curate(args) -> int:
+    from .curation import FixtureLLMClient, FixtureRetriever, HttpLLMClient, curate
+
+    cfg = _resolve(_CURATE_DEFAULTS, args)
     out = _out_dir(args)
     if not cfg["data"]:
         raise ConfigError("curate needs --data pointing at a dataset manifest")
@@ -374,6 +382,7 @@ def _run_config_from(cfg: dict) -> RunConfig:
 
 def cmd_train(args) -> int:
     cfg = _resolve(_TRAIN_DEFAULTS, args)
+    run_cfg = _run_config_from(cfg)
     out = _out_dir(args)
     if not cfg["data"]:
         raise ConfigError("train needs --data pointing at a dataset manifest")
@@ -388,7 +397,6 @@ def cmd_train(args) -> int:
             )
         space = merged
 
-    run_cfg = _run_config_from(cfg)
     state, log = train(train_ds, aux_ds, space, run_cfg)
     save_checkpoint(state, out / "checkpoint.json")
     (out / "train_log.json").write_text(
@@ -402,15 +410,17 @@ def cmd_train(args) -> int:
     return 0
 
 
+_EVAL_DEFAULTS = {
+    "checkpoint": None,
+    "test": None,
+    "data": None,
+    "mask_aux": True,
+    "seed": 0,
+}
+
+
 def cmd_eval(args) -> int:
-    defaults = {
-        "checkpoint": None,
-        "test": None,
-        "data": None,
-        "mask_aux": True,
-        "seed": 0,
-    }
-    cfg = _resolve(defaults, args)
+    cfg = _resolve(_EVAL_DEFAULTS, args)
     out = _out_dir(args)
     if not cfg["checkpoint"] or not cfg["test"]:
         raise ConfigError("eval needs --checkpoint and --test")
@@ -436,29 +446,27 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    from .experiments import BENCH_CONFIG, build_benchmark
-    from .model import train as train_model
+# sweep geometry defaults are build_benchmark's
+_SWEEP_GEOMETRY = (
+    "num_classes", "num_superclasses", "feature_dim", "max_count", "imbalance", "test_per_class"
+)
+_SWEEP_DEFAULTS = {
+    "axis": None,
+    "values": None,
+    "seeds": "0,1,2",
+    **_keyword_defaults(build_benchmark, *_SWEEP_GEOMETRY),
+    "epochs": BENCH_CONFIG.epochs,
+}
 
-    defaults = {
-        "axis": None,
-        "values": None,
-        "seeds": "0,1,2",
-        "num_classes": 100,
-        "num_superclasses": 10,
-        "feature_dim": 64,
-        "max_count": 300,
-        "imbalance": 0.01,
-        "test_per_class": 100,
-        "epochs": BENCH_CONFIG.epochs,
-    }
-    cfg = _resolve(defaults, args)
-    out = _out_dir(args)
+
+def cmd_sweep(args) -> int:
+    cfg = _resolve(_SWEEP_DEFAULTS, args)
     axis = cfg["axis"]
     if axis not in SWEEP_OPTIONS:
         raise ConfigError(
             f"unknown sweep axis {axis!r}; pick one of {sorted(SWEEP_OPTIONS)}"
         )
+    out = _out_dir(args)
     if cfg["values"] is not None:
         if axis == "aux_count" or axis == "per_class_cap":
             values = _parse_int_list(cfg["values"])
@@ -471,14 +479,7 @@ def cmd_sweep(args) -> int:
     seeds = _parse_int_list(cfg["seeds"])
 
     base_cfg = BENCH_CONFIG.with_overrides(epochs=cfg["epochs"])
-    geometry = dict(
-        num_classes=cfg["num_classes"],
-        num_superclasses=cfg["num_superclasses"],
-        feature_dim=cfg["feature_dim"],
-        max_count=cfg["max_count"],
-        imbalance=cfg["imbalance"],
-        test_per_class=cfg["test_per_class"],
-    )
+    geometry = {key: cfg[key] for key in _SWEEP_GEOMETRY}
 
     def run_point(value, seed) -> tuple[dict, EvalReport]:
         run_cfg = base_cfg.with_overrides(seed=seed)
@@ -493,7 +494,7 @@ def cmd_sweep(args) -> int:
             run_cfg = run_cfg.with_overrides(lambda_s=float(value))
         tr, te, aux, merged = build_benchmark(seed, per_target=per_target, **geometry)
         splits = assign_splits(ClassStats(tr.class_counts(merged.num_target)))
-        state, _ = train_model(tr, aux, merged, run_cfg)
+        state, _ = train(tr, aux, merged, run_cfg)
         rep = evaluate(state, te, splits, mask=True, seed=seed)
         return {"axis": axis, "value": value}, rep
 
@@ -534,10 +535,43 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------- parsing
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--out", help="output directory (default: current)")
-    p.add_argument("--seed", type=int, default=None)
+# name -> (handler, settings table, help)
+_COMMANDS = {
+    "synth": (cmd_synth, _SYNTH_DEFAULTS, "generate a synthetic long-tail dataset"),
+    "pilot": (cmd_pilot, _PILOT_DEFAULTS, "granularity-vs-imbalance pilot grid"),
+    "curate": (cmd_curate, _CURATE_DEFAULTS, "LLM-driven auxiliary category curation"),
+    "train": (cmd_train, _TRAIN_DEFAULTS, "train a classifier on manifests"),
+    "eval": (cmd_eval, _EVAL_DEFAULTS, "evaluate a checkpoint on a test manifest"),
+    "sweep": (cmd_sweep, _SWEEP_DEFAULTS, "ablation sweeps on the synthetic benchmark"),
+}
+
+# what a setting's name and default do not say
+_HELP = {
+    "names": "JSON file mapping class id to name",
+    "data": "target training manifest",
+    "aux": "auxiliary manifest (merged label space)",
+    "llm_fixture": "fixture dir with responses.json",
+    "corpus": "candidate corpus JSONL for the fixture retriever",
+    "ratio": "h:m:t attachment counts, or 'derive'",
+    "mask_aux": "mask auxiliary rows before predicting",
+    "axis": f"one of {', '.join(sorted(SWEEP_OPTIONS))}",
+    "values": "override the built-in option set",
+}
+
+
+def _add_setting(p: argparse.ArgumentParser, key: str, default) -> None:
+    """``--key-name`` parsed as the default's type: a bool is a --x/--no-x
+    switch, and a None default takes a string (an int for hidden_dim)."""
+    flag = "--" + key.replace("_", "-")
+    text = _HELP.get(key, "")
+    if default is not None:
+        text = f"{text} (default: {default})".lstrip()
+    if isinstance(default, bool):
+        p.add_argument(flag, action=argparse.BooleanOptionalAction, help=text)
+    elif default is None:
+        p.add_argument(flag, type=int if key == "hidden_dim" else str, help=text)
+    else:
+        p.add_argument(flag, type=type(default), help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -548,96 +582,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tailext {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic long-tail dataset")
-    _add_common(p)
-    p.add_argument("--num-classes", dest="num_classes", type=int)
-    p.add_argument("--num-superclasses", dest="num_superclasses", type=int)
-    p.add_argument("--feature-dim", dest="feature_dim", type=int)
-    p.add_argument("--profile", choices=("exponential", "pareto"))
-    p.add_argument("--imbalance", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--max-count", dest="max_count", type=int)
-    p.add_argument("--test-per-class", dest="test_per_class", type=int)
-    p.add_argument("--sigma-super", dest="sigma_super", type=float)
-    p.add_argument("--sigma-fine", dest="sigma_fine", type=float)
-    p.add_argument("--sigma-sample", dest="sigma_sample", type=float)
-    p.add_argument("--aux-per-target", dest="aux_per_target", type=int)
-    p.add_argument("--samples-per-aux", dest="samples_per_aux", type=int)
-    p.add_argument("--aux-offset", dest="aux_offset", type=float)
-    p.add_argument("--expand")
-    p.add_argument("--names", help="JSON file mapping class id to name")
-    p.set_defaults(func=cmd_synth)
+    for name, (func, defaults, help_text) in _COMMANDS.items():
+        # no prefix matching: `--seed` must not pass for `--seeds`
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.add_argument("--config", help="JSON config file (flags override it)")
+        p.add_argument("--out", help="output directory (default: current)")
+        for key, default in defaults.items():
+            _add_setting(p, key, default)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("pilot", help="granularity-vs-imbalance pilot grid")
-    _add_common(p)
-    p.add_argument("--superclasses")
-    p.add_argument("--imbalances")
-    p.add_argument("--seeds")
-    p.add_argument("--num-classes", dest="num_classes", type=int)
-    p.add_argument("--feature-dim", dest="feature_dim", type=int)
-    p.add_argument("--max-count", dest="max_count", type=int)
-    p.add_argument("--test-per-class", dest="test_per_class", type=int)
-    p.add_argument("--sigma-fine", dest="sigma_fine", type=float)
-    p.set_defaults(func=cmd_pilot)
-
-    p = sub.add_parser("curate", help="LLM-driven auxiliary category curation")
-    _add_common(p)
-    p.add_argument("--data", help="target dataset manifest (needs class names)")
-    p.add_argument("--llm-fixture", dest="llm_fixture", help="fixture dir with responses.json")
-    p.add_argument("--corpus", help="candidate corpus JSONL for the fixture retriever")
-    p.add_argument("--k", type=int)
-    p.add_argument("--gamma1", type=float)
-    p.add_argument("--gamma2", type=float)
-    p.add_argument("--expand")
-    p.add_argument("--retries", type=int)
-    p.add_argument("--jobs", type=int)
-    p.set_defaults(func=cmd_curate)
-
-    p = sub.add_parser("train", help="train a classifier on manifests")
-    _add_common(p)
-    p.add_argument("--data", help="target training manifest")
-    p.add_argument("--aux", help="auxiliary manifest (merged label space)")
-    p.add_argument("--lambda-s", dest="lambda_s", type=float)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--ratio", help="h:m:t attachment counts, or 'derive'")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--optimizer", choices=("sgd", "adamw"))
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a test manifest")
-    _add_common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--test")
-    p.add_argument("--data", help="training manifest for split counts")
-    p.add_argument(
-        "--mask-aux",
-        dest="mask_aux",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="mask auxiliary rows before predicting (default on)",
+    p = sub.add_parser(
+        "report", help="summarize eval reports and sweep CSVs", allow_abbrev=False
     )
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("sweep", help="ablation sweeps on the synthetic benchmark")
-    _add_common(p)
-    p.add_argument("--axis", choices=sorted(SWEEP_OPTIONS))
-    p.add_argument("--values", help="override the built-in option set")
-    p.add_argument("--seeds")
-    p.add_argument("--num-classes", dest="num_classes", type=int)
-    p.add_argument("--num-superclasses", dest="num_superclasses", type=int)
-    p.add_argument("--feature-dim", dest="feature_dim", type=int)
-    p.add_argument("--max-count", dest="max_count", type=int)
-    p.add_argument("--imbalance", type=float)
-    p.add_argument("--test-per-class", dest="test_per_class", type=int)
-    p.add_argument("--epochs", type=int)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("report", help="summarize eval reports and sweep CSVs")
     p.add_argument("inputs", nargs="*")
     p.add_argument("--out")
     p.set_defaults(func=cmd_report)

@@ -115,10 +115,6 @@ class LabelSpace:
     def is_auxiliary(self, class_id: int) -> bool:
         return self.num_target <= class_id < self.num_classes
 
-    def neighbors_of_target(self, target_id: int) -> list[int]:
-        """Auxiliary ids queried from ``target_id``, in id order."""
-        return [a for a, t in sorted(self.neighbor_of.items()) if t == target_id]
-
     def to_json(self) -> dict:
         out: dict = {
             "num_target": self.num_target,
@@ -334,6 +330,7 @@ def read_dataset(path: str | Path) -> tuple[FeatureDataset, LabelSpace, dict]:
     ids: list[str] = []
     labels: list[int] = []
     rows: list[list[float]] = []
+    line_nos: list[int] = []
     with path.open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
@@ -346,6 +343,7 @@ def read_dataset(path: str | Path) -> tuple[FeatureDataset, LabelSpace, dict]:
                 rows.append(rec["features"])
             except (KeyError, ValueError) as exc:
                 raise DataError(f"{path}:{line_no}: bad manifest record: {exc}") from exc
+            line_nos.append(line_no)
     try:
         feats = np.asarray(rows, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -357,6 +355,11 @@ def read_dataset(path: str | Path) -> tuple[FeatureDataset, LabelSpace, dict]:
             f"{path}: feature rows of shape {feats.shape[1:]} disagree with sidecar "
             f"feature dim {dim}"
         )
+    # json reads NaN and Infinity; they must not reach training or scoring
+    finite = np.isfinite(feats).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise DataError(f"{path}:{line_nos[row]}: non-finite feature value")
     ds = FeatureDataset(
         features=feats,
         labels=np.asarray(labels, dtype=np.int64),

@@ -61,33 +61,15 @@ def balanced_error(
     return BalancedError(sum=s, mean=s / num_classes)
 
 
-def _check_logits(z: np.ndarray, n_classes: int) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (n_classes,):
-        raise DataError(f"logit vector shape {z.shape} != ({n_classes},)")
-    if not np.isfinite(z).all():
-        raise DataError("non-finite logits")
-    return z
-
-
 def bal_ce(z: np.ndarray, true_class: int, stats: ClassStats) -> tuple[float, np.ndarray]:
     """Balanced softmax cross-entropy: -log(n_y e^{z_y} / sum_j n_j e^{z_j}).
 
     Returns (loss, gradient wrt z). The gradient is softmax(z + log n) minus
     the one-hot of ``true_class``. Uniform counts reduce this to standard
-    softmax cross-entropy.
+    softmax cross-entropy. One row of :func:`bal_ce_batch`.
     """
-    z = _check_logits(z, len(stats))
-    if not 0 <= true_class < len(stats):
-        raise DataError(f"true_class {true_class} out of range for {len(stats)} classes")
-    u = z + stats.log_counts()
-    m = u.max()
-    exp_u = np.exp(u - m)
-    total = exp_u.sum()
-    loss = float(m + np.log(total) - u[true_class])
-    grad = exp_u / total
-    grad[true_class] -= 1.0
-    return loss, grad
+    losses, grads = bal_ce_batch(np.asarray(z)[None, ...], np.asarray([true_class]), stats)
+    return float(losses[0]), grads[0]
 
 
 def bal_ce_merged(
@@ -122,15 +104,6 @@ class SilenceWeights:
             )
         self.space = space
         self.lambda_s = float(lambda_s)
-
-    def silenced_indices(self, true_class: int) -> np.ndarray:
-        """Class ids whose pair weight with ``true_class`` is lambda_s."""
-        space = self.space
-        if space.is_auxiliary(true_class):
-            return space.query_target[[true_class]]
-        if 0 <= true_class < space.num_target:
-            return np.flatnonzero(space.query_target == true_class)
-        return np.empty(0, dtype=np.int64)
 
     def rows(self, labels: np.ndarray, n_classes: int) -> np.ndarray:
         """Weight matrix (B, n_classes): row b holds lambda_{labels[b], j}.
@@ -214,11 +187,8 @@ def ns_ce(
     lambda_s = 1 recovers the merged-space balanced CE exactly; lambda_s = 0
     removes the true class's own neighbors from the competition entirely.
     """
-    z = _check_logits(z, len(stats))
-    if not 0 <= true_class < space.num_classes:
-        raise DataError(f"true_class {true_class} out of range")
     losses, grads = ns_ce_batch(
-        z[None, :], np.asarray([true_class]), stats, space, lambda_s
+        np.asarray(z)[None, ...], np.asarray([true_class]), stats, space, lambda_s
     )
     return float(losses[0]), grads[0]
 
@@ -233,6 +203,8 @@ def bal_ce_batch(
     if not np.isfinite(Z).all():
         raise DataError("non-finite logits")
     labels = np.asarray(labels, dtype=np.int64)
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= len(stats):
+        raise DataError("labels out of range")
     u = Z + stats.log_counts()[None, :]
     m = u.max(axis=1)
     exp_u = np.exp(u - m[:, None])

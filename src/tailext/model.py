@@ -128,9 +128,6 @@ class TrainLog:
     plan: Mapping | None
     epochs: list[dict] = field(default_factory=list)
 
-    def mean_losses(self) -> list[float]:
-        return [e["mean_loss"] for e in self.epochs]
-
     def to_json(self) -> dict:
         return {
             "seed": self.seed,
@@ -421,7 +418,7 @@ def load_checkpoint(path: str | Path) -> ClassifierState:
         raise DataError(f"{path}: unsupported activation {activation!r}")
     hidden = payload.get("hidden")
     try:
-        return ClassifierState(
+        state = ClassifierState(
             weights=np.asarray(payload["weights"], dtype=np.float64),
             bias=np.asarray(payload["bias"], dtype=np.float64),
             space=LabelSpace.from_json(payload["label_space"]),
@@ -430,3 +427,7 @@ def load_checkpoint(path: str | Path) -> ClassifierState:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad checkpoint: {exc!r}") from exc
+    arrays = (state.weights, state.bias, state.hidden_weights, state.hidden_bias)
+    if not all(a is None or np.isfinite(a).all() for a in arrays):
+        raise DataError(f"{path}: non-finite weights or biases")
+    return state

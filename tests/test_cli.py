@@ -4,16 +4,20 @@ Everything drives main() in process with argv lists; no subprocesses needed.
 """
 import csv
 import json
+import re
+import shlex
 import shutil
 from pathlib import Path
 
 import pytest
 
-from tailext.cli import main
+from tailext import cli
+from tailext.cli import build_parser, main
 from tailext.core import read_dataset
 from tailext.model import load_checkpoint
 
 FIXTURES = Path(__file__).parent / "fixtures" / "curation"
+README = Path(__file__).parents[1] / "README.md"
 
 SMALL_SYNTH = [
     "--num-classes", "10", "--num-superclasses", "2", "--feature-dim", "8",
@@ -225,12 +229,37 @@ class TestSweepAndReport:
         assert "lambda_s,0.1" in capsys.readouterr().out
 
 
-def _dataset_copy(tmp_path: Path) -> Path:
+def _dataset_copy(tmp_path: Path, manifest: Path = FIXTURES / "train.jsonl") -> Path:
     d = tmp_path / "ds"
-    d.mkdir()
-    for name in ("train.jsonl", "train.meta.json"):
-        shutil.copy(FIXTURES / name, d / name)
-    return d / "train.jsonl"
+    d.mkdir(parents=True)
+    for path in (manifest, manifest.with_suffix(".meta.json")):
+        shutil.copy(path, d / path.name)
+    return d / manifest.name
+
+
+def _nan_copy(tmp_path: Path, manifest: Path, line_no: int) -> Path:
+    """A copy of ``manifest`` whose record on ``line_no`` has a NaN feature."""
+    data = _dataset_copy(tmp_path, manifest)
+    lines = data.read_text().splitlines()
+    record = json.loads(lines[line_no - 1])
+    record["features"][0] = float("nan")
+    lines[line_no - 1] = json.dumps(record)
+    data.write_text("\n".join(lines) + "\n")
+    return data
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory) -> Path:
+    """SMALL_SYNTH data with auxiliary classes, a names file for it, and a
+    checkpoint trained on both."""
+    base = tmp_path_factory.mktemp("small")
+    (base / "names.json").write_text(json.dumps({str(i): f"c{i}" for i in range(10)}))
+    assert run("synth", "--out", base / "data", *SMALL_SYNTH,
+               "--aux-per-target", "1", "--samples-per-aux", "10") == 0
+    assert run("train", "--data", base / "data" / "train.jsonl", "--aux",
+               base / "data" / "aux.jsonl", "--ratio", "1:1:3", "--epochs", "1",
+               "--out", base / "run") == 0
+    return base
 
 
 def _bad_sidecar(tmp_path):
@@ -364,6 +393,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and f"'{key}'" in err
 
+    def test_non_finite_feature_is_3(self, tmp_path, capsys, small_run):
+        bad = _nan_copy(tmp_path, small_run / "data" / "train.jsonl", line_no=4)
+        assert run("train", "--data", bad, "--epochs", "1", "--out", tmp_path / "t") == 3
+        err = capsys.readouterr().err
+        assert f"{bad}:4: non-finite feature" in err
+
+        bad_test = _nan_copy(tmp_path / "e", small_run / "data" / "test.jsonl", line_no=2)
+        assert run("eval", "--checkpoint", small_run / "run" / "checkpoint.json",
+                   "--test", bad_test, "--out", tmp_path / "o") == 3
+        assert f"{bad_test}:2: non-finite feature" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_is_3(self, tmp_path, capsys, small_run):
+        payload = json.loads((small_run / "run" / "checkpoint.json").read_text())
+        payload["bias"][1] = float("inf")
+        ck = tmp_path / "checkpoint.json"
+        ck.write_text(json.dumps(payload))
+        assert run("eval", "--checkpoint", ck, "--test",
+                   small_run / "data" / "test.jsonl", "--out", tmp_path / "o") == 3
+        assert "non-finite weights or biases" in capsys.readouterr().err
+
     def test_curate_without_retriever_is_2(self, tmp_path):
         assert run("curate", "--data", FIXTURES / "train.jsonl",
                    "--llm-fixture", FIXTURES, "--out", tmp_path / "o") == 2
@@ -414,3 +463,102 @@ class TestConfigResolution:
         assert run("synth", "--out", data, *SMALL_SYNTH, "--names", names) == 0
         _, space, _ = read_dataset(data / "train.jsonl")
         assert space.class_names[4] == "class-4"
+
+
+def flag_values(base: Path) -> dict[str, dict]:
+    """A value other than the default for every setting of every command;
+    ``base`` is the small_run directory."""
+    data = base / "data"
+    return {
+        "synth": {
+            "num_classes": 10, "num_superclasses": 2, "feature_dim": 4,
+            "profile": "pareto", "imbalance": 0.05, "alpha": 3.0, "max_count": 30,
+            "test_per_class": 3, "sigma_super": 8.0, "sigma_fine": 2.0,
+            "sigma_sample": 0.5, "aux_per_target": 1, "samples_per_aux": 5,
+            "aux_offset": 2.0, "expand": "all", "names": str(base / "names.json"),
+            "seed": 4,
+        },
+        "pilot": {
+            "superclasses": "2", "imbalances": "0.5", "seeds": "1", "num_classes": 6,
+            "feature_dim": 4, "max_count": 20, "test_per_class": 2, "sigma_fine": 2.0,
+        },
+        "curate": {
+            "data": str(FIXTURES / "train.jsonl"), "llm_fixture": str(FIXTURES),
+            "corpus": str(FIXTURES / "candidates.jsonl"), "k": 4, "gamma1": 0.6,
+            "gamma2": 0.99, "expand": "all", "retries": 1, "jobs": 1, "seed": 2,
+        },
+        "train": {
+            "data": str(data / "train.jsonl"), "aux": str(data / "aux.jsonl"),
+            "seed": 3, "lambda_s": 0.2, "cap": 10, "ratio": "1:1:2", "epochs": 2,
+            "batch_size": 16, "lr": 0.1, "optimizer": "adamw", "momentum": 0.5,
+            "weight_decay": 0.01, "hidden_dim": 4,
+        },
+        "eval": {
+            "checkpoint": str(base / "run" / "checkpoint.json"),
+            "test": str(data / "test.jsonl"), "data": str(data / "train.jsonl"),
+            "mask_aux": False, "seed": 2,
+        },
+        "sweep": {
+            "axis": "lambda_s", "values": "0.5", "seeds": "1", "num_classes": 6,
+            "num_superclasses": 2, "feature_dim": 4, "max_count": 40,
+            "imbalance": 0.1, "test_per_class": 2, "epochs": 1,
+        },
+    }
+
+
+def readme_commands() -> list[str]:
+    """Every `tailext ...` line of the README's sh blocks, continuation
+    lines joined, and every inline `tailext ...` code span."""
+    text = README.read_text()
+    blocks = "\n".join(re.findall(r"```sh\n(.*?)```", text, flags=re.S))
+    lines = [line.strip() for line in blocks.replace("\\\n", " ").splitlines()]
+    return [line for line in lines if line.startswith("tailext ")] + re.findall(
+        r"`(tailext [^`]+)`", text
+    )
+
+
+class TestGeneratedFlags:
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_every_setting_has_a_flag(self, tmp_path, capsys, small_run, command):
+        _, table, _ = cli._COMMANDS[command]
+        values = flag_values(small_run)[command]
+        assert set(values) == set(table)
+        argv = [command, "--out", tmp_path]
+        for key, value in values.items():
+            assert value != table[key], key
+            flag = "--" + key.replace("_", "-")
+            if isinstance(value, bool):
+                argv.append(flag if value else "--no-" + flag[2:])
+            else:
+                argv += [flag, value]
+        assert run(*argv) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"] == values
+
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--help")
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        for key in table:
+            assert "--" + key.replace("_", "-") in help_text, key
+
+    @pytest.mark.parametrize("command", ["pilot", "sweep"])
+    def test_seed_rejected_without_seed_setting(self, tmp_path, capsys, command):
+        # neither command has a seed setting, and `--seed` is no prefix of `--seeds`
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--seed", "1", "--out", tmp_path)
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_readme_commands_parse(self):
+        commands = readme_commands()
+        parser = build_parser()
+        for line in commands:
+            try:
+                parser.parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")
+        assert {shlex.split(line)[1] for line in commands} == {
+            "synth", "pilot", "curate", "train", "eval", "sweep", "report"
+        }

@@ -61,8 +61,7 @@ class TestLabelSpace:
     def test_neighbor_relation(self):
         space = LabelSpace(num_target=3, num_auxiliary=2, neighbor_of={3: 1, 4: 1})
         assert space.is_auxiliary(3)
-        assert space.neighbors_of_target(1) == [3, 4]
-        assert space.neighbors_of_target(0) == []
+        np.testing.assert_array_equal(space.query_target, [-1, -1, -1, 1, 1])
 
     def test_neighbor_keys_must_cover_aux_ids(self):
         with pytest.raises(ConfigError):

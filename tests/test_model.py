@@ -136,7 +136,7 @@ class TestTraining:
         ds = toy_dataset(seed=2, n_per=6)
         cfg = RunConfig(epochs=15, batch_size=1024, learning_rate=0.05, momentum=0.0)
         _, log = train(ds, None, LabelSpace(num_target=3), cfg)
-        losses = log.mean_losses()
+        losses = [e["mean_loss"] for e in log.epochs]
         for prev, cur in zip(losses, losses[1:]):
             assert cur <= prev + 1e-10
 
@@ -147,7 +147,7 @@ class TestTraining:
         s2, l2 = train(ds, None, LabelSpace(num_target=3), cfg)
         np.testing.assert_array_equal(s1.weights, s2.weights)
         np.testing.assert_array_equal(s1.bias, s2.bias)
-        assert l1.mean_losses() == l2.mean_losses()
+        assert [e["mean_loss"] for e in l1.epochs] == [e["mean_loss"] for e in l2.epochs]
         s3, _ = train(ds, None, LabelSpace(num_target=3), cfg.with_overrides(seed=43))
         assert not np.array_equal(s1.weights, s3.weights)
 

@@ -158,7 +158,9 @@ def reference_sample_epoch(aux, space, plan, seed, epoch):
     by_class = {int(c): np.flatnonzero(aux.labels == c) for c in np.unique(aux.labels)}
     chosen = []
     for target in sorted(plan.expanded_targets):
-        categories = [c for c in space.neighbors_of_target(target) if c in by_class]
+        categories = [
+            c for c, t in sorted(space.neighbor_of.items()) if t == target and c in by_class
+        ]
         n_attach = min(len(categories), plan.categories_for(plan.expanded_targets[target]))
         if n_attach == 0:
             continue

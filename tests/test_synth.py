@@ -141,8 +141,7 @@ class TestAuxiliary:
         )
         assert merged.num_target == 6
         assert merged.num_auxiliary == 4
-        assert merged.neighbors_of_target(1) == [6, 7]
-        assert merged.neighbors_of_target(4) == [8, 9]
+        np.testing.assert_array_equal(merged.query_target[6:], [1, 1, 4, 4])
         assert len(aux) == 4 * 15
         np.testing.assert_array_equal(np.unique(aux.labels), [6, 7, 8, 9])
         aux2, _ = make_auxiliary(self.train, self.space, 2, 15, seed=3,
