@@ -278,29 +278,64 @@ def _sidecar_path(manifest: Path) -> Path:
     return manifest.with_suffix(".meta.json")
 
 
+# Sidecar key naming the binary cache of a manifest and the two hashes that
+# decide whether it may stand in for the JSONL.
+_CACHE_KEY = "binary_cache"
+_HASH_CHUNK = 1 << 20
+
+
+class _HashingWriter:
+    """Writes bytes to a binary file and keeps the sha256 of all of them."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.sha = hashlib.sha256()
+
+    def write(self, data) -> int:
+        self.sha.update(data)
+        return self.fh.write(data)
+
+
+def _sha256_of(fh) -> str:
+    sha = hashlib.sha256()
+    while chunk := fh.read(_HASH_CHUNK):
+        sha.update(chunk)
+    return sha.hexdigest()
+
+
 def write_dataset(
     dataset: FeatureDataset,
     space: LabelSpace,
     path: str | Path,
     extra_meta: Mapping | None = None,
 ) -> None:
-    """Write a JSONL manifest plus its header sidecar.
+    """Write a JSONL manifest, its binary cache and its header sidecar.
 
     One record per line: ``{"id": str, "label": int, "features": [float...]}``.
     The sidecar records C, L, K, the neighbor relation, and any provenance
-    metadata the caller supplies (generator spec, seed).
+    metadata the caller supplies (generator spec, seed). ``<stem>.cache.npy``
+    holds the same features, labels and ids as three arrays back to back; the
+    sidecar names it with the sha256 of both files, so ``read_dataset`` can
+    skip parsing float text while the two still match.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     ids = dataset.sample_ids()
-    with path.open("w", encoding="utf-8") as fh:
+    with path.open("wb") as fh:
+        out = _HashingWriter(fh)
         for i in range(len(dataset)):
             rec = {
                 "id": ids[i],
                 "label": int(dataset.labels[i]),
                 "features": dataset.features[i].tolist(),
             }
-            fh.write(json.dumps(rec) + "\n")
+            out.write((json.dumps(rec) + "\n").encode("utf-8"))
+    cache = path.with_suffix(".cache.npy")
+    id_bytes = np.frombuffer(json.dumps(list(ids)).encode("utf-8"), dtype=np.uint8)
+    with cache.open("wb") as fh:
+        cache_out = _HashingWriter(fh)
+        for array in (dataset.features, dataset.labels, id_bytes):
+            np.lib.format.write_array(cache_out, array, allow_pickle=False)
     meta = {
         "feature_dim": dataset.feature_dim,
         "num_target": space.num_target,
@@ -310,28 +345,57 @@ def write_dataset(
     }
     if extra_meta:
         meta.update(extra_meta)
+    meta[_CACHE_KEY] = {
+        "file": cache.name,
+        "jsonl_sha256": out.sha.hexdigest(),
+        "cache_sha256": cache_out.sha.hexdigest(),
+    }
     _sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def read_dataset(path: str | Path) -> tuple[FeatureDataset, LabelSpace, dict]:
-    """Read a JSONL manifest and its sidecar; returns (dataset, space, meta)."""
-    path = Path(path)
-    sidecar = _sidecar_path(path)
-    if not path.exists():
-        raise DataError(f"manifest not found: {path}")
-    if not sidecar.exists():
-        raise DataError(f"header sidecar not found: {sidecar}")
+def _read_cache(path: Path, meta: Mapping, dim: int):
+    """(features, labels, ids) from the manifest's binary cache, or None
+    unless the cache and the JSONL both match the hashes in the sidecar and
+    the arrays agree in dtype and shape with each other and with ``dim``."""
+    entry = meta.get(_CACHE_KEY)
+    if not isinstance(entry, dict) or not isinstance(entry.get("file"), str):
+        return None
+    cache = path.parent / entry["file"]
+    if cache.parent != path.parent or not cache.is_file():
+        return None
     try:
-        meta = json.loads(sidecar.read_text())
-        space = LabelSpace.from_json(meta["label_space"])
-        dim = int(meta["feature_dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{sidecar}: bad header sidecar: {exc!r}") from exc
+        with path.open("rb") as fh:
+            if _sha256_of(fh) != entry.get("jsonl_sha256"):
+                return None
+        with cache.open("rb") as fh:
+            if _sha256_of(fh) != entry.get("cache_sha256"):
+                return None
+            fh.seek(0)
+            feats, labels, id_bytes = (
+                np.lib.format.read_array(fh, allow_pickle=False) for _ in range(3)
+            )
+            ids = json.loads(id_bytes.tobytes()) if id_bytes.dtype == np.uint8 else None
+    except (OSError, ValueError):
+        return None
+    if not (
+        isinstance(ids, list)
+        and labels.dtype == np.int64
+        and labels.shape == (len(ids),)
+        and feats.dtype == np.float64
+        and feats.shape == (len(ids), dim)
+    ):
+        return None
+    return feats, labels, [str(i) for i in ids]
+
+
+def _read_jsonl(path: Path, dim: int):
+    """(features, labels, ids, line numbers) parsed from the JSONL text."""
     ids: list[str] = []
     labels: list[int] = []
     rows: list[list[float]] = []
     line_nos: list[int] = []
-    with path.open("r", encoding="utf-8") as fh:
+    # binary lines: json.loads decodes them, so bad UTF-8 is a bad record
+    with path.open("rb") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -355,6 +419,35 @@ def read_dataset(path: str | Path) -> tuple[FeatureDataset, LabelSpace, dict]:
             f"{path}: feature rows of shape {feats.shape[1:]} disagree with sidecar "
             f"feature dim {dim}"
         )
+    return feats, labels, ids, line_nos
+
+
+def read_dataset(path: str | Path) -> tuple[FeatureDataset, LabelSpace, dict]:
+    """Read a JSONL manifest and its sidecar; returns (dataset, space, meta).
+
+    The binary cache named in the sidecar is used in place of the JSONL text
+    only while both files match their recorded sha256; otherwise the JSONL is
+    parsed. A missing, stale or damaged cache is never an error by itself.
+    """
+    path = Path(path)
+    sidecar = _sidecar_path(path)
+    if not path.exists():
+        raise DataError(f"manifest not found: {path}")
+    if not sidecar.exists():
+        raise DataError(f"header sidecar not found: {sidecar}")
+    try:
+        meta = json.loads(sidecar.read_text())
+        space = LabelSpace.from_json(meta["label_space"])
+        dim = int(meta["feature_dim"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{sidecar}: bad header sidecar: {exc!r}") from exc
+    cached = _read_cache(path, meta, dim)
+    if cached is not None:
+        feats, labels, ids = cached
+        # a manifest that matches its hash is writer output: record i is line i + 1
+        line_nos = range(1, len(labels) + 1)
+    else:
+        feats, labels, ids, line_nos = _read_jsonl(path, dim)
     # json reads NaN and Infinity; they must not reach training or scoring
     finite = np.isfinite(feats).all(axis=1)
     if not finite.all():

@@ -243,15 +243,21 @@ def compute_prototype(dataset: FeatureDataset, class_id: int) -> Prototype:
     return Prototype(class_id, dataset.features[mask].mean(axis=0))
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
+def _with_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
+    v = np.asarray(v, dtype=np.float64).ravel()
+    return v, np.linalg.norm(v)
+
+
+def _cosine(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:
     if a.shape != b.shape:
         raise DataError(f"cosine dim mismatch: {a.shape} vs {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         raise DataError("cosine undefined for zero-norm vector")
     return float(a @ b / (na * nb))
+
+
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    return _cosine(*_with_norm(a), *_with_norm(b))
 
 
 def filter_candidates(
@@ -273,14 +279,18 @@ def filter_candidates(
         )
     kept: list[Candidate] = []
     rejected: list[tuple[Candidate, str]] = []
+    # each prototype with its norm, computed once per call
+    normed: dict[int, tuple[np.ndarray, float]] = {}
     for cand in cands:
         if normalize_name(cand.proposed_class) not in normalize_name(cand.caption):
             rejected.append((cand, "caption"))
             continue
-        proto = protos.get(cand.source_target)
-        if proto is None:
-            raise DataError(f"no prototype for target {cand.source_target}")
-        sim = cosine(proto.vector, cand.feature)
+        if cand.source_target not in normed:
+            proto = protos.get(cand.source_target)
+            if proto is None:
+                raise DataError(f"no prototype for target {cand.source_target}")
+            normed[cand.source_target] = _with_norm(proto.vector)
+        sim = _cosine(*normed[cand.source_target], *_with_norm(cand.feature))
         if sim <= gamma_low:
             rejected.append((cand, "similarity-low"))
         elif sim >= gamma_high:
@@ -294,12 +304,60 @@ class Retriever(Protocol):
     def retrieve(self, class_name: str, source_target: int) -> list[Candidate]: ...
 
 
+# Corpus rows converted into one float64 block at a time: bounds the Python
+# float lists held at once while the corpus loads.
+_CORPUS_BLOCK_ROWS = 4096
+
+
+def _corpus_row_problem(features, dim: int) -> str | None:
+    """Why one corpus record's features are unusable, or None."""
+    if not isinstance(features, list) or not features:
+        return "features must be a non-empty list of numbers"
+    try:
+        row = np.array(features)
+    except ValueError:
+        row = None
+    if row is None or row.dtype.kind not in "biuf" or row.shape != (len(features),):
+        return "features must be a flat list of numbers"
+    if row.size != dim:
+        return f"features have {row.size} values, the corpus has {dim}"
+    if not np.isfinite(row).all():
+        return "non-finite feature value"
+    return None
+
+
+def _corpus_block(pending: list[tuple[int, str, list]], dim: int) -> np.ndarray:
+    """The (n, dim) float64 block of the pending records' features, in file
+    order; names the first bad line if a record's features are unusable."""
+    rows = [features for _, _, features in pending]
+    try:
+        block = np.array(rows)
+    except ValueError:
+        block = None
+    if (
+        block is None
+        or block.dtype.kind not in "biuf"
+        or block.ndim != 2
+        or not np.isfinite(block).all()
+    ):
+        for line_no, _, features in pending:
+            problem = _corpus_row_problem(features, dim)
+            if problem:
+                raise DataError(f"bad corpus record at line {line_no}: {problem}")
+        # every row is numeric on its own, so together they convert to float64
+        block = np.array(rows, dtype=np.float64)
+    return block.astype(np.float64, copy=False)
+
+
 class FixtureRetriever:
     """Serves candidates from a JSONL corpus keyed by proposed class name.
 
     Each line: {"class": str, "image_ref": str, "caption": str,
-    "features": [float, ...]}; a record lacking any of the four keys is
-    rejected when the corpus is loaded.
+    "features": [float, ...]}. Every record is validated when the corpus is
+    loaded: all four keys present, class, image_ref and caption strings, and
+    the features a flat list of finite numbers as long as the first
+    record's. The features of each normalized class name are kept as one
+    read-only (n, D) float64 array, and candidates carry views of its rows.
     """
 
     KEYS = frozenset({"class", "image_ref", "caption", "features"})
@@ -308,37 +366,76 @@ class FixtureRetriever:
         path = Path(corpus_path)
         if not path.exists():
             raise DataError(f"candidate corpus not found: {path}")
-        self._by_name: dict[str, list[dict]] = {}
-        with path.open(encoding="utf-8") as fh:
+        self._records: dict[str, list[tuple[str, str]]] = {}
+        blocks: dict[str, list[np.ndarray]] = {}
+        pending: list[tuple[int, str, list]] = []
+        dim = 0
+
+        def add_block():
+            block = _corpus_block(pending, dim)
+            rows: dict[str, list[int]] = {}
+            for i, (_, key, _) in enumerate(pending):
+                rows.setdefault(key, []).append(i)
+            for key, idx in rows.items():
+                blocks.setdefault(key, []).append(block[idx])
+            pending.clear()
+
+        # binary lines: json.loads decodes them, so bad UTF-8 is a bad record
+        with path.open("rb") as fh:
             for line_no, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                try:
-                    rec = json.loads(line)
-                    missing = self.KEYS - rec.keys()
-                    key = normalize_name(rec["class"])
-                except (json.JSONDecodeError, AttributeError, KeyError, TypeError) as exc:
-                    raise DataError(f"bad corpus record at line {line_no}: {exc!r}")
-                if missing:
-                    raise DataError(
-                        f"bad corpus record at line {line_no}: missing {sorted(missing)}"
-                    )
-                self._by_name.setdefault(key, []).append(rec)
+                key, image_ref, caption, features = self._parse(line, line_no)
+                if not dim and isinstance(features, list):
+                    dim = len(features)  # the first record sets the corpus's dim
+                if not (isinstance(features, list) and 0 < len(features) == dim):
+                    problem = _corpus_row_problem(features, dim)
+                    raise DataError(f"bad corpus record at line {line_no}: {problem}")
+                self._records.setdefault(key, []).append((image_ref, caption))
+                pending.append((line_no, key, features))
+                if len(pending) == _CORPUS_BLOCK_ROWS:
+                    add_block()
+        if pending:
+            add_block()
+        self._features: dict[str, np.ndarray] = {}
+        for key in list(blocks):
+            feats = np.concatenate(blocks.pop(key))
+            feats.setflags(write=False)
+            self._features[key] = feats
+
+    def _parse(self, line: bytes, line_no: int) -> tuple[str, str, str, object]:
+        try:
+            rec = json.loads(line)
+            missing = self.KEYS - rec.keys()
+        except (ValueError, AttributeError) as exc:
+            raise DataError(f"bad corpus record at line {line_no}: {exc!r}")
+        if missing:
+            raise DataError(
+                f"bad corpus record at line {line_no}: missing {sorted(missing)}"
+            )
+        for name in ("class", "image_ref", "caption"):
+            if not isinstance(rec[name], str):
+                raise DataError(
+                    f"bad corpus record at line {line_no}: {name!r} must be a string, "
+                    f"got {type(rec[name]).__name__}"
+                )
+        return normalize_name(rec["class"]), rec["image_ref"], rec["caption"], rec["features"]
 
     def retrieve(self, class_name: str, source_target: int) -> list[Candidate]:
-        out = []
-        for rec in self._by_name.get(normalize_name(class_name), []):
-            out.append(
-                Candidate(
-                    image_ref=rec["image_ref"],
-                    caption=rec["caption"],
-                    feature=rec["features"],
-                    proposed_class=class_name,
-                    source_target=source_target,
-                )
+        key = normalize_name(class_name)
+        return [
+            Candidate(
+                image_ref=image_ref,
+                caption=caption,
+                feature=row,
+                proposed_class=class_name,
+                source_target=source_target,
             )
-        return out
+            for (image_ref, caption), row in zip(
+                self._records.get(key, ()), self._features.get(key, ())
+            )
+        ]
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,13 @@ neighbor categories a target of that split gets attached each epoch), not
 per-sample weights. Subsets are redrawn every epoch from per-(seed, epoch,
 class) streams, so a capped class rotates through its full pool over time
 while every draw stays replayable.
+
+The default ratio comes from the total training samples of the many, medium
+and few splits, N_h, N_m and N_t: 1 : ceil(N_h/N_m) : ceil(N_h/N_t) when all
+three are non-empty. An empty split gets the entry 0, since it has no targets
+to read it. When the many split is empty, the first non-empty split takes its
+place as the reference, with entry 1, and each later non-empty split S gets
+ceil(N_ref/N_S).
 """
 from __future__ import annotations
 
@@ -26,12 +33,13 @@ def derive_ratio(split_totals: tuple[int, int, int]) -> tuple[int, int, int]:
 
     ``split_totals`` are the total sample counts of the many, medium and few
     splits; tail-heavy datasets therefore attach more auxiliary categories to
-    tail targets.
+    tail targets. Empty splits follow the rule in the module docstring.
     """
-    n_h, n_m, n_t = (int(v) for v in split_totals)
-    if min(n_h, n_m, n_t) < 1:
-        raise DataError(f"split totals must all be >= 1, got {split_totals}")
-    return (1, -(-n_h // n_m), -(-n_h // n_t))
+    totals = tuple(int(v) for v in split_totals)
+    if min(totals) < 0 or max(totals) < 1:
+        raise DataError(f"split totals must be >= 0 and not all 0, got {split_totals}")
+    ref = next(n for n in totals if n > 0)
+    return tuple(-(-ref // n) if n > 0 else 0 for n in totals)  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -83,8 +91,8 @@ def build_plan(
 ) -> AuxSamplingPlan:
     """Assemble a plan from train counts and split tags.
 
-    ``ratio`` of None derives the default from split sample totals, which
-    requires all three splits to be non-empty.
+    ``ratio`` of None derives the default from split sample totals (see
+    ``derive_ratio``).
     """
     if ratio is None:
         totals = SplitAssignment(tuple(split_tags)).totals(target_counts)

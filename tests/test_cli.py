@@ -275,6 +275,13 @@ def _ragged_rows(tmp_path):
     return ["train", "--data", data]
 
 
+def _not_utf8(tmp_path):
+    data = _dataset_copy(tmp_path)
+    with data.open("ab") as fh:
+        fh.write(b'{"id": "\xff", "label": 0, "features": []}\n')
+    return ["train", "--data", data]
+
+
 def _checkpoint(text):
     def build(tmp_path):
         ck = tmp_path / "checkpoint.json"
@@ -295,10 +302,25 @@ def _report(text):
 MALFORMED_JSON_INPUTS = {
     "sidecar-not-json": _bad_sidecar,
     "ragged-feature-rows": _ragged_rows,
+    "manifest-not-utf8": _not_utf8,
     "checkpoint-not-json": _checkpoint('{"format_version": 1'),
     "checkpoint-missing-keys": _checkpoint('{"format_version": 1, "bias": [0.0]}'),
     "report-not-json": _report("[1, 2"),
     "report-missing-keys": _report('{"overall_acc": 50.0}'),
+}
+
+
+# (key, edit) pairs: each edit turns one corpus record's value of key into
+# one that curate must reject at load
+BAD_CORPUS_RECORDS = {
+    "features-text": ("features", lambda f: "abc"),
+    "features-nested": ("features", lambda f: [[v] for v in f]),
+    "features-non-numeric": ("features", lambda f: ["x", *f[1:]]),
+    "features-wrong-dim": ("features", lambda f: f[:-1]),
+    "features-all-nan": ("features", lambda f: [float("nan")] * len(f)),
+    "class-not-string": ("class", lambda v: 7),
+    "caption-not-string": ("caption", lambda v: 7),
+    "image-ref-not-string": ("image_ref", lambda v: None),
 }
 
 
@@ -416,6 +438,33 @@ class TestExitCodes:
     def test_curate_without_retriever_is_2(self, tmp_path):
         assert run("curate", "--data", FIXTURES / "train.jsonl",
                    "--llm-fixture", FIXTURES, "--out", tmp_path / "o") == 2
+
+    @pytest.mark.parametrize("case", sorted(BAD_CORPUS_RECORDS))
+    def test_bad_corpus_record_is_3(self, tmp_path, capsys, case):
+        key, edit = BAD_CORPUS_RECORDS[case]
+        lines = (FIXTURES / "candidates.jsonl").read_text().splitlines()
+        record = json.loads(lines[2])
+        record[key] = edit(record[key])
+        lines[2] = json.dumps(record)
+        corpus = tmp_path / "candidates.jsonl"
+        corpus.write_text("\n".join(lines) + "\n")
+        assert run("curate", "--data", FIXTURES / "train.jsonl", "--llm-fixture",
+                   FIXTURES, "--corpus", corpus, "--out", tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "bad corpus record at line 3" in err
+
+    def test_default_ratio_with_an_empty_split(self, tmp_path):
+        # max count 60 leaves the many split (> 100 samples) empty
+        data = tmp_path / "data"
+        assert run("synth", "--out", data, "--num-classes", "10",
+                   "--num-superclasses", "2", "--feature-dim", "8", "--max-count", "60",
+                   "--imbalance", "0.05", "--test-per-class", "5",
+                   "--aux-per-target", "1", "--seed", "1") == 0
+        out = tmp_path / "run"
+        assert run("train", "--data", data / "train.jsonl", "--aux", data / "aux.jsonl",
+                   "--out", out) == 0
+        log = json.loads((out / "train_log.json").read_text())
+        assert log["plan"]["ratio"][0] == 0.0
 
 
 class TestConfigResolution:

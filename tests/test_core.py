@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tailext import core
 from tailext.core import (
     ClassStats,
     ConfigError,
@@ -170,6 +171,140 @@ class TestRoundtrip:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):
             read_dataset(tmp_path / "nope.jsonl")
+
+
+def _cached_dataset(tmp_path):
+    """A dataset written with write_dataset, and the path it was written to."""
+    rng = np.random.default_rng(11)
+    ds = FeatureDataset(rng.normal(size=(40, 6)), rng.integers(0, 4, size=40),
+                        ids=tuple(f"s{i}" for i in range(40)))
+    path = tmp_path / "d.jsonl"
+    write_dataset(ds, LabelSpace(num_target=4), path, extra_meta={"note": 1})
+    return ds, path
+
+
+def _edit_first_feature(path, value):
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["features"][0] = value
+    lines[0] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _edit_sidecar(path, edit):
+    sidecar = path.with_suffix(".meta.json")
+    meta = json.loads(sidecar.read_text())
+    edit(meta)
+    sidecar.write_text(json.dumps(meta))
+
+
+def _flip_byte(path, offset):
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+# each damages the binary cache's claim to stand in for the JSONL
+CACHE_DAMAGE = {
+    "missing": lambda p: p.with_suffix(".cache.npy").unlink(),
+    "stale-jsonl": lambda p: _edit_first_feature(p, 0.25),
+    # byte 200 lies in the feature data, after the 128-byte array header
+    "corrupted": lambda p: _flip_byte(p.with_suffix(".cache.npy"), 200),
+    "truncated": lambda p: p.with_suffix(".cache.npy").write_bytes(
+        p.with_suffix(".cache.npy").read_bytes()[:300]),
+    "no-key": lambda p: _edit_sidecar(p, lambda m: m.pop("binary_cache")),
+    "file-outside-dir": lambda p: _edit_sidecar(
+        p, lambda m: m["binary_cache"].update(file="../d.cache.npy")),
+}
+
+
+class TestBinaryCache:
+    def test_hit_skips_the_jsonl_parse(self, tmp_path, monkeypatch):
+        ds, path = _cached_dataset(tmp_path)
+
+        def no_parse(*args):
+            raise AssertionError("JSONL parsed despite a valid cache")
+
+        monkeypatch.setattr(core, "_read_jsonl", no_parse)
+        back, _, meta = read_dataset(path)
+        np.testing.assert_array_equal(back.features, ds.features)
+        np.testing.assert_array_equal(back.labels, ds.labels)
+        assert back.sample_ids() == ds.sample_ids()
+        assert meta["note"] == 1
+        assert meta["binary_cache"]["file"] == "d.cache.npy"
+
+    @pytest.mark.parametrize("damage", sorted(CACHE_DAMAGE))
+    def test_untrusted_cache_falls_back_to_jsonl(self, tmp_path, damage):
+        ds, path = _cached_dataset(tmp_path)
+        CACHE_DAMAGE[damage](path)
+        back, space, _ = read_dataset(path)
+        expected = ds.features.copy()
+        if damage == "stale-jsonl":
+            expected[0, 0] = 0.25
+        np.testing.assert_array_equal(back.features, expected)
+        np.testing.assert_array_equal(back.labels, ds.labels)
+        assert back.sample_ids() == ds.sample_ids()
+        assert space == LabelSpace(num_target=4)
+
+    @pytest.mark.parametrize("fault", ["nan-written", "dim-disagrees", "labels-outside"])
+    def test_errors_match_on_both_paths(self, tmp_path, fault):
+        messages = []
+        for with_cache in (True, False):
+            d = tmp_path / str(with_cache)
+            d.mkdir()
+            ds, path = _cached_dataset(d)
+            if fault == "nan-written":
+                feats = ds.features.copy()
+                feats[6, 2] = np.nan
+                write_dataset(FeatureDataset(feats, ds.labels, ids=ds.ids),
+                              LabelSpace(num_target=4), path)
+            elif fault == "dim-disagrees":
+                _edit_sidecar(path, lambda m: m.update(feature_dim=5))
+            else:
+                _edit_sidecar(path, lambda m: m.update(label_space={"num_target": 2}))
+            if not with_cache:
+                path.with_suffix(".cache.npy").unlink()
+            with pytest.raises(DataError) as exc:
+                read_dataset(path)
+            messages.append(str(exc.value).replace(str(d), "<dir>"))
+        assert messages[0] == messages[1]
+        if fault == "nan-written":
+            assert messages[0] == "<dir>/d.jsonl:7: non-finite feature value"
+
+    def test_rewrites_are_byte_identical(self, tmp_path):
+        ds, _ = _cached_dataset(tmp_path)
+        for name in ("a", "b"):
+            write_dataset(ds, LabelSpace(num_target=4), tmp_path / name / "d.jsonl")
+        for fname in ("d.jsonl", "d.cache.npy", "d.meta.json"):
+            assert (tmp_path / "a" / fname).read_bytes() == (
+                tmp_path / "b" / fname).read_bytes()
+
+    def test_rows_are_json_dumps_and_read_back_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(5)
+        # arbitrary bit patterns: subnormals, NaN, inf and 17-digit values
+        feats = rng.integers(0, 2**63, size=(50, 8), dtype=np.int64).view(np.float64)
+        feats = feats * rng.choice([-1.0, 1.0], size=feats.shape)
+        feats[0, :6] = [-0.0, 5e-324, 2.2250738585072014e-308, 0.1 + 0.2, np.nan, np.inf]
+        feats[1, :2] = [-np.inf, 1.7976931348623157e308]
+        ids = tuple(f"r{i}" for i in range(50))
+        ds = FeatureDataset(feats, np.arange(50) % 3, ids=ids)
+        path = tmp_path / "d.jsonl"
+        write_dataset(ds, LabelSpace(num_target=3), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines == [
+            json.dumps({"id": ids[i], "label": i % 3, "features": feats[i].tolist()})
+            for i in range(50)
+        ]
+        finite = np.isfinite(feats).all(axis=1)
+        kept = FeatureDataset(feats[finite], np.arange(50)[finite] % 3,
+                              ids=tuple(np.asarray(ids)[finite]))
+        write_dataset(kept, LabelSpace(num_target=3), path)
+        via_cache, _, _ = read_dataset(path)
+        path.with_suffix(".cache.npy").unlink()
+        via_jsonl, _, _ = read_dataset(path)
+        for back in (via_cache, via_jsonl):
+            np.testing.assert_array_equal(back.features.view(np.uint64),
+                                          kept.features.view(np.uint64))
 
 
 class TestRunConfig:

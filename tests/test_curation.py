@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tailext import curation
 from tailext.core import (
     ConfigError,
     DataError,
@@ -218,6 +219,11 @@ class TestFixtureBackends:
         p.write_text('{"image_ref": "i1"}\n')
         with pytest.raises(DataError, match="line 1"):
             FixtureRetriever(p)
+        good = {"class": "tabby", "image_ref": "i1", "caption": "a tabby",
+                "features": [1.0, 2.0]}
+        p.write_bytes(json.dumps(good).encode() + b'\n{"class": "\xff"}\n')
+        with pytest.raises(DataError, match="line 2"):
+            FixtureRetriever(p)
         with pytest.raises(DataError):
             FixtureRetriever(tmp_path / "absent.jsonl")
 
@@ -229,6 +235,30 @@ class TestFixtureBackends:
         p = tmp_path / "corpus.jsonl"
         p.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(DataError, match=f"line 2.*{key}"):
+            FixtureRetriever(p)
+
+    def test_retriever_rows_keep_file_order_across_blocks(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(2)
+        recs = [{"class": ("tabby", "Maine Coon", "lynx")[i % 3], "image_ref": f"i{i}",
+                 "caption": "c", "features": rng.normal(size=3).tolist()}
+                for i in range(11)]
+        recs[4]["features"] = [1, 2, 3]  # integers are numbers too
+        p = tmp_path / "corpus.jsonl"
+        p.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        monkeypatch.setattr(curation, "_CORPUS_BLOCK_ROWS", 2)
+        retriever = FixtureRetriever(p)
+        for name in ("tabby", "maine coon", "lynx"):
+            want = [r for r in recs if normalize_name(r["class"]) == name]
+            got = retriever.retrieve(name, 0)
+            assert [c.image_ref for c in got] == [r["image_ref"] for r in want]
+            for cand, rec in zip(got, want):
+                assert cand.feature.dtype == np.float64
+                assert cand.feature.tolist() == rec["features"]
+                assert not cand.feature.flags.writeable
+
+        recs[6]["features"][1] = float("nan")
+        p.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        with pytest.raises(DataError, match="line 7: non-finite"):
             FixtureRetriever(p)
 
 

@@ -23,9 +23,16 @@ class TestDeriveRatio:
         assert derive_ratio((500, 500, 500)) == (1, 1, 1)
         assert derive_ratio((7, 3, 2)) == (1, 3, 4)
 
-    def test_zero_split_total_rejected(self):
+    def test_empty_split_gets_zero(self):
+        assert derive_ratio((100, 0, 5)) == (1, 0, 20)
+        assert derive_ratio((100, 30, 0)) == (1, 4, 0)
+        # an empty many split hands the reference to the first non-empty split
+        assert derive_ratio((0, 294, 101)) == (0, 1, 3)
+        assert derive_ratio((0, 0, 7)) == (0, 0, 1)
         with pytest.raises(DataError):
-            derive_ratio((100, 0, 5))
+            derive_ratio((0, 0, 0))
+        with pytest.raises(DataError):
+            derive_ratio((5, -1, 3))
 
     @given(st.tuples(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(1, 10**6)))
     @settings(max_examples=60, deadline=None)
