@@ -7,6 +7,7 @@ from .core import (
     ClassStats,
     ConfigError,
     DataError,
+    DivergenceError,
     ExternalServiceError,
     FeatureDataset,
     LabelSpace,

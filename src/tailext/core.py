@@ -21,6 +21,7 @@ __all__ = [
     "ConfigError",
     "DataError",
     "ExternalServiceError",
+    "DivergenceError",
     "LabelSpace",
     "ClassStats",
     "FeatureDataset",
@@ -43,6 +44,11 @@ class DataError(ValueError):
 
 class ExternalServiceError(RuntimeError):
     """An outbound service (LLM, retriever, embedder) failed (CLI exit code 4)."""
+
+
+class DivergenceError(ConfigError):
+    """Training diverged: a non-finite logit or batch loss, or a runaway
+    batch loss (CLI exit code 2, like any other setting that cannot train)."""
 
 
 def _hash_component(part: int | str) -> int:
@@ -252,7 +258,7 @@ class FeatureDataset:
             features=self.features[idx].copy(),
             labels=self.labels[idx].copy(),
             provenance=self.provenance,
-            ids=tuple(ids[i] for i in idx) if ids is not None else None,
+            ids=tuple([ids[i] for i in idx.tolist()]) if ids is not None else None,
         )
 
 
@@ -463,6 +469,22 @@ def read_dataset(path: str | Path) -> tuple[FeatureDataset, LabelSpace, dict]:
     return ds, space, meta
 
 
+def check_lambda_s(lambda_s: float, error: type[ValueError]) -> None:
+    """Reject a negative silencing strength with ``error`` and warn above 1.
+
+    Both boundaries that take lambda_s call this: ``RunConfig`` with
+    ConfigError, the silencing loss with DataError.
+    """
+    if lambda_s < 0:
+        raise error(f"lambda_s must be >= 0, got {lambda_s}")
+    if lambda_s > 1:
+        warnings.warn(
+            f"lambda_s={lambda_s} > 1 amplifies neighbor competition "
+            "instead of silencing it",
+            stacklevel=3,
+        )
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Hyper-parameters of one training run, and the only place their
@@ -491,14 +513,7 @@ class RunConfig:
     hidden_dim: int | None = None
 
     def __post_init__(self):
-        if self.lambda_s < 0:
-            raise ConfigError(f"lambda_s must be >= 0, got {self.lambda_s}")
-        if self.lambda_s > 1:
-            warnings.warn(
-                f"lambda_s={self.lambda_s} > 1 amplifies neighbor competition "
-                "instead of silencing it",
-                stacklevel=2,
-            )
+        check_lambda_s(self.lambda_s, ConfigError)
         if self.per_class_cap < 1:
             raise ConfigError(f"per_class_cap must be >= 1, got {self.per_class_cap}")
         if self.epochs < 1 or self.batch_size < 1:

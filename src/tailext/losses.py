@@ -10,12 +10,11 @@ chain rule, keeping every loss here model-agnostic and pure.
 """
 from __future__ import annotations
 
-import warnings
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import ClassStats, DataError, LabelSpace
+from .core import ClassStats, DataError, LabelSpace, check_lambda_s
 
 __all__ = [
     "BalancedError",
@@ -91,38 +90,53 @@ class SilenceWeights:
     and its own auxiliary classes: two auxiliaries queried from the same
     target do not silence each other, and target-target pairs always weigh 1.
     The relation is sparse (one entry per auxiliary class), so the dense
-    pairwise matrix is never built: the rows of a batch are read off the
-    label space's ``query_target`` array with array operations.
+    pairwise matrix is never built: a batch's silenced entries are read off
+    the label space's ``query_target`` array as index pairs.
     """
 
     def __init__(self, space: LabelSpace, lambda_s: float):
-        if lambda_s < 0:
-            raise DataError(f"lambda_s must be >= 0, got {lambda_s}")
-        if lambda_s > 1:
-            warnings.warn(
-                f"lambda_s={lambda_s} > 1 amplifies neighbor competition", stacklevel=2
-            )
+        check_lambda_s(lambda_s, DataError)
         self.space = space
         self.lambda_s = float(lambda_s)
 
-    def rows(self, labels: np.ndarray, n_classes: int) -> np.ndarray:
-        """Weight matrix (B, n_classes): row b holds lambda_{labels[b], j}.
+    def pairs(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(row, column) indices of the entries of ``rows(labels, M)`` that
+        hold lambda_s; every other entry is 1.
 
         A target label silences the auxiliary columns queried from it; an
         auxiliary label silences the one target it was queried from.
         """
         query_target = self.space.query_target
-        if n_classes != query_target.size:
-            raise DataError(
-                f"{n_classes} weight columns for a {query_target.size}-class label space"
-            )
         labels = np.asarray(labels, dtype=np.int64)
-        if labels.min(initial=0) < 0 or labels.max(initial=0) >= n_classes:
+        if labels.min(initial=0) < 0 or labels.max(initial=0) >= query_target.size:
             raise DataError("labels out of range")
-        w = np.where(query_target[None, :] == labels[:, None], self.lambda_s, 1.0)
+        # auxiliary ids grouped by the target they were queried from; target
+        # t's group is by_target[first[t] : first[t] + n_aux[t]]
+        aux = np.flatnonzero(query_target >= 0)
+        by_target = aux[np.argsort(query_target[aux], kind="stable")]
+        n_aux = np.bincount(query_target[aux], minlength=query_target.size)
+        first = np.cumsum(n_aux) - n_aux
+        counts = n_aux[labels]
+        starts = np.cumsum(counts) - counts
+        target_rows = np.repeat(np.arange(labels.size), counts)
+        pos = np.repeat(first[labels] - starts, counts) + np.arange(target_rows.size)
         partner = query_target[labels]
         aux_rows = np.flatnonzero(partner >= 0)
-        w[aux_rows, partner[aux_rows]] = self.lambda_s
+        return (
+            np.concatenate([target_rows, aux_rows]),
+            np.concatenate([by_target[pos], partner[aux_rows]]),
+        )
+
+    def rows(self, labels: np.ndarray, n_classes: int) -> np.ndarray:
+        """Weight matrix (B, n_classes): row b holds lambda_{labels[b], j}."""
+        if n_classes != self.space.query_target.size:
+            raise DataError(
+                f"{n_classes} weight columns for a "
+                f"{self.space.query_target.size}-class label space"
+            )
+        labels = np.asarray(labels, dtype=np.int64)
+        w = np.ones((labels.size, n_classes))
+        w[self.pairs(labels)] = self.lambda_s
         return w
 
 
@@ -157,22 +171,25 @@ def ns_ce_batch(
             f"stats cover {len(stats)} classes but label space has {space.num_classes}"
         )
     weights = SilenceWeights(space, lambda_s)
-    B = Z.shape[0]
-    rows = np.arange(B)
-    u = Z + stats.log_counts()[None, :]
-    t = u - u[rows, labels][:, None]
-    w = weights.rows(labels, len(stats))
+    rows = np.arange(Z.shape[0])
+    # one (B, M) work array goes u -> t -> shifted -> exp -> scaled -> gradient
+    work = Z + stats.log_counts()[None, :]
+    work -= work[rows, labels][:, None]
+    # every weight other than the silenced pairs' lambda_s is 1
+    silenced = weights.pairs(labels)
     if weights.lambda_s == 0:
         # silenced terms leave the shift and the sum: their exponent becomes
         # exp(-inf) = 0, where 0 * exp(t - m) would overflow to 0 * inf = nan
-        t = np.where(w > 0, t, -np.inf)
-    m = t.max(axis=1)
-    scaled = w * np.exp(t - m[:, None])
-    total = scaled.sum(axis=1)
+        work[silenced] = -np.inf
+    m = work.max(axis=1)
+    work -= m[:, None]
+    np.exp(work, out=work)
+    work[silenced] *= weights.lambda_s
+    total = work.sum(axis=1)
     losses = m + np.log(total)
-    grads = scaled / total[:, None]
-    grads[rows, labels] -= 1.0
-    return losses, grads
+    work /= total[:, None]
+    work[rows, labels] -= 1.0
+    return losses, work
 
 
 def ns_ce(
@@ -205,13 +222,15 @@ def bal_ce_batch(
     labels = np.asarray(labels, dtype=np.int64)
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= len(stats):
         raise DataError("labels out of range")
-    u = Z + stats.log_counts()[None, :]
-    m = u.max(axis=1)
-    exp_u = np.exp(u - m[:, None])
-    total = exp_u.sum(axis=1)
     rows = np.arange(Z.shape[0])
-    losses = m + np.log(total) - u[rows, labels]
-    grads = exp_u / total[:, None]
-    grads[rows, labels] -= 1.0
-    return losses, grads
-
+    # one (B, M) work array goes u -> shifted -> exp -> gradient
+    work = Z + stats.log_counts()[None, :]
+    m = work.max(axis=1)
+    u_true = work[rows, labels]
+    work -= m[:, None]
+    np.exp(work, out=work)
+    total = work.sum(axis=1)
+    losses = m + np.log(total) - u_true
+    work /= total[:, None]
+    work[rows, labels] -= 1.0
+    return losses, work

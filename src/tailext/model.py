@@ -7,10 +7,30 @@ counts, and auxiliary categories left unattached in an epoch are excluded from
 that epoch's denominator entirely (their count is zero). At inference the
 classifier is masked back to the target rows; masking restricts a view and
 never mutates trained weights.
+
+Epoch block layout. An epoch's active output rows are the L target rows
+plus the auxiliary rows attached that epoch, ascending (``_epoch_view``). At
+the start of the epoch the output layer's weights, bias and optimizer slots
+for those rows are copied into contiguous blocks; every batch of the epoch
+runs forward, loss, backward and step on the blocks in place, and the
+blocks are copied back at the end of the epoch. The per-batch buffers (the
+hidden features H, the logits, the output and hidden gradients, dA and
+1 - H^2) are allocated once per epoch; the last, partial batch uses leading
+views of them.
+
+Idle-row rule. A row outside the epoch's active rows gets a gradient of
+exactly zero. Under plain SGD (momentum 0, no weight decay) a zero gradient
+leaves the row bit for bit unchanged, so idle rows are not touched. Under
+momentum, weight decay or AdamW a zero gradient still moves the row
+(``_Optimizer.moves_idle_rows``), so idle rows are gathered into a block of
+their own and stepped with a zero gradient on every batch. Every optimizer
+update is elementwise, so stepping rows in blocks gives the same bits as
+stepping the full arrays.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -21,6 +41,7 @@ from .core import (
     ClassStats,
     ConfigError,
     DataError,
+    DivergenceError,
     FeatureDataset,
     LabelSpace,
     RunConfig,
@@ -39,6 +60,14 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 1
+
+# A batch whose mean loss exceeds this multiple of the first batch's mean
+# loss stops training as diverged. The output layer starts at zero, so the
+# first loss is fixed by the class counts and the batch's labels alone. The
+# largest multiple measured on working runs is 39 (crowded, imbalanced pilot
+# cells at the default learning rate); SGD at lr 1e9 and AdamW at lr 1e3
+# pass 6,000 within their first batches.
+DIVERGENCE_RATIO = 1000.0
 
 
 @dataclass
@@ -83,10 +112,14 @@ class ClassifierState:
             return int(self.hidden_weights.shape[1])
         return int(self.weights.shape[1])
 
-    def _represent(self, X: np.ndarray) -> np.ndarray:
+    def _represent(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The hidden layer's tanh features of X (X itself for a linear
+        model), written into ``out`` when given."""
         if self.hidden_weights is None:
             return X
-        return np.tanh(X @ self.hidden_weights.T + self.hidden_bias)
+        H = np.matmul(X, self.hidden_weights.T, out=out)
+        H += self.hidden_bias
+        return np.tanh(H, out=H)
 
     def logits_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -138,7 +171,12 @@ class TrainLog:
 
 
 class _Optimizer:
-    """SGD with momentum, or AdamW with the (0.9, 0.95) beta preset."""
+    """SGD with momentum, or AdamW with the (0.9, 0.95) beta preset.
+
+    ``slots`` holds each parameter's state arrays by parameter name. A step
+    may be given other parameter and slot arrays, such as row blocks of
+    them: every update is elementwise.
+    """
 
     ADAM_BETAS = (0.9, 0.95)
 
@@ -153,12 +191,27 @@ class _Optimizer:
                 k: {"m": np.zeros_like(p), "v": np.zeros_like(p)} for k, p in params.items()
             }
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    @property
+    def moves_idle_rows(self) -> bool:
+        """Whether a zero gradient still changes a parameter: under momentum,
+        weight decay or AdamW it does; under plain SGD it does not."""
         cfg = self.cfg
+        return self.kind == "adamw" or cfg.momentum != 0 or cfg.weight_decay != 0
+
+    def step(
+        self,
+        params: dict[str, np.ndarray],
+        grads: dict[str, np.ndarray],
+        slots: dict[str, dict[str, np.ndarray]] | None = None,
+    ) -> None:
+        """One update of every parameter in ``params``, in place; ``slots``
+        defaults to the optimizer's own."""
+        cfg = self.cfg
+        slots = self.slots if slots is None else slots
         self.step_count += 1
         for name, p in params.items():
             g = grads[name]
-            slot = self.slots[name]
+            slot = slots[name]
             if self.kind == "sgd":
                 if cfg.weight_decay:
                     g = g + cfg.weight_decay * p
@@ -235,6 +288,10 @@ def _epoch_view(
     return feats, labels, rows, stats, view_space
 
 
+def _diverged(epoch: int, batch: int, reason: str) -> DivergenceError:
+    return DivergenceError(f"training diverged at epoch {epoch}, batch {batch}: {reason}")
+
+
 def train(
     dataset: FeatureDataset,
     aux: FeatureDataset | None,
@@ -247,7 +304,9 @@ def train(
     an epoch and plain balanced CE otherwise (K = 0 degenerates to the BalCE
     baseline regardless of lambda_s). Every random decision draws from a
     stream derived from (cfg.seed, purpose, epoch, ...), so identical inputs
-    reproduce the TrainLog bit for bit.
+    reproduce the TrainLog bit for bit. Raises DivergenceError, naming the
+    epoch and batch, when a logit or batch loss turns non-finite or a batch
+    loss exceeds DIVERGENCE_RATIO times the first batch's.
     """
     from .metrics import assign_splits
 
@@ -274,11 +333,11 @@ def train(
         plan = build_plan(target_counts, tags, expanded, cfg.per_class_cap, cfg.aux_ratio)
 
     state = _init_state(space, dataset.feature_dim, cfg)
-    params: dict[str, np.ndarray] = {"weights": state.weights, "bias": state.bias}
+    out_layer = {"weights": state.weights, "bias": state.bias}
+    hidden: dict[str, np.ndarray] = {}
     if state.hidden_weights is not None:
-        params["hidden_weights"] = state.hidden_weights
-        params["hidden_bias"] = state.hidden_bias
-    optimizer = _Optimizer(cfg, params)
+        hidden = {"hidden_weights": state.hidden_weights, "hidden_bias": state.hidden_bias}
+    optimizer = _Optimizer(cfg, {**out_layer, **hidden})
 
     log = TrainLog(
         seed=cfg.seed,
@@ -286,6 +345,7 @@ def train(
         plan=plan.to_json() if plan is not None else None,
     )
 
+    first_loss = None
     for epoch in range(cfg.epochs):
         if use_aux:
             subset, eff = sample_epoch(aux, space, plan, cfg.seed, epoch)
@@ -294,32 +354,85 @@ def train(
         feats, labels, rows, ep_stats, ep_space = _epoch_view(
             dataset, target_counts, subset, eff, space
         )
+
+        # gather the output layer into row blocks (see the module docstring)
+        blocks = {"": rows}
+        if optimizer.moves_idle_rows and rows.size < space.num_classes:
+            blocks["idle_"] = np.setdiff1d(np.arange(space.num_classes), rows)
+        params = dict(hidden)
+        slots = {name: optimizer.slots[name] for name in hidden}
+        for tag, sel in blocks.items():
+            for name, full in out_layer.items():
+                params[tag + name] = full[sel]
+                slots[tag + name] = {k: a[sel] for k, a in optimizer.slots[name].items()}
+        W, b = params["weights"], params["bias"]
+        grads = {"weights": np.empty_like(W), "bias": np.empty_like(b)}
+        if "idle_" in blocks:
+            grads["idle_weights"] = np.zeros_like(params["idle_weights"])
+            grads["idle_bias"] = np.zeros_like(params["idle_bias"])
         n = labels.size
+        width = min(cfg.batch_size, n)
+        Z_buf = np.empty((width, rows.size))
+        if hidden:
+            grads["hidden_weights"] = np.empty_like(state.hidden_weights)
+            grads["hidden_bias"] = np.empty_like(state.hidden_bias)
+            H_buf = np.empty((width, state.hidden_weights.shape[0]))
+            dA_buf = np.empty_like(H_buf)
+            slope_buf = np.empty_like(H_buf)
+
         perm = derive_rng(cfg.seed, "shuffle", epoch).permutation(n)
         loss_total = 0.0
-        for start in range(0, n, cfg.batch_size):
+        for batch, start in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[start : start + cfg.batch_size]
             Xb, yb = feats[idx], labels[idx]
             B = idx.size
-            H = state._represent(Xb)
-            W = state.weights[rows]
-            Z = H @ W.T + state.bias[rows]
-            if ep_space.num_auxiliary > 0:
-                losses, G = ns_ce_batch(Z, yb, ep_stats, ep_space, cfg.lambda_s)
-            else:
-                losses, G = bal_ce_batch(Z, yb, ep_stats)
-            loss_total += float(losses.sum())
-            Gm = G / B
-            grad_w = np.zeros_like(state.weights)
-            grad_b = np.zeros_like(state.bias)
-            grad_w[rows] = Gm.T @ H
-            grad_b[rows] = Gm.sum(axis=0)
-            grads = {"weights": grad_w, "bias": grad_b}
-            if state.hidden_weights is not None:
-                dA = (Gm @ W) * (1.0 - H * H)
-                grads["hidden_weights"] = dA.T @ Xb
-                grads["hidden_bias"] = dA.sum(axis=0)
-            optimizer.step(params, grads)
+            H = state._represent(Xb, out=H_buf[:B] if hidden else None)
+            Z = Z_buf[:B]
+            np.matmul(H, W.T, out=Z)
+            Z += b
+            try:
+                if ep_space.num_auxiliary > 0:
+                    losses, G = ns_ce_batch(Z, yb, ep_stats, ep_space, cfg.lambda_s)
+                else:
+                    losses, G = bal_ce_batch(Z, yb, ep_stats)
+            except DataError:
+                if np.isfinite(Z).all():
+                    raise
+                raise _diverged(epoch, batch, "non-finite logits") from None
+            batch_loss = float(losses.sum())
+            loss_total += batch_loss
+            mean_loss = batch_loss / B
+            if first_loss is None:
+                first_loss = mean_loss
+            # a first loss of 0 (no class competes with any label) leaves
+            # only the non-finite check
+            if not math.isfinite(mean_loss) or (
+                first_loss > 0 and mean_loss > DIVERGENCE_RATIO * first_loss
+            ):
+                raise _diverged(
+                    epoch, batch, f"mean batch loss {mean_loss:.6g}, first batch's "
+                    f"{first_loss:.6g}, limit {DIVERGENCE_RATIO:g} times the first",
+                )
+
+            G /= B
+            np.matmul(G.T, H, out=grads["weights"])
+            np.sum(G, axis=0, out=grads["bias"])
+            if hidden:
+                dA = dA_buf[:B]
+                slope = slope_buf[:B]
+                np.matmul(G, W, out=dA)
+                np.multiply(H, H, out=slope)
+                np.subtract(1.0, slope, out=slope)
+                dA *= slope
+                np.matmul(dA.T, Xb, out=grads["hidden_weights"])
+                np.sum(dA, axis=0, out=grads["hidden_bias"])
+            optimizer.step(params, grads, slots)
+
+        for tag, sel in blocks.items():
+            for name, full in out_layer.items():
+                full[sel] = params[tag + name]
+                for k, a in optimizer.slots[name].items():
+                    a[sel] = slots[tag + name][k]
 
         entry = {
             "epoch": epoch,
@@ -365,8 +478,8 @@ def linear_probe_retrain(
             Hb, yb = rep[idx], dataset.labels[idx]
             Z = Hb @ weights.T + bias
             _, G = bal_ce_batch(Z, yb, stats)
-            Gm = G / idx.size
-            optimizer.step(params, {"weights": Gm.T @ Hb, "bias": Gm.sum(axis=0)})
+            G /= idx.size
+            optimizer.step(params, {"weights": G.T @ Hb, "bias": G.sum(axis=0)})
 
     masked = state.masked()
     return ClassifierState(

@@ -435,6 +435,16 @@ class TestExitCodes:
                    small_run / "data" / "test.jsonl", "--out", tmp_path / "o") == 3
         assert "non-finite weights or biases" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--lr", "1e9"], ["--optimizer", "adamw", "--lr", "1e3"]])
+    def test_diverging_train_is_2_without_checkpoint(self, tmp_path, capsys, small_run, flags):
+        data = small_run / "data"
+        out = tmp_path / "run"
+        assert run("train", "--data", data / "train.jsonl", "--aux", data / "aux.jsonl",
+                   "--ratio", "1:1:3", "--epochs", "5", *flags, "--out", out) == 2
+        assert re.search(r"training diverged at epoch \d+, batch \d+",
+                         capsys.readouterr().err)
+        assert not (out / "checkpoint.json").exists()
+
     def test_curate_without_retriever_is_2(self, tmp_path):
         assert run("curate", "--data", FIXTURES / "train.jsonl",
                    "--llm-fixture", FIXTURES, "--out", tmp_path / "o") == 2

@@ -7,21 +7,29 @@ import pytest
 from tailext.core import (
     ClassStats,
     DataError,
+    DivergenceError,
     FeatureDataset,
     LabelSpace,
     RunConfig,
     build_label_space,
     derive_rng,
 )
-from tailext.losses import bal_ce
+from tailext.losses import SilenceWeights, bal_ce, bal_ce_batch, ns_ce_batch
+from tailext.metrics import assign_splits
 from tailext.model import (
     CHECKPOINT_VERSION,
+    DIVERGENCE_RATIO,
     ClassifierState,
+    TrainLog,
+    _epoch_view,
+    _init_state,
+    _Optimizer,
     linear_probe_retrain,
     load_checkpoint,
     save_checkpoint,
     train,
 )
+from tailext.sampling import build_plan, sample_epoch
 
 
 def toy_dataset(seed=0, n_per=4, classes=3, dim=3, spread=4.0):
@@ -196,6 +204,197 @@ class TestTraining:
         gap = FeatureDataset(np.zeros((2, 3)), np.array([0, 2]))
         with pytest.raises(DataError):
             train(gap, None, LabelSpace(num_target=3), cfg)  # class 1 unseen
+
+
+def reference_ns_ce_batch(Z, labels, stats, space, lambda_s):
+    """The silencing loss as it was written before it reused one work
+    array: a fresh temporary for every step."""
+    weights = SilenceWeights(space, lambda_s)
+    rows = np.arange(Z.shape[0])
+    u = Z + stats.log_counts()[None, :]
+    t = u - u[rows, labels][:, None]
+    w = weights.rows(labels, len(stats))
+    if weights.lambda_s == 0:
+        t = np.where(w > 0, t, -np.inf)
+    m = t.max(axis=1)
+    scaled = w * np.exp(t - m[:, None])
+    total = scaled.sum(axis=1)
+    grads = scaled / total[:, None]
+    grads[rows, labels] -= 1.0
+    return m + np.log(total), grads
+
+
+def reference_bal_ce_batch(Z, labels, stats):
+    """Balanced CE as it was written before it reused one work array."""
+    rows = np.arange(Z.shape[0])
+    u = Z + stats.log_counts()[None, :]
+    m = u.max(axis=1)
+    exp_u = np.exp(u - m[:, None])
+    total = exp_u.sum(axis=1)
+    grads = exp_u / total[:, None]
+    grads[rows, labels] -= 1.0
+    return m + np.log(total) - u[rows, labels], grads
+
+
+def reference_train(dataset, aux, space, cfg):
+    """The dense batch loop that train() replaced: every batch gathers the
+    active weight rows, scatters its gradient into zero-filled full arrays
+    and steps every row. Kept as the reference train() must match bit for
+    bit."""
+    L = space.num_target
+    target_counts = dataset.class_counts(L)
+    use_aux = aux is not None and len(aux) > 0 and space.num_auxiliary > 0
+    plan = None
+    if use_aux:
+        tags = assign_splits(ClassStats(target_counts)).tags
+        expanded = sorted(set(space.neighbor_of.values()))
+        plan = build_plan(target_counts, tags, expanded, cfg.per_class_cap, cfg.aux_ratio)
+    state = _init_state(space, dataset.feature_dim, cfg)
+    params = {"weights": state.weights, "bias": state.bias}
+    if state.hidden_weights is not None:
+        params["hidden_weights"] = state.hidden_weights
+        params["hidden_bias"] = state.hidden_bias
+    optimizer = _Optimizer(cfg, params)
+    log = TrainLog(
+        seed=cfg.seed, config=cfg.to_json(),
+        plan=plan.to_json() if plan is not None else None,
+    )
+    for epoch in range(cfg.epochs):
+        if use_aux:
+            subset, eff = sample_epoch(aux, space, plan, cfg.seed, epoch)
+        else:
+            subset, eff = None, None
+        feats, labels, rows, ep_stats, ep_space = _epoch_view(
+            dataset, target_counts, subset, eff, space
+        )
+        n = labels.size
+        perm = derive_rng(cfg.seed, "shuffle", epoch).permutation(n)
+        loss_total = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            Xb, yb = feats[idx], labels[idx]
+            B = idx.size
+            H = state._represent(Xb)
+            W = state.weights[rows]
+            Z = H @ W.T + state.bias[rows]
+            if ep_space.num_auxiliary > 0:
+                losses, G = reference_ns_ce_batch(Z, yb, ep_stats, ep_space, cfg.lambda_s)
+            else:
+                losses, G = reference_bal_ce_batch(Z, yb, ep_stats)
+            loss_total += float(losses.sum())
+            Gm = G / B
+            grad_w = np.zeros_like(state.weights)
+            grad_b = np.zeros_like(state.bias)
+            grad_w[rows] = Gm.T @ H
+            grad_b[rows] = Gm.sum(axis=0)
+            grads = {"weights": grad_w, "bias": grad_b}
+            if state.hidden_weights is not None:
+                dA = (Gm @ W) * (1.0 - H * H)
+                grads["hidden_weights"] = dA.T @ Xb
+                grads["hidden_bias"] = dA.sum(axis=0)
+            optimizer.step(params, grads)
+        entry = {"epoch": epoch, "mean_loss": loss_total / n, "mixed_size": int(n)}
+        if use_aux:
+            active = (np.flatnonzero(eff > 0) + L).tolist()
+            entry["aux_active"] = active
+            entry["aux_effective_counts"] = {str(c): int(eff[c - L]) for c in active}
+        log.epochs.append(entry)
+    return state, log
+
+
+def rotating_aux_problem():
+    """Four target classes (28 samples) and five auxiliary classes of six
+    samples each. At ratio 1:1:1 with cap 4, each epoch attaches one of
+    target 0's three auxiliaries and one of target 2's two, so the active
+    rows change from epoch to epoch; 36 samples per epoch in batches of 16
+    leave a partial last batch."""
+    rng = derive_rng(31, "rotating")
+    counts = (12, 8, 5, 3)
+    centers = rng.normal(scale=3.0, size=(4, 5))
+    feats = np.concatenate([c + rng.normal(size=(n, 5)) for c, n in zip(centers, counts)])
+    labels = np.repeat(np.arange(4), counts)
+    space = build_label_space(4, [(4, 0), (5, 0), (6, 0), (7, 2), (8, 2)])
+    aux_labels = np.repeat(np.arange(4, 9), 6)
+    aux_feats = centers[space.query_target[aux_labels]] + rng.normal(size=(30, 5))
+    return FeatureDataset(feats, labels), FeatureDataset(aux_feats, aux_labels), space
+
+
+OPTIMIZERS = {
+    "sgd": dict(optimizer="sgd", momentum=0.0, weight_decay=0.0, learning_rate=0.3),
+    "sgd-momentum-decay": dict(optimizer="sgd", momentum=0.9, weight_decay=0.01,
+                               learning_rate=0.1),
+    "adamw": dict(optimizer="adamw", weight_decay=0.0, learning_rate=0.05),
+    "adamw-decay": dict(optimizer="adamw", weight_decay=0.05, learning_rate=0.05),
+}
+
+
+class TestMatchesDenseReference:
+    """train() on compact epoch blocks gives the dense loop's bits."""
+
+    @pytest.mark.parametrize("opt", sorted(OPTIMIZERS))
+    @pytest.mark.parametrize("hidden_dim", [None, 6])
+    @pytest.mark.parametrize("with_aux", [True, False])
+    @pytest.mark.parametrize("lambda_s", [0.0, 0.1])
+    def test_bit_identical(self, opt, hidden_dim, with_aux, lambda_s):
+        ds, aux, space = rotating_aux_problem()
+        if not with_aux:
+            aux, space = None, LabelSpace(num_target=4)
+        cfg = RunConfig(
+            epochs=4, batch_size=16, per_class_cap=4, aux_ratio=(1, 1, 1),
+            hidden_dim=hidden_dim, lambda_s=lambda_s, seed=5, **OPTIMIZERS[opt],
+        )
+        state, log = train(ds, aux, space, cfg)
+        want, want_log = reference_train(ds, aux, space, cfg)
+        for name in ("weights", "bias", "hidden_weights", "hidden_bias"):
+            got, ref = getattr(state, name), getattr(want, name)
+            assert (got is None) == (ref is None)
+            if ref is not None:
+                assert np.array_equal(got, ref), name
+        assert json.dumps(log.to_json()) == json.dumps(want_log.to_json())
+        if with_aux:
+            attached = {tuple(e["aux_active"]) for e in log.epochs}
+            assert len(attached) > 1  # the active rows rotate across epochs
+
+    def test_batch_losses_match_reference_and_keep_their_arguments(self):
+        rng = derive_rng(32, "loss-args")
+        space = build_label_space(3, [(3, 0), (4, 0), (5, 2)])
+        stats = ClassStats(np.array([40, 9, 3, 5, 6, 2]))
+        Z = rng.normal(scale=4.0, size=(7, 6))
+        Z[0, 3] = 900.0  # a silenced logit that dominates its row
+        labels = np.array([0, 3, 2, 5, 1, 4, 0])
+        Z0, labels0 = Z.copy(), labels.copy()
+        for lam in (0.0, 0.1, 1.0):
+            got = ns_ce_batch(Z, labels, stats, space, lam)
+            want = reference_ns_ce_batch(Z, labels, stats, space, lam)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        got = bal_ce_batch(Z, labels, stats)
+        want = reference_bal_ce_batch(Z, labels, stats)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert np.array_equal(Z, Z0) and np.array_equal(labels, labels0)
+
+
+class TestDivergence:
+    def test_runaway_loss_names_epoch_and_batch(self):
+        ds, aux, space = rotating_aux_problem()
+        cfg = RunConfig(epochs=3, batch_size=16, aux_ratio=(1, 1, 1), learning_rate=1e9)
+        with pytest.raises(DivergenceError, match=r"epoch 0, batch 1: mean batch loss"):
+            train(ds, aux, space, cfg)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_logits_trip(self):
+        ds = toy_dataset(n_per=8)
+        cfg = RunConfig(epochs=2, batch_size=8, learning_rate=1e308)
+        with pytest.raises(DivergenceError, match=r"epoch 0, batch 1: non-finite logits"):
+            train(ds, None, LabelSpace(num_target=3), cfg)
+
+    def test_bound_is_a_multiple_of_the_first_batch_loss(self):
+        # lr 5 drives this problem to about 12 times its first loss, lr 1e9 far
+        # beyond any sane multiple; the bound must split the two
+        ds, aux, space = rotating_aux_problem()
+        cfg = RunConfig(epochs=3, batch_size=16, aux_ratio=(1, 1, 1), learning_rate=5.0)
+        train(ds, aux, space, cfg)
+        with pytest.raises(DivergenceError, match=f"limit {DIVERGENCE_RATIO:g} times"):
+            train(ds, aux, space, cfg.with_overrides(learning_rate=1e9))
 
 
 class TestMasking:
