@@ -255,8 +255,8 @@ class FeatureDataset:
         idx = np.asarray(indices, dtype=np.int64)
         ids = self.ids
         return FeatureDataset(
-            features=self.features[idx].copy(),
-            labels=self.labels[idx].copy(),
+            features=self.features[idx],
+            labels=self.labels[idx],
             provenance=self.provenance,
             ids=tuple([ids[i] for i in idx.tolist()]) if ids is not None else None,
         )
@@ -493,11 +493,15 @@ class RunConfig:
     The determinism contract: identical RunConfig plus identical inputs must
     produce bit-identical metric outputs. Defaults follow the recommended
     operating point: lambda_s=0.1, per-class cap 50, plain SGD at lr 0.15.
-    Plain SGD (momentum 0) keeps heavily crowded pilot cells out of the
-    oscillatory regime that momentum falls into when many same-ring classes
-    fight over the same region; the balanced-data gap then stays near zero
-    instead of wandering. ``aux_ratio`` of None means derive the
-    head:medium:tail attachment counts from split totals by ceiling division.
+    Plain SGD (momentum 0) is the default because the crowded pilot cells do
+    worse under momentum. On ``run_pilot_cell`` at S = 5, seeds 0-5, the
+    largest batch mean loss reached 22-39 times the first batch's under
+    plain SGD and 87-156 times under momentum 0.9, and the balanced-data
+    rank gap was 0.6 +- 5.7 points against -6.3 +- 4.4. Plain SGD does not
+    settle the S = 5 cells either: at S = 25 the same ratio stays within
+    4.8-8.1.
+    ``aux_ratio`` of None means derive the head:medium:tail attachment
+    counts from split totals by ceiling division.
     """
 
     seed: int = 0

@@ -100,8 +100,9 @@ class SilenceWeights:
         self.lambda_s = float(lambda_s)
 
     def pairs(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(row, column) indices of the entries of ``rows(labels, M)`` that
-        hold lambda_s; every other entry is 1.
+        """(row, column) indices of the (len(labels), M) pair weights that
+        hold lambda_s: row b holds lambda_{labels[b], j}, and every entry not
+        named here is 1. No index pair appears twice.
 
         A target label silences the auxiliary columns queried from it; an
         auxiliary label silences the one target it was queried from.
@@ -126,18 +127,6 @@ class SilenceWeights:
             np.concatenate([target_rows, aux_rows]),
             np.concatenate([by_target[pos], partner[aux_rows]]),
         )
-
-    def rows(self, labels: np.ndarray, n_classes: int) -> np.ndarray:
-        """Weight matrix (B, n_classes): row b holds lambda_{labels[b], j}."""
-        if n_classes != self.space.query_target.size:
-            raise DataError(
-                f"{n_classes} weight columns for a "
-                f"{self.space.query_target.size}-class label space"
-            )
-        labels = np.asarray(labels, dtype=np.int64)
-        w = np.ones((labels.size, n_classes))
-        w[self.pairs(labels)] = self.lambda_s
-        return w
 
 
 def ns_ce_batch(

@@ -69,6 +69,16 @@ CHECKPOINT_VERSION = 1
 # pass 6,000 within their first batches.
 DIVERGENCE_RATIO = 1000.0
 
+# predict_batch scores at most this many rows at a time, in balanced chunks
+# (np.array_split). Fixed-size chunks leave short tails, such as the one row
+# left of 1,025, that BLAS multiplies through other kernels than the full
+# product, which changes logits in the last bit. Measured with OpenBLAS
+# 0.3.31 on x86-64: balanced chunks gave the full product's logits bit for
+# bit on every shape tried with 10 to 200 output rows (the masked case); at
+# 300 and 380 rows a few logits differed in the last bit, which can move an
+# argmax only on a tie to the last bit.
+PREDICT_ROWS = 1024
+
 
 @dataclass
 class ClassifierState:
@@ -121,17 +131,28 @@ class ClassifierState:
         H += self.hidden_bias
         return np.tanh(H, out=H)
 
-    def logits_batch(self, X: np.ndarray) -> np.ndarray:
+    def _features(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.feature_dim:
             raise DataError(
                 f"features shape {X.shape} incompatible with feature dim {self.feature_dim}"
             )
-        return self._represent(X) @ self.weights.T + self.bias
+        return X
+
+    def logits_batch(self, X: np.ndarray) -> np.ndarray:
+        Z = self._represent(self._features(X)) @ self.weights.T
+        Z += self.bias
+        return Z
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """Argmax class per row; ties resolve to the lowest class id."""
-        return np.argmax(self.logits_batch(X), axis=1)
+        """Argmax class per row; ties resolve to the lowest class id.
+
+        Rows are scored in balanced chunks of at most PREDICT_ROWS (see
+        there), so no (N, M) logits array is built.
+        """
+        X = self._features(X)
+        chunks = np.array_split(X, max(1, -(-X.shape[0] // PREDICT_ROWS)))
+        return np.concatenate([np.argmax(self.logits_batch(c), axis=1) for c in chunks])
 
     def masked(self) -> "ClassifierState":
         """Restrict to the L target rows; identity when K = 0."""
@@ -173,7 +194,8 @@ class TrainLog:
 class _Optimizer:
     """SGD with momentum, or AdamW with the (0.9, 0.95) beta preset.
 
-    ``slots`` holds each parameter's state arrays by parameter name. A step
+    ``slots`` holds each parameter's state arrays by parameter name; plain
+    SGD (momentum 0) has none and steps ``p -= lr * g``. A step
     may be given other parameter and slot arrays, such as row blocks of
     them: every update is elementwise.
     """
@@ -185,7 +207,10 @@ class _Optimizer:
         self.kind = cfg.optimizer
         self.step_count = 0
         if self.kind == "sgd":
-            self.slots = {k: {"v": np.zeros_like(p)} for k, p in params.items()}
+            # plain SGD (momentum 0) keeps no velocity
+            self.slots = {
+                k: {"v": np.zeros_like(p)} if cfg.momentum else {} for k, p in params.items()
+            }
         else:
             self.slots = {
                 k: {"m": np.zeros_like(p), "v": np.zeros_like(p)} for k, p in params.items()
@@ -215,10 +240,12 @@ class _Optimizer:
             if self.kind == "sgd":
                 if cfg.weight_decay:
                     g = g + cfg.weight_decay * p
-                v = slot["v"]
-                np.multiply(v, cfg.momentum, out=v)
-                v += g
-                p -= cfg.learning_rate * v
+                if cfg.momentum:
+                    v = slot["v"]
+                    np.multiply(v, cfg.momentum, out=v)
+                    v += g
+                    g = v
+                p -= cfg.learning_rate * g
             else:
                 b1, b2 = self.ADAM_BETAS
                 if cfg.weight_decay:
@@ -354,6 +381,7 @@ def train(
         feats, labels, rows, ep_stats, ep_space = _epoch_view(
             dataset, target_counts, subset, eff, space
         )
+        del subset  # its rows now live in feats
 
         # gather the output layer into row blocks (see the module docstring)
         blocks = {"": rows}
@@ -427,6 +455,8 @@ def train(
                 np.matmul(dA.T, Xb, out=grads["hidden_weights"])
                 np.sum(dA, axis=0, out=grads["hidden_bias"])
             optimizer.step(params, grads, slots)
+        # the mixed arrays go before the next epoch draws its own
+        del feats, labels
 
         for tag, sel in blocks.items():
             for name, full in out_layer.items():

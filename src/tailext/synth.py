@@ -161,15 +161,11 @@ class HierarchySpec:
         }
 
 
-def _assemble(
-    feats: list[np.ndarray], labels: list[np.ndarray], ids: list[list[str]]
-) -> FeatureDataset:
-    return FeatureDataset(
-        features=np.concatenate(feats, axis=0),
-        labels=np.concatenate(labels),
-        ids=tuple(i for chunk in ids for i in chunk),
-        provenance="synthetic",
-    )
+def _fill(
+    rows: np.ndarray, center: np.ndarray, rng: np.random.Generator, sigma: float
+) -> None:
+    """Write ``center`` plus isotropic Gaussian draws into ``rows`` in place."""
+    np.add(center, rng.normal(0.0, sigma, size=rows.shape), out=rows)
 
 
 def make_hierarchy(
@@ -212,9 +208,12 @@ def make_hierarchy(
             order = derive_rng(seed, "ring-order", s).permutation(len(ys))
             for local, y in enumerate(ys):
                 ring_slot[y] = (int(order[local]), len(ys), rot)
-    tr_f, tr_y, tr_i = [], [], []
-    te_f, te_y, te_i = [], [], []
-    for y in range(spec.num_classes):
+    L = spec.num_classes
+    n_train = counts.counts
+    train_X = np.empty((int(n_train.sum()), C))
+    test_X = np.empty((L * test_per_class, C))
+    start = 0
+    for y in range(L):
         s = spec.superclass_of(y)
         if bases is None:
             offset = derive_rng(seed, "fine-center", y).normal(
@@ -234,21 +233,24 @@ def make_hierarchy(
             )
             offset = bases[s] @ coords
         center = super_centers[s] + offset
-        n_y = int(counts.counts[y])
-        tr_f.append(
-            center + derive_rng(seed, "train", y).normal(0.0, spec.sigma_sample, size=(n_y, C))
-        )
-        tr_y.append(np.full(n_y, y, dtype=np.int64))
-        tr_i.append([f"syn-train-{y}-{i}" for i in range(n_y)])
-        te_f.append(
-            center
-            + derive_rng(seed, "test", y).normal(
-                0.0, spec.sigma_sample, size=(test_per_class, C)
-            )
-        )
-        te_y.append(np.full(test_per_class, y, dtype=np.int64))
-        te_i.append([f"syn-test-{y}-{i}" for i in range(test_per_class)])
-    return _assemble(tr_f, tr_y, tr_i), _assemble(te_f, te_y, te_i)
+        n_y = int(n_train[y])
+        _fill(train_X[start : start + n_y], center, derive_rng(seed, "train", y),
+              spec.sigma_sample)
+        _fill(test_X[y * test_per_class : (y + 1) * test_per_class], center,
+              derive_rng(seed, "test", y), spec.sigma_sample)
+        start += n_y
+    classes = np.arange(L, dtype=np.int64)
+    train_ds = FeatureDataset(
+        features=train_X,
+        labels=np.repeat(classes, n_train),
+        ids=tuple(f"syn-train-{y}-{i}" for y in range(L) for i in range(int(n_train[y]))),
+    )
+    test_ds = FeatureDataset(
+        features=test_X,
+        labels=np.repeat(classes, test_per_class),
+        ids=tuple(f"syn-test-{y}-{i}" for y in range(L) for i in range(test_per_class)),
+    )
+    return train_ds, test_ds
 
 
 def make_auxiliary(
@@ -285,7 +287,8 @@ def make_auxiliary(
         raise ConfigError("no target classes designated for expansion")
 
     C = base.feature_dim
-    feats, labels, ids = [], [], []
+    K = len(chosen) * per_target
+    feats = np.empty((K * samples_per_aux, C))
     neighbor_of: dict[int, int] = {}
     next_id = L
     for t in chosen:
@@ -296,15 +299,16 @@ def make_auxiliary(
         for j in range(per_target):
             direction = derive_rng(seed, "aux-dir", t, j).normal(size=C)
             direction /= np.linalg.norm(direction)
-            aux_center = center + offset * direction
-            draws = aux_center + derive_rng(seed, "aux-sample", t, j).normal(
-                0.0, noise, size=(samples_per_aux, C)
-            )
-            feats.append(draws)
-            labels.append(np.full(samples_per_aux, next_id, dtype=np.int64))
-            ids.append([f"syn-aux-{next_id}-{i}" for i in range(samples_per_aux)])
+            start = (next_id - L) * samples_per_aux
+            _fill(feats[start : start + samples_per_aux], center + offset * direction,
+                  derive_rng(seed, "aux-sample", t, j), noise)
             neighbor_of[next_id] = t
             next_id += 1
+    aux_ds = FeatureDataset(
+        features=feats,
+        labels=np.repeat(np.arange(L, next_id, dtype=np.int64), samples_per_aux),
+        ids=tuple(f"syn-aux-{a}-{i}" for a in range(L, next_id) for i in range(samples_per_aux)),
+    )
 
     names = None
     if space.class_names is not None:
@@ -313,8 +317,8 @@ def make_auxiliary(
             names[a] = f"{names.get(t, t)}#aux{a - L}"
     new_space = LabelSpace(
         num_target=L,
-        num_auxiliary=next_id - L,
+        num_auxiliary=K,
         neighbor_of=neighbor_of,
         class_names=names,
     )
-    return _assemble(feats, labels, ids), new_space
+    return aux_ds, new_space

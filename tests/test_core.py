@@ -125,6 +125,20 @@ class TestFeatureDataset:
         assert sub.ids == ("c", "a")
         np.testing.assert_array_equal(sub.labels, [0, 0])
 
+    def test_subset_is_an_independent_read_only_copy(self):
+        rng = np.random.default_rng(3)
+        ds = FeatureDataset(rng.normal(size=(50, 4)), rng.integers(0, 5, size=50),
+                            ids=tuple(f"s{i}" for i in range(50)))
+        idx = rng.integers(0, 50, size=30)  # with repeats, out of order
+        sub = ds.subset(idx)
+        for got, full in ((sub.features, ds.features), (sub.labels, ds.labels)):
+            want = full[idx].copy()
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and not got.flags.writeable
+            assert not np.shares_memory(got, full)
+        assert sub.ids == tuple(ds.ids[i] for i in idx)
+
     def test_class_counts(self):
         ds = FeatureDataset(np.zeros((4, 2)), np.array([0, 0, 2, 1]))
         np.testing.assert_array_equal(ds.class_counts(4), [2, 1, 1, 0])

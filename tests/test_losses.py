@@ -227,7 +227,8 @@ class TestSilenceWeights:
         w = SilenceWeights(space, 0.2)
 
         def pair_weight(i, j):
-            return w.rows(np.array([i]), 5)[0, j]
+            _, cols = w.pairs(np.array([i]))
+            return w.lambda_s if j in cols.tolist() else 1.0
 
         assert pair_weight(1, 3) == 0.2
         assert pair_weight(3, 1) == 0.2
@@ -241,15 +242,14 @@ class TestSilenceWeights:
         # targets 0..2, aux 3 and 4 both queried from target 1
         space = build_label_space(3, [(3, 1), (4, 1)])
         w = SilenceWeights(space, 0.2)
-        rows = w.rows(np.arange(5), 5)
-        silenced = [np.flatnonzero(r == 0.2).tolist() for r in rows]
+        def silenced(labels):
+            rows, cols = w.pairs(np.array(labels))
+            return [sorted(cols[rows == b].tolist()) for b in range(len(labels))]
+
         # target 0 is not the querying target; an auxiliary silences only its
         # target, never itself or its sibling
-        assert silenced == [[], [3, 4], [], [1], [1]]
-        rows = w.rows(np.array([1, 3, 0]), 5)
-        np.testing.assert_array_equal(rows[0], [1.0, 1.0, 1.0, 0.2, 0.2])
-        np.testing.assert_array_equal(rows[1], [1.0, 0.2, 1.0, 1.0, 1.0])
-        np.testing.assert_array_equal(rows[2], np.ones(5))
+        assert silenced([0, 1, 2, 3, 4]) == [[], [3, 4], [], [1], [1]]
+        assert silenced([1, 3, 0]) == [[3, 4], [1], []]
 
     def test_negative_lambda_rejected_and_gt_one_warns(self):
         space = build_label_space(1, [(1, 0)])
@@ -288,8 +288,11 @@ class TestArrayForms:
         M = space.num_classes
         want = brute_pair_weights(space, lam)
         labels = np.concatenate([np.arange(M), rng.integers(0, M, size=5)])
-        w = SilenceWeights(space, lam)
-        np.testing.assert_array_equal(w.rows(labels, M), want[labels])
+        rows, cols = SilenceWeights(space, lam).pairs(labels)
+        assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size  # no repeats
+        got = np.ones((labels.size, M))
+        got[rows, cols] = lam
+        np.testing.assert_array_equal(got, want[labels])
 
     @given(st.integers(0, 10**6), st.sampled_from([0.0, 0.1, 1.0]))
     @settings(max_examples=60, deadline=None)

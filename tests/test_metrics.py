@@ -1,12 +1,14 @@
 """Split thresholds, accuracy bookkeeping, rank gaps, report round trips."""
 import csv
+import gc
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tailext.core import ClassStats, DataError, FeatureDataset, LabelSpace
+from tailext.core import ClassStats, DataError, FeatureDataset, LabelSpace, build_label_space
 from tailext.metrics import (
     EVAL_CSV_COLUMNS,
     EvalReport,
@@ -177,3 +179,30 @@ class TestReportSerialization:
         write_report(small_report(), p)
         assert p.read_bytes() == first
         assert json.loads(first)["overall_acc"] == 75.0
+
+
+class TestEvaluateMemory:
+    def test_transient_stays_under_half_a_logits_array(self):
+        # 10,000 test rows over 100 target classes, with a hidden layer and
+        # 50 auxiliary rows that the mask drops; predictions are scored in
+        # row chunks, so no (N, L) logits array is built
+        rng = np.random.default_rng(4)
+        L, N, D, width = 100, 10_000, 64, 128
+        state = ClassifierState(
+            weights=rng.normal(size=(L + 50, width)),
+            bias=rng.normal(size=L + 50),
+            space=build_label_space(L, [(L + k, k) for k in range(50)]),
+            hidden_weights=rng.normal(size=(width, D)) / 8,
+            hidden_bias=rng.normal(size=width),
+        )
+        test = FeatureDataset(rng.normal(size=(N, D)), np.repeat(np.arange(L), N // L))
+        splits = assign_splits(ClassStats(np.linspace(300, 3, L).astype(np.int64)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = evaluate(state, test, splits, mask=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.num_samples == N
+        assert peak < 0.5 * N * L * 8

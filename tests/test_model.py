@@ -19,6 +19,7 @@ from tailext.metrics import assign_splits
 from tailext.model import (
     CHECKPOINT_VERSION,
     DIVERGENCE_RATIO,
+    PREDICT_ROWS,
     ClassifierState,
     TrainLog,
     _epoch_view,
@@ -213,7 +214,8 @@ def reference_ns_ce_batch(Z, labels, stats, space, lambda_s):
     rows = np.arange(Z.shape[0])
     u = Z + stats.log_counts()[None, :]
     t = u - u[rows, labels][:, None]
-    w = weights.rows(labels, len(stats))
+    w = np.ones_like(t)
+    w[weights.pairs(labels)] = weights.lambda_s
     if weights.lambda_s == 0:
         t = np.where(w > 0, t, -np.inf)
     m = t.max(axis=1)
@@ -420,6 +422,80 @@ class TestMasking:
         masked = state.masked()
         masked.weights[:] = 0.0
         np.testing.assert_array_equal(state.weights, before)
+
+
+class TestChunkedPrediction:
+    """predict_batch scores balanced row chunks of at most PREDICT_ROWS; its
+    predictions are those of one product over every row."""
+
+    @pytest.mark.parametrize("hidden", [None, 128])
+    @pytest.mark.parametrize("num_aux", [0, 280])
+    def test_predictions_match_one_full_product(self, hidden, num_aux):
+        rng = derive_rng(21, "chunks")
+        L, D = 100, 64
+        space = build_label_space(L, [(L + k, k % L) for k in range(num_aux)])
+        width = hidden or D
+        state = ClassifierState(
+            weights=rng.normal(size=(L + num_aux, width)),
+            bias=rng.normal(size=L + num_aux),
+            space=space,
+            hidden_weights=None if hidden is None else rng.normal(size=(hidden, D)) / 8,
+            hidden_bias=None if hidden is None else rng.normal(size=hidden),
+        )
+        for n in (1, 2, PREDICT_ROWS - 1, PREDICT_ROWS + 1, 2 * PREDICT_ROWS + 2, 5000):
+            X = rng.normal(scale=3.0, size=(n, D))
+            want = np.argmax(state.logits_batch(X), axis=1)
+            got = state.predict_batch(X)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_bad_shape_rejected(self):
+        state = ClassifierState(weights=np.eye(3), bias=np.zeros(3),
+                                space=LabelSpace(num_target=3))
+        with pytest.raises(DataError):
+            state.predict_batch(np.zeros((4, 2)))
+        with pytest.raises(DataError):
+            state.predict_batch(np.zeros(3))
+
+
+class TestOptimizer:
+    """The update rules written out by hand; train() and reference_train()
+    both call _Optimizer, so only these tests pin its arithmetic."""
+
+    def params(self):
+        rng = derive_rng(22, "opt")
+        return {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=4)}, [
+            {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=4)} for _ in range(3)
+        ]
+
+    @pytest.mark.parametrize("decay", [0.0, 0.01])
+    def test_plain_sgd_keeps_no_slots_and_steps_by_lr_times_gradient(self, decay):
+        params, grads = self.params()
+        cfg = RunConfig(learning_rate=0.3, weight_decay=decay)
+        opt = _Optimizer(cfg, params)
+        assert opt.slots == {"w": {}, "b": {}}
+        want = {k: p.copy() for k, p in params.items()}
+        for g in grads:
+            opt.step(params, g)
+            for k, p in want.items():
+                p -= 0.3 * (g[k] + decay * p if decay else g[k])
+        for k in params:
+            assert np.array_equal(params[k], want[k]), k
+
+    def test_momentum_accumulates_a_velocity(self):
+        params, grads = self.params()
+        cfg = RunConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.01)
+        opt = _Optimizer(cfg, params)
+        assert set(opt.slots["w"]) == {"v"}
+        want = {k: p.copy() for k, p in params.items()}
+        v = {k: np.zeros_like(p) for k, p in params.items()}
+        for g in grads:
+            opt.step(params, g)
+            for k, p in want.items():
+                v[k] = v[k] * 0.9 + (g[k] + 0.01 * p)
+                p -= 0.1 * v[k]
+        for k in params:
+            assert np.array_equal(params[k], want[k]), k
 
 
 class TestProbe:

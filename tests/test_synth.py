@@ -1,4 +1,8 @@
 """Synthetic generators: count profiles, hierarchy geometry, aux neighbors."""
+import gc
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -188,3 +192,48 @@ class TestAuxiliary:
         empty = self.train.subset(np.flatnonzero(self.train.labels != 3))
         with pytest.raises(DataError):
             make_auxiliary(empty, self.space, 1, 5, targets=[3])
+
+
+def traced_peak(fn):
+    """Run fn under tracemalloc; return (its result, the traced peak bytes)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def held_bytes(ds):
+    """Bytes a dataset holds: its feature and label arrays and its ids."""
+    return (ds.features.nbytes + ds.labels.nbytes + sys.getsizeof(ds.ids)
+            + sum(sys.getsizeof(i) for i in ds.ids))
+
+
+class TestBuiltInPlace:
+    """Each dataset's arrays are allocated once and filled class by class, so
+    at the benchmark geometry the traced peak stays within 1.25 times what
+    the returned datasets hold (joining per-class draws with np.concatenate
+    peaked at about 1.85 times)."""
+
+    COUNTS = make_counts(CountProfile("exponential", 100, 300, imbalance=0.01))
+    SPEC = HierarchySpec(num_superclasses=10, num_classes=100, feature_dim=64,
+                         sigma_fine=2.5)
+
+    def test_hierarchy_peak(self):
+        (train, test), peak = traced_peak(
+            lambda: make_hierarchy(self.SPEC, self.COUNTS, seed=0, test_per_class=100)
+        )
+        assert peak <= 1.25 * (held_bytes(train) + held_bytes(test))
+
+    def test_auxiliary_peak(self):
+        train, _ = make_hierarchy(self.SPEC, self.COUNTS, seed=0, test_per_class=1)
+        targets = np.flatnonzero(self.COUNTS.counts <= 100)  # medium and few
+        (aux, _), peak = traced_peak(lambda: make_auxiliary(
+            train, LabelSpace(num_target=100), per_target=5, samples_per_aux=120,
+            seed=0, targets=targets,
+        ))
+        assert len(aux) == targets.size * 5 * 120
+        assert peak <= 1.25 * held_bytes(aux)
