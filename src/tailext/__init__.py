@@ -13,9 +13,7 @@ from .core import (
     LabelSpace,
     RunConfig,
     build_label_space,
-    concat_datasets,
     derive_rng,
-    imbalance_factor,
     read_dataset,
     write_dataset,
 )
@@ -44,7 +42,6 @@ from .curation import (
     FixtureLLMClient,
     FixtureRetriever,
     HttpLLMClient,
-    Prototype,
     build_prompt,
     compute_prototype,
     cosine,

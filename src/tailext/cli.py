@@ -29,7 +29,14 @@ from .core import (
 )
 from .curation import CurationConfig
 from .experiments import BENCH_CONFIG, build_benchmark, run_pilot_cell, run_pilot_grid
-from .metrics import EvalReport, assign_splits, evaluate, reports_to_csv, write_report
+from .metrics import (
+    EvalReport,
+    assign_splits,
+    evaluate,
+    expansion_targets,
+    reports_to_csv,
+    write_report,
+)
 from .model import load_checkpoint, save_checkpoint, train
 from .synth import CountProfile, HierarchySpec, make_auxiliary, make_counts, make_hierarchy
 
@@ -139,17 +146,6 @@ def _write_manifest(out: Path, command: str, cfg: dict) -> None:
     )
 
 
-def _expand_tags(text: str) -> tuple[str, ...]:
-    if text == "all":
-        tags = ("many", "medium", "few")
-    else:
-        tags = tuple(t.strip() for t in text.split(",") if t.strip())
-    bad = set(tags) - {"many", "medium", "few"}
-    if bad or not tags:
-        raise ConfigError(f"expand must name splits or 'all', got {text!r}")
-    return tags
-
-
 def _read_names(path: str) -> dict[int, str]:
     p = Path(path)
     if not p.is_file():
@@ -205,8 +201,10 @@ def cmd_synth(args) -> int:
         imbalance=cfg["imbalance"],
         alpha=cfg["alpha"],
     )
-    out = _out_dir(args)
     counts = make_counts(profile, cfg["seed"])
+    # checked even when no auxiliary data is made
+    targets = expansion_targets(counts, cfg["expand"])
+    out = _out_dir(args)
     spec = HierarchySpec(
         num_superclasses=cfg["num_superclasses"],
         num_classes=cfg["num_classes"],
@@ -232,10 +230,6 @@ def cmd_synth(args) -> int:
     write_dataset(test_ds, space, out / "test.jsonl", extra_meta=meta)
 
     if cfg["aux_per_target"] > 0:
-        tags = assign_splits(counts).tags
-        targets = [
-            c for c in range(cfg["num_classes"]) if tags[c] in _expand_tags(cfg["expand"])
-        ]
         aux_ds, merged = make_auxiliary(
             train_ds,
             space,
@@ -338,7 +332,7 @@ def cmd_curate(args) -> int:
         k=cfg["k"],
         gamma_low=cfg["gamma1"],
         gamma_high=cfg["gamma2"],
-        expand=_expand_tags(cfg["expand"]),
+        expand=cfg["expand"],
         retries=cfg["retries"],
         concurrency=cfg["jobs"],
     )

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -27,7 +28,6 @@ __all__ = [
     "FeatureDataset",
     "RunConfig",
     "build_label_space",
-    "imbalance_factor",
     "derive_rng",
     "write_dataset",
     "read_dataset",
@@ -118,9 +118,6 @@ class LabelSpace:
     def num_classes(self) -> int:
         return self.num_target + self.num_auxiliary
 
-    def is_auxiliary(self, class_id: int) -> bool:
-        return self.num_target <= class_id < self.num_classes
-
     def to_json(self) -> dict:
         out: dict = {
             "num_target": self.num_target,
@@ -192,11 +189,6 @@ class ClassStats:
         return np.log(self.counts.astype(np.float64))
 
 
-def imbalance_factor(stats: ClassStats) -> float:
-    """max(counts) / min(counts); 1.0 for a perfectly balanced dataset."""
-    return float(stats.counts.max()) / float(stats.counts.min())
-
-
 @dataclass(frozen=True)
 class FeatureDataset:
     """Labeled feature-vector samples, the universal training currency.
@@ -260,24 +252,6 @@ class FeatureDataset:
             provenance=self.provenance,
             ids=tuple([ids[i] for i in idx.tolist()]) if ids is not None else None,
         )
-
-
-def concat_datasets(parts: Iterable[FeatureDataset]) -> FeatureDataset:
-    parts = [p for p in parts if len(p)]
-    if not parts:
-        raise DataError("cannot concatenate zero non-empty datasets")
-    dims = {p.feature_dim for p in parts}
-    if len(dims) != 1:
-        raise DataError(f"feature dims differ across parts: {sorted(dims)}")
-    ids: list[str] = []
-    for p in parts:
-        ids.extend(p.sample_ids())
-    return FeatureDataset(
-        features=np.concatenate([p.features for p in parts], axis=0),
-        labels=np.concatenate([p.labels for p in parts], axis=0),
-        provenance=parts[0].provenance,
-        ids=tuple(ids),
-    )
 
 
 def _sidecar_path(manifest: Path) -> Path:
@@ -470,13 +444,14 @@ def read_dataset(path: str | Path) -> tuple[FeatureDataset, LabelSpace, dict]:
 
 
 def check_lambda_s(lambda_s: float, error: type[ValueError]) -> None:
-    """Reject a negative silencing strength with ``error`` and warn above 1.
+    """Reject a negative or non-finite silencing strength with ``error`` and
+    warn above 1.
 
     Both boundaries that take lambda_s call this: ``RunConfig`` with
     ConfigError, the silencing loss with DataError.
     """
-    if lambda_s < 0:
-        raise error(f"lambda_s must be >= 0, got {lambda_s}")
+    if not (math.isfinite(lambda_s) and lambda_s >= 0):
+        raise error(f"lambda_s must be a finite number >= 0, got {lambda_s}")
     if lambda_s > 1:
         warnings.warn(
             f"lambda_s={lambda_s} > 1 amplifies neighbor competition "
@@ -522,14 +497,24 @@ class RunConfig:
             raise ConfigError(f"per_class_cap must be >= 1, got {self.per_class_cap}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        # written so that NaN fails every bound
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        width = self.hidden_dim
+        if width is not None and (
+            isinstance(width, bool) or not isinstance(width, (int, np.integer)) or width < 1
+        ):
+            raise ConfigError(f"hidden_dim must be None or an integer >= 1, got {width!r}")
         if self.optimizer not in ("sgd", "adamw"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.aux_ratio is not None:
             ratio = tuple(float(r) for r in self.aux_ratio)
-            if len(ratio) != 3 or any(r < 0 for r in ratio):
-                raise ConfigError(f"aux_ratio must be 3 non-negative numbers, got {ratio}")
+            if len(ratio) != 3 or not all(0 <= r < math.inf for r in ratio):
+                raise ConfigError(f"aux_ratio must be 3 finite numbers >= 0, got {ratio}")
             object.__setattr__(self, "aux_ratio", ratio)
 
     def with_overrides(self, **kwargs) -> "RunConfig":

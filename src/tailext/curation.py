@@ -13,7 +13,7 @@ import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
@@ -27,10 +27,10 @@ from .core import (
     FeatureDataset,
     LabelSpace,
 )
+from .metrics import expand_splits, expansion_targets
 
 __all__ = [
     "Candidate",
-    "Prototype",
     "CurationConfig",
     "LLMClient",
     "HttpLLMClient",
@@ -229,18 +229,12 @@ class Candidate:
         )
 
 
-@dataclass(frozen=True)
-class Prototype:
-    class_id: int
-    vector: np.ndarray
-
-
-def compute_prototype(dataset: FeatureDataset, class_id: int) -> Prototype:
+def compute_prototype(dataset: FeatureDataset, class_id: int) -> np.ndarray:
     """Exact arithmetic mean of the class's training features."""
     mask = dataset.labels == class_id
     if not mask.any():
         raise DataError(f"class {class_id} has no samples to average")
-    return Prototype(class_id, dataset.features[mask].mean(axis=0))
+    return dataset.features[mask].mean(axis=0)
 
 
 def _with_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
@@ -262,16 +256,17 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 def filter_candidates(
     cands: Sequence[Candidate],
-    protos: Mapping[int, Prototype],
+    protos: Mapping[int, np.ndarray],
     gamma_low: float = 0.7,
     gamma_high: float = 0.98,
 ) -> tuple[list[Candidate], list[tuple[Candidate, str]]]:
     """Apply the caption rule, then the prototype keep band.
 
-    A candidate survives iff its proposed class name appears in the caption
-    (normalized substring) and gamma_low < cos(prototype, feature) <
-    gamma_high. Rejections carry the first rule that fired: "caption",
-    "similarity-low", or "similarity-high".
+    ``protos`` maps each source target to its prototype vector. A candidate
+    survives iff its proposed class name appears in the caption (normalized
+    substring) and gamma_low < cos(prototype, feature) < gamma_high.
+    Rejections carry the first rule that fired: "caption", "similarity-low",
+    or "similarity-high".
     """
     if not 0.0 <= gamma_low < gamma_high <= 1.0:
         raise ConfigError(
@@ -280,16 +275,13 @@ def filter_candidates(
     kept: list[Candidate] = []
     rejected: list[tuple[Candidate, str]] = []
     # each prototype with its norm, computed once per call
-    normed: dict[int, tuple[np.ndarray, float]] = {}
+    normed = {target: _with_norm(vector) for target, vector in protos.items()}
     for cand in cands:
         if normalize_name(cand.proposed_class) not in normalize_name(cand.caption):
             rejected.append((cand, "caption"))
             continue
         if cand.source_target not in normed:
-            proto = protos.get(cand.source_target)
-            if proto is None:
-                raise DataError(f"no prototype for target {cand.source_target}")
-            normed[cand.source_target] = _with_norm(proto.vector)
+            raise DataError(f"no prototype for target {cand.source_target}")
         sim = _cosine(*normed[cand.source_target], *_with_norm(cand.feature))
         if sim <= gamma_low:
             rejected.append((cand, "similarity-low"))
@@ -455,11 +447,7 @@ class CurationConfig:
                 f"need 0 <= gamma_low < gamma_high <= 1, got "
                 f"({self.gamma_low}, {self.gamma_high})"
             )
-        bad = set(self.expand) - {"many", "medium", "few"}
-        if bad:
-            raise ConfigError(f"unknown split tags in expand: {sorted(bad)}")
-        if not self.expand:
-            raise ConfigError("expand must name at least one split")
+        object.__setattr__(self, "expand", expand_splits(self.expand))
         if self.retries < 0 or self.concurrency < 1:
             raise ConfigError("retries must be >= 0 and concurrency >= 1")
 
@@ -472,17 +460,6 @@ class CurationConfig:
             "retries": self.retries,
             "concurrency": self.concurrency,
         }
-
-
-def _expansion_targets(space: LabelSpace, dataset: FeatureDataset, cfg) -> list[int]:
-    from .metrics import assign_splits
-
-    counts = dataset.class_counts(space.num_target)
-    if (counts < 1).any():
-        missing = np.flatnonzero(counts < 1).tolist()
-        raise DataError(f"target classes {missing} have no training samples")
-    tags = assign_splits(ClassStats(counts)).tags
-    return [c for c in range(space.num_target) if tags[c] in cfg.expand]
 
 
 def curate(
@@ -510,7 +487,7 @@ def curate(
         raise ConfigError(f"label space lacks names for targets {missing}")
     dataset.validate_against(space)
 
-    targets = _expansion_targets(space, dataset, cfg)
+    targets = expansion_targets(ClassStats(dataset.class_counts(space.num_target)), cfg.expand)
     all_names = [space.class_names[c] for c in range(space.num_target)]
 
     def stage_one(tid: int):

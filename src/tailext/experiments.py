@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .core import ClassStats, LabelSpace, RunConfig
-from .metrics import EvalReport, assign_splits, count_rank_gap, evaluate
+from .metrics import assign_splits, count_rank_gap, evaluate, expansion_targets
 from .model import linear_probe_retrain, train
 from .synth import CountProfile, HierarchySpec, make_auxiliary, make_counts, make_hierarchy
 
@@ -126,15 +126,13 @@ def build_benchmark(
         sigma_fine=sigma_fine,
     )
     train_ds, test_ds = make_hierarchy(spec, counts, seed, test_per_class)
-    tags = assign_splits(ClassStats(train_ds.class_counts(num_classes))).tags
-    targets = [c for c in range(num_classes) if tags[c] in expand]
     aux_ds, merged = make_auxiliary(
         train_ds,
         LabelSpace(num_target=num_classes),
         per_target=per_target,
         samples_per_aux=samples_per_aux,
         seed=seed,
-        targets=targets,
+        targets=expansion_targets(counts, expand),
         offset=offset,
     )
     return train_ds, test_ds, aux_ds, merged

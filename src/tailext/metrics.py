@@ -12,11 +12,11 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
-from .core import ClassStats, DataError, FeatureDataset
+from .core import ClassStats, ConfigError, DataError, FeatureDataset
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .model import ClassifierState
@@ -26,6 +26,9 @@ __all__ = [
     "SplitAssignment",
     "EvalReport",
     "assign_splits",
+    "check_splits",
+    "expand_splits",
+    "expansion_targets",
     "evaluate",
     "count_rank_gap",
     "reports_to_csv",
@@ -49,15 +52,43 @@ EVAL_CSV_COLUMNS = (
 
 def assign_splits(stats: ClassStats) -> "SplitAssignment":
     """Tag every class as many (>100), medium (20..100) or few (<20)."""
-    tags = []
-    for count in stats.counts:
-        if count > 100:
-            tags.append("many")
-        elif count >= 20:
-            tags.append("medium")
-        else:
-            tags.append("few")
-    return SplitAssignment(tags=tuple(tags))
+    many, medium, few = SPLIT_NAMES
+    return SplitAssignment(
+        tags=tuple(many if c > 100 else medium if c >= 20 else few for c in stats.counts)
+    )
+
+
+def check_splits(names: Iterable[str], error: type[ValueError]) -> tuple[str, ...]:
+    """``names`` as a tuple, each one of SPLIT_NAMES; raises ``error``
+    otherwise. Every boundary that takes split names calls this: the expand
+    setting and the sampling plan with ConfigError, SplitAssignment with
+    DataError."""
+    names = tuple(names)
+    bad = sorted(set(names) - set(SPLIT_NAMES))
+    if bad:
+        raise error(f"unknown split names {bad}, expected some of {list(SPLIT_NAMES)}")
+    return names
+
+
+def expand_splits(expand: str | Iterable[str]) -> tuple[str, ...]:
+    """The splits an expand setting selects: "all", comma-separated split
+    names, or a sequence of them. ConfigError unless it names at least one
+    split and nothing else."""
+    if expand == "all":
+        expand = SPLIT_NAMES
+    elif isinstance(expand, str):
+        expand = [t.strip() for t in expand.split(",") if t.strip()]
+    names = check_splits(expand, ConfigError)
+    if not names:
+        raise ConfigError("expand must name at least one split or 'all'")
+    return names
+
+
+def expansion_targets(stats: ClassStats, expand: str | Iterable[str]) -> list[int]:
+    """The target classes, ascending, whose split by training count is one
+    that ``expand`` selects (see ``expand_splits``)."""
+    splits = expand_splits(expand)
+    return [c for c, tag in enumerate(assign_splits(stats).tags) if tag in splits]
 
 
 @dataclass(frozen=True)
@@ -67,9 +98,7 @@ class SplitAssignment:
     tags: tuple[str, ...]
 
     def __post_init__(self):
-        bad = [t for t in self.tags if t not in SPLIT_NAMES]
-        if bad:
-            raise DataError(f"unknown split tags {bad}")
+        check_splits(self.tags, DataError)
 
     def classes_in(self, split: str) -> np.ndarray:
         return np.asarray([i for i, t in enumerate(self.tags) if t == split], dtype=np.int64)

@@ -8,6 +8,11 @@ that epoch's denominator entirely (their count is zero). At inference the
 classifier is masked back to the target rows; masking restricts a view and
 never mutates trained weights.
 
+One mini-batch loop (``_fit``) serves both ``train`` and
+``linear_probe_retrain``: the probe hands it the frozen hidden layer's
+features as a linear, target-only dataset, so it shares the epoch buffers
+described below and the divergence guard (``DIVERGENCE_RATIO``).
+
 Epoch block layout. An epoch's active output rows are the L target rows
 plus the auxiliary rows attached that epoch, ascending (``_epoch_view``). At
 the start of the epoch the output layer's weights, bias and optimizer slots
@@ -39,7 +44,6 @@ import numpy as np
 
 from .core import (
     ClassStats,
-    ConfigError,
     DataError,
     DivergenceError,
     FeatureDataset,
@@ -48,6 +52,7 @@ from .core import (
     derive_rng,
 )
 from .losses import bal_ce_batch, ns_ce_batch
+from .metrics import assign_splits
 from .sampling import AuxSamplingPlan, build_plan, sample_epoch
 
 __all__ = [
@@ -319,62 +324,50 @@ def _diverged(epoch: int, batch: int, reason: str) -> DivergenceError:
     return DivergenceError(f"training diverged at epoch {epoch}, batch {batch}: {reason}")
 
 
-def train(
-    dataset: FeatureDataset,
-    aux: FeatureDataset | None,
-    space: LabelSpace,
-    cfg: RunConfig,
-) -> tuple[ClassifierState, TrainLog]:
-    """Train on the mixed target + auxiliary data.
-
-    Uses the neighbor-silencing loss whenever auxiliary classes are active in
-    an epoch and plain balanced CE otherwise (K = 0 degenerates to the BalCE
-    baseline regardless of lambda_s). Every random decision draws from a
-    stream derived from (cfg.seed, purpose, epoch, ...), so identical inputs
-    reproduce the TrainLog bit for bit. Raises DivergenceError, naming the
-    epoch and batch, when a logit or batch loss turns non-finite or a batch
-    loss exceeds DIVERGENCE_RATIO times the first batch's.
-    """
-    from .metrics import assign_splits
-
+def _target_counts(dataset: FeatureDataset, num_target: int) -> np.ndarray:
+    """Per-class counts of a non-empty, target-only dataset that covers
+    every one of the ``num_target`` classes; DataError otherwise."""
     if len(dataset) == 0:
         raise DataError("empty target dataset")
-    if dataset.labels.max() >= space.num_target:
+    if dataset.labels.max() >= num_target:
         raise DataError("target dataset contains auxiliary or out-of-range labels")
-    if aux is not None and len(aux) and aux.feature_dim != dataset.feature_dim:
-        raise DataError(
-            f"auxiliary feature dim {aux.feature_dim} != target {dataset.feature_dim}"
-        )
-
-    L = space.num_target
-    target_counts = dataset.class_counts(L)
-    if (target_counts < 1).any():
-        missing = np.flatnonzero(target_counts < 1).tolist()
+    counts = dataset.class_counts(num_target)
+    if (counts < 1).any():
+        missing = np.flatnonzero(counts < 1).tolist()
         raise DataError(f"target classes {missing} have no training samples")
+    return counts
 
-    use_aux = aux is not None and len(aux) > 0 and space.num_auxiliary > 0
-    plan: AuxSamplingPlan | None = None
-    if use_aux:
-        tags = assign_splits(ClassStats(target_counts)).tags
-        expanded = sorted({t for t in space.neighbor_of.values()})
-        plan = build_plan(target_counts, tags, expanded, cfg.per_class_cap, cfg.aux_ratio)
 
-    state = _init_state(space, dataset.feature_dim, cfg)
+def _fit(
+    state: ClassifierState,
+    dataset: FeatureDataset,
+    target_counts: np.ndarray,
+    cfg: RunConfig,
+    stream: str,
+    aux: FeatureDataset | None = None,
+    plan: AuxSamplingPlan | None = None,
+) -> list[dict]:
+    """The mini-batch loop: train ``state`` in place for cfg.epochs epochs
+    and return the per-epoch log entries.
+
+    Each epoch mixes in an auxiliary draw when a ``plan`` is given, and
+    shuffles from the stream (cfg.seed, ``stream``, epoch). Raises
+    DivergenceError, naming the epoch and batch, when a logit or batch loss
+    turns non-finite or a batch loss exceeds DIVERGENCE_RATIO times the
+    first batch's.
+    """
+    space = state.space
+    L = space.num_target
     out_layer = {"weights": state.weights, "bias": state.bias}
     hidden: dict[str, np.ndarray] = {}
     if state.hidden_weights is not None:
         hidden = {"hidden_weights": state.hidden_weights, "hidden_bias": state.hidden_bias}
     optimizer = _Optimizer(cfg, {**out_layer, **hidden})
 
-    log = TrainLog(
-        seed=cfg.seed,
-        config=cfg.to_json(),
-        plan=plan.to_json() if plan is not None else None,
-    )
-
+    entries = []
     first_loss = None
     for epoch in range(cfg.epochs):
-        if use_aux:
+        if plan is not None:
             subset, eff = sample_epoch(aux, space, plan, cfg.seed, epoch)
         else:
             subset, eff = None, None
@@ -408,7 +401,7 @@ def train(
             dA_buf = np.empty_like(H_buf)
             slope_buf = np.empty_like(H_buf)
 
-        perm = derive_rng(cfg.seed, "shuffle", epoch).permutation(n)
+        perm = derive_rng(cfg.seed, stream, epoch).permutation(n)
         loss_total = 0.0
         for batch, start in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[start : start + cfg.batch_size]
@@ -469,12 +462,47 @@ def train(
             "mean_loss": loss_total / n,
             "mixed_size": int(n),
         }
-        if use_aux:
+        if plan is not None:
             active = (np.flatnonzero(eff > 0) + L).tolist()
             entry["aux_active"] = active
             entry["aux_effective_counts"] = {str(c): int(eff[c - L]) for c in active}
-        log.epochs.append(entry)
+        entries.append(entry)
+    return entries
 
+
+def train(
+    dataset: FeatureDataset,
+    aux: FeatureDataset | None,
+    space: LabelSpace,
+    cfg: RunConfig,
+) -> tuple[ClassifierState, TrainLog]:
+    """Train on the mixed target + auxiliary data.
+
+    Uses the neighbor-silencing loss whenever auxiliary classes are active in
+    an epoch and plain balanced CE otherwise (K = 0 degenerates to the BalCE
+    baseline regardless of lambda_s). Every random decision draws from a
+    stream derived from (cfg.seed, purpose, epoch, ...), so identical inputs
+    reproduce the TrainLog bit for bit. Raises DivergenceError as ``_fit``
+    describes.
+    """
+    target_counts = _target_counts(dataset, space.num_target)
+    if aux is not None and len(aux) and aux.feature_dim != dataset.feature_dim:
+        raise DataError(
+            f"auxiliary feature dim {aux.feature_dim} != target {dataset.feature_dim}"
+        )
+    plan: AuxSamplingPlan | None = None
+    if aux is not None and len(aux) > 0 and space.num_auxiliary > 0:
+        tags = assign_splits(ClassStats(target_counts)).tags
+        expanded = sorted({t for t in space.neighbor_of.values()})
+        plan = build_plan(target_counts, tags, expanded, cfg.per_class_cap, cfg.aux_ratio)
+
+    state = _init_state(space, dataset.feature_dim, cfg)
+    log = TrainLog(
+        seed=cfg.seed,
+        config=cfg.to_json(),
+        plan=plan.to_json() if plan is not None else None,
+        epochs=_fit(state, dataset, target_counts, cfg, "shuffle", aux, plan),
+    )
     return state, log
 
 
@@ -484,41 +512,23 @@ def linear_probe_retrain(
     """Discard the trained output layer and re-train an L-class one on the
     target dataset only (the classifier re-balancing alternative to masking).
 
-    The hidden layer, when present, stays frozen; for a purely linear model
-    this reduces to training a fresh target-only balanced-CE classifier.
+    The hidden layer, when present, stays frozen: its features of the
+    dataset are computed once and fitted as a linear, target-only dataset by
+    the same loop as ``train`` (shuffled from the "probe-shuffle" stream),
+    so a diverging probe raises DivergenceError too. For a purely linear
+    model this is a fresh target-only balanced-CE classifier.
     """
-    L = state.space.num_target
-    if len(dataset) == 0 or dataset.labels.max() >= L:
-        raise DataError("probe dataset must be non-empty target-only data")
-    counts = dataset.class_counts(L)
-    if (counts < 1).any():
-        raise DataError("probe dataset must cover every target class")
-    stats = ClassStats(counts)
-
-    rep = state._represent(dataset.features)
-    weights = np.zeros((L, rep.shape[1]))
-    bias = np.zeros(L)
-    params = {"weights": weights, "bias": bias}
-    optimizer = _Optimizer(cfg, params)
-    n = len(dataset)
-    for epoch in range(cfg.epochs):
-        perm = derive_rng(cfg.seed, "probe-shuffle", epoch).permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            Hb, yb = rep[idx], dataset.labels[idx]
-            Z = Hb @ weights.T + bias
-            _, G = bal_ce_batch(Z, yb, stats)
-            G /= idx.size
-            optimizer.step(params, {"weights": G.T @ Hb, "bias": G.sum(axis=0)})
-
     masked = state.masked()
-    return ClassifierState(
-        weights=weights,
-        bias=bias,
-        space=masked.space,
-        hidden_weights=masked.hidden_weights,
-        hidden_bias=masked.hidden_bias,
+    counts = _target_counts(dataset, masked.num_classes)
+    features = FeatureDataset(
+        state._represent(state._features(dataset.features)), dataset.labels
     )
+    head = ClassifierState(
+        np.zeros_like(masked.weights), np.zeros_like(masked.bias), masked.space
+    )
+    _fit(head, features, counts, cfg, "probe-shuffle")
+    masked.weights, masked.bias = head.weights, head.bias
+    return masked
 
 
 def save_checkpoint(state: ClassifierState, path: str | Path) -> None:

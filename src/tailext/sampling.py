@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import ConfigError, DataError, FeatureDataset, LabelSpace, derive_rng
-from .metrics import SplitAssignment
+from .metrics import SPLIT_NAMES, SplitAssignment, check_splits
 
 __all__ = ["AuxSamplingPlan", "derive_ratio", "build_plan", "sample_epoch"]
 
@@ -47,7 +47,7 @@ class AuxSamplingPlan:
     """Declarative sampling plan, serialized into the TrainLog for audit.
 
     ``expanded_targets`` maps each expanded target class id to its split tag
-    ("many" | "medium" | "few"); the tag selects the ratio entry that bounds
+    (one of ``metrics.SPLIT_NAMES``); the tag selects the ratio entry that bounds
     how many of the target's auxiliary categories are attached per epoch.
     """
 
@@ -59,18 +59,15 @@ class AuxSamplingPlan:
         if self.per_class_cap < 1:
             raise ConfigError(f"per_class_cap must be >= 1, got {self.per_class_cap}")
         ratio = tuple(float(r) for r in self.ratio)
-        if len(ratio) != 3 or any(r < 0 for r in ratio):
-            raise ConfigError(f"ratio must be 3 non-negative entries, got {self.ratio}")
+        if len(ratio) != 3 or not all(0 <= r < math.inf for r in ratio):
+            raise ConfigError(f"ratio must be 3 finite entries >= 0, got {self.ratio}")
         object.__setattr__(self, "ratio", ratio)
         tags = dict(self.expanded_targets)
-        for t, tag in tags.items():
-            if tag not in ("many", "medium", "few"):
-                raise ConfigError(f"target {t} has unknown split tag {tag!r}")
+        check_splits(tags.values(), ConfigError)
         object.__setattr__(self, "expanded_targets", tags)
 
     def categories_for(self, split_tag: str) -> int:
-        idx = ("many", "medium", "few").index(split_tag)
-        return math.ceil(self.ratio[idx])
+        return math.ceil(self.ratio[SPLIT_NAMES.index(split_tag)])
 
     def to_json(self) -> dict:
         return {
@@ -96,7 +93,7 @@ def build_plan(
     """
     if ratio is None:
         totals = SplitAssignment(tuple(split_tags)).totals(target_counts)
-        ratio = derive_ratio((totals["many"], totals["medium"], totals["few"]))
+        ratio = derive_ratio(tuple(totals[name] for name in SPLIT_NAMES))
     return AuxSamplingPlan(
         per_class_cap=per_class_cap,
         ratio=tuple(float(r) for r in ratio),

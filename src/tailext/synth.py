@@ -95,20 +95,15 @@ def make_counts(profile: CountProfile, seed: int = 0) -> ClassStats:
 class HierarchySpec:
     """Geometry of the synthetic superclass/fine-class generator.
 
-    Fine-class centers spread inside a low-dimensional subspace of each
-    superclass (``fine_subspace_dim``, drawn per superclass). Isotropic
+    Fine-class centers lie in a 2-d plane drawn per superclass. Isotropic
     offsets in high dimension would place every pair of fine classes
     ~sigma_fine*sqrt(2*feature_dim) apart, which no sample noise allowed by
-    the spread ordering can bridge; confining them to a few directions is
-    what makes fine classes of the same superclass genuinely confusable
-    while superclasses stay linearly separable. Set it to None for the
-    isotropic (non-confusable) variant.
-
-    The default "ring" layout spaces siblings at jittered equal angles on a
-    circle of radius sigma_fine*sqrt(2) inside the subspace, so every class
-    faces the same crowding as its siblings and per-class difficulty is set
-    by how many classes share the superclass, not by collision luck. The
-    "gaussian" layout draws subspace coordinates i.i.d. instead.
+    the spread ordering can bridge; confining them to a plane is what makes
+    fine classes of the same superclass genuinely confusable while
+    superclasses stay linearly separable. Inside the plane, siblings sit at
+    jittered equal angles on a ring of radius sigma_fine*sqrt(2), so every
+    class faces the same crowding as its siblings and per-class difficulty
+    is set by how many classes share the superclass, not by collision luck.
     """
 
     num_superclasses: int
@@ -117,8 +112,6 @@ class HierarchySpec:
     sigma_super: float = 10.0
     sigma_fine: float = 2.0
     sigma_sample: float = 1.0
-    fine_subspace_dim: int | None = 2
-    fine_layout: str = "ring"
 
     def __post_init__(self):
         if not 1 <= self.num_superclasses <= self.num_classes:
@@ -126,23 +119,12 @@ class HierarchySpec:
                 f"need 1 <= num_superclasses <= num_classes, got "
                 f"{self.num_superclasses} and {self.num_classes}"
             )
-        if self.feature_dim < 1:
-            raise ConfigError("feature_dim must be >= 1")
+        if self.feature_dim < 2:
+            raise ConfigError("feature_dim must be >= 2, the fine-class ring's plane")
         if not self.sigma_super > self.sigma_fine > self.sigma_sample > 0:
             raise ConfigError(
                 "spreads must satisfy sigma_super > sigma_fine > sigma_sample > 0"
             )
-        if self.fine_subspace_dim is not None and not (
-            1 <= self.fine_subspace_dim <= self.feature_dim
-        ):
-            raise ConfigError(
-                f"fine_subspace_dim must be in [1, {self.feature_dim}] or None, "
-                f"got {self.fine_subspace_dim}"
-            )
-        if self.fine_layout not in ("ring", "gaussian"):
-            raise ConfigError(f"unknown fine_layout {self.fine_layout!r}")
-        if self.fine_layout == "ring" and self.fine_subspace_dim != 2:
-            raise ConfigError("ring layout needs fine_subspace_dim == 2")
 
     def superclass_of(self, y: int) -> int:
         """Round-robin assignment, spreading any remainder evenly."""
@@ -156,8 +138,6 @@ class HierarchySpec:
             "sigma_super": self.sigma_super,
             "sigma_fine": self.sigma_fine,
             "sigma_sample": self.sigma_sample,
-            "fine_subspace_dim": self.fine_subspace_dim,
-            "fine_layout": self.fine_layout,
         }
 
 
@@ -189,25 +169,18 @@ def make_hierarchy(
     super_centers = derive_rng(seed, "super-centers").normal(
         0.0, spec.sigma_super, size=(spec.num_superclasses, C)
     )
-    r = spec.fine_subspace_dim
-    bases = None
-    if r is not None:
-        bases = []
-        for s in range(spec.num_superclasses):
-            raw = derive_rng(seed, "fine-basis", s).normal(size=(C, r))
-            q, _ = np.linalg.qr(raw)
-            bases.append(q)
-    ring_slot = None
-    if spec.fine_layout == "ring":
-        members: dict[int, list[int]] = {s: [] for s in range(spec.num_superclasses)}
-        for y in range(spec.num_classes):
-            members[spec.superclass_of(y)].append(y)
-        ring_slot = {}
-        for s, ys in members.items():
-            rot = derive_rng(seed, "ring-rot", s).uniform(0.0, 2.0 * np.pi)
-            order = derive_rng(seed, "ring-order", s).permutation(len(ys))
-            for local, y in enumerate(ys):
-                ring_slot[y] = (int(order[local]), len(ys), rot)
+    # each superclass's plane, as an orthonormal (C, 2) basis
+    bases = [
+        np.linalg.qr(derive_rng(seed, "fine-basis", s).normal(size=(C, 2)))[0]
+        for s in range(spec.num_superclasses)
+    ]
+    ring_slot = {}
+    for s in range(spec.num_superclasses):
+        ys = [y for y in range(spec.num_classes) if spec.superclass_of(y) == s]
+        rot = derive_rng(seed, "ring-rot", s).uniform(0.0, 2.0 * np.pi)
+        order = derive_rng(seed, "ring-order", s).permutation(len(ys))
+        for local, y in enumerate(ys):
+            ring_slot[y] = (int(order[local]), len(ys), rot)
     L = spec.num_classes
     n_train = counts.counts
     train_X = np.empty((int(n_train.sum()), C))
@@ -215,23 +188,11 @@ def make_hierarchy(
     start = 0
     for y in range(L):
         s = spec.superclass_of(y)
-        if bases is None:
-            offset = derive_rng(seed, "fine-center", y).normal(
-                0.0, spec.sigma_fine, size=C
-            )
-        elif ring_slot is not None:
-            slot, k_s, rot = ring_slot[y]
-            jitter = derive_rng(seed, "fine-center", y)
-            angle = rot + 2.0 * np.pi * (slot + jitter.uniform(-0.25, 0.25)) / k_s
-            radius = np.sqrt(2.0) * spec.sigma_fine * (1.0 + 0.05 * jitter.normal())
-            offset = bases[s] @ np.array(
-                [radius * np.cos(angle), radius * np.sin(angle)]
-            )
-        else:
-            coords = derive_rng(seed, "fine-center", y).normal(
-                0.0, spec.sigma_fine, size=r
-            )
-            offset = bases[s] @ coords
+        slot, k_s, rot = ring_slot[y]
+        jitter = derive_rng(seed, "fine-center", y)
+        angle = rot + 2.0 * np.pi * (slot + jitter.uniform(-0.25, 0.25)) / k_s
+        radius = np.sqrt(2.0) * spec.sigma_fine * (1.0 + 0.05 * jitter.normal())
+        offset = bases[s] @ np.array([radius * np.cos(angle), radius * np.sin(angle)])
         center = super_centers[s] + offset
         n_y = int(n_train[y])
         _fill(train_X[start : start + n_y], center, derive_rng(seed, "train", y),

@@ -445,6 +445,40 @@ class TestExitCodes:
                          capsys.readouterr().err)
         assert not (out / "checkpoint.json").exists()
 
+    # each value is rejected by name before training starts; at lr nan a run
+    # would otherwise end as a divergence, and at hidden dim 0 train a
+    # zero-width layer
+    @pytest.mark.parametrize("flags, field, with_aux", [
+        pytest.param(["--hidden-dim", "-1"], "hidden_dim", True, id="hidden-dim-negative"),
+        pytest.param(["--hidden-dim", "0"], "hidden_dim", True, id="hidden-dim-zero"),
+        pytest.param(["--weight-decay", "-0.1"], "weight_decay", True, id="weight-decay-negative"),
+        pytest.param(["--weight-decay", "nan"], "weight_decay", True, id="weight-decay-nan"),
+        pytest.param(["--momentum", "-0.1"], "momentum", True, id="momentum-negative"),
+        pytest.param(["--momentum", "1"], "momentum", True, id="momentum-one"),
+        pytest.param(["--momentum", "nan"], "momentum", True, id="momentum-nan"),
+        pytest.param(["--lr", "nan"], "learning_rate", True, id="lr-nan"),
+        pytest.param(["--lr", "inf"], "learning_rate", True, id="lr-inf"),
+        pytest.param(["--lambda-s", "nan"], "lambda_s", True, id="lambda-s-nan"),
+        pytest.param(["--lambda-s", "nan"], "lambda_s", False, id="lambda-s-nan-without-aux"),
+        pytest.param(["--ratio", "1:nan:3"], "aux_ratio", True, id="ratio-nan"),
+        pytest.param(["--ratio", "1:1:inf"], "aux_ratio", True, id="ratio-inf"),
+    ])
+    def test_untrainable_setting_is_2(self, tmp_path, capsys, small_run, flags, field,
+                                      with_aux):
+        data = small_run / "data"
+        aux = ["--aux", data / "aux.jsonl"] if with_aux else []
+        out = tmp_path / "run"
+        assert run("train", "--data", data / "train.jsonl", *aux, "--epochs", "1",
+                   *flags, "--out", out) == 2
+        assert f"config error: {field} must be" in capsys.readouterr().err
+        assert not (out / "checkpoint.json").exists()
+
+    def test_synth_expand_checked_without_auxiliary_data(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert run("synth", "--out", out, *SMALL_SYNTH, "--expand", "bogus") == 2
+        assert "unknown split names ['bogus']" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_curate_without_retriever_is_2(self, tmp_path):
         assert run("curate", "--data", FIXTURES / "train.jsonl",
                    "--llm-fixture", FIXTURES, "--out", tmp_path / "o") == 2

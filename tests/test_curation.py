@@ -25,7 +25,6 @@ from tailext.curation import (
     FixtureLLMClient,
     FixtureRetriever,
     HttpLLMClient,
-    Prototype,
     build_prompt,
     compute_prototype,
     cosine,
@@ -105,8 +104,7 @@ class TestPrototypesAndCosine:
         # independent resummation in a different order
         members = [feats[i] for i in range(30) if labels[i] == 1]
         want = sum(reversed(members)) / len(members)
-        np.testing.assert_allclose(proto.vector, want, atol=1e-12)
-        assert proto.class_id == 1
+        np.testing.assert_allclose(proto, want, atol=1e-12)
 
     def test_prototype_missing_class(self):
         ds = FeatureDataset(np.zeros((2, 3)), np.array([0, 0]))
@@ -134,7 +132,7 @@ def cand(name="hawk", caption="a hawk in flight", feature=(1.0, 0.0),
 
 
 class TestFilterCandidates:
-    PROTOS = {0: Prototype(0, np.array([2.0, 0.0, 0.0, 0.0]))}
+    PROTOS = {0: np.array([2.0, 0.0, 0.0, 0.0])}
 
     def test_caption_rule_fires_first(self):
         # similarity would also reject this one; caption wins

@@ -253,8 +253,9 @@ class TestSilenceWeights:
 
     def test_negative_lambda_rejected_and_gt_one_warns(self):
         space = build_label_space(1, [(1, 0)])
-        with pytest.raises(DataError):
-            SilenceWeights(space, -0.5)
+        for bad in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(DataError):
+                SilenceWeights(space, bad)
         with pytest.warns(UserWarning):
             SilenceWeights(space, 1.2)
 

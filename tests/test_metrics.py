@@ -8,7 +8,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tailext.core import ClassStats, DataError, FeatureDataset, LabelSpace, build_label_space
+from tailext.core import (
+    ClassStats,
+    ConfigError,
+    DataError,
+    FeatureDataset,
+    LabelSpace,
+    build_label_space,
+)
 from tailext.metrics import (
     EVAL_CSV_COLUMNS,
     EvalReport,
@@ -16,6 +23,7 @@ from tailext.metrics import (
     assign_splits,
     count_rank_gap,
     evaluate,
+    expansion_targets,
     reports_to_csv,
     write_report,
 )
@@ -37,6 +45,15 @@ class TestSplitAssignment:
     def test_bad_tag_rejected(self):
         with pytest.raises(DataError):
             SplitAssignment(tags=("many", "huge"))
+
+    def test_expansion_targets(self):
+        stats = ClassStats(np.array([150, 40, 5, 101, 20]))
+        assert expansion_targets(stats, "all") == [0, 1, 2, 3, 4]
+        assert expansion_targets(stats, " medium, few ") == [1, 2, 4]
+        assert expansion_targets(stats, ("many",)) == [0, 3]
+        for bad in ("huge", "few,huge", "", ",", (), ("many", "all")):
+            with pytest.raises(ConfigError):
+                expansion_targets(stats, bad)
 
 
 def diag_state(num_classes, dim=None):

@@ -498,7 +498,54 @@ class TestOptimizer:
             assert np.array_equal(params[k], want[k]), k
 
 
+def reference_probe(state, dataset, cfg):
+    """The probe's own batch loop from before it ran through train()'s loop:
+    full-array weights, fresh temporaries every batch. Kept as the
+    reference linear_probe_retrain() must match bit for bit."""
+    L = state.space.num_target
+    stats = ClassStats(dataset.class_counts(L))
+    rep = state._represent(dataset.features)
+    weights = np.zeros((L, rep.shape[1]))
+    bias = np.zeros(L)
+    params = {"weights": weights, "bias": bias}
+    optimizer = _Optimizer(cfg, params)
+    n = len(dataset)
+    for epoch in range(cfg.epochs):
+        perm = derive_rng(cfg.seed, "probe-shuffle", epoch).permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            Hb, yb = rep[idx], dataset.labels[idx]
+            Z = Hb @ weights.T + bias
+            _, G = bal_ce_batch(Z, yb, stats)
+            G /= idx.size
+            optimizer.step(params, {"weights": G.T @ Hb, "bias": G.sum(axis=0)})
+    return weights, bias
+
+
 class TestProbe:
+    @pytest.mark.parametrize("opt", ["sgd", "sgd-momentum-decay", "adamw-decay"])
+    @pytest.mark.parametrize("hidden_dim", [None, 6])
+    def test_matches_reference_loop(self, opt, hidden_dim):
+        # 28 target samples in batches of 16 leave a partial last batch
+        ds, aux, space = rotating_aux_problem()
+        cfg = RunConfig(
+            epochs=4, batch_size=16, per_class_cap=4, aux_ratio=(1, 1, 1),
+            hidden_dim=hidden_dim, seed=5, **OPTIMIZERS[opt],
+        )
+        state, _ = train(ds, aux, space, cfg)
+        probe = linear_probe_retrain(state, ds, cfg)
+        weights, bias = reference_probe(state, ds, cfg)
+        assert np.array_equal(probe.weights, weights)
+        assert np.array_equal(probe.bias, bias)
+        assert not np.array_equal(weights, state.weights[:4])  # the head was refitted
+
+    def test_diverging_probe_names_epoch_and_batch(self):
+        ds, aux, space = rotating_aux_problem()
+        cfg = RunConfig(epochs=3, batch_size=16, aux_ratio=(1, 1, 1))
+        state, _ = train(ds, aux, space, cfg)
+        with pytest.raises(DivergenceError, match=r"epoch 0, batch 1: mean batch loss"):
+            linear_probe_retrain(state, ds, cfg.with_overrides(learning_rate=1e9))
+
     def test_probe_replaces_head_and_freezes_hidden(self):
         ds = toy_dataset(seed=6, n_per=8)
         space = build_label_space(3, [(3, 0)])

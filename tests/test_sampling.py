@@ -57,6 +57,8 @@ class TestPlan:
         with pytest.raises(ConfigError):
             AuxSamplingPlan(ratio=(1, -1, 3))
         with pytest.raises(ConfigError):
+            AuxSamplingPlan(ratio=(1, float("nan"), 3))
+        with pytest.raises(ConfigError):
             AuxSamplingPlan(expanded_targets={0: "huge"})
 
     def test_build_plan_derives_when_ratio_none(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from tailext.core import ClassStats, ConfigError, DataError, LabelSpace, imbalance_factor
+from tailext.core import ClassStats, ConfigError, DataError, LabelSpace
 from tailext.synth import (
     CountProfile,
     HierarchySpec,
@@ -25,7 +25,7 @@ class TestCountProfiles:
         counts = make_counts(prof).counts
         assert counts[0] == 1280
         assert counts[-1] == 5
-        assert imbalance_factor(ClassStats(counts)) == 256.0
+        assert counts.max() / counts.min() == 256.0
 
     def test_exponential_interpolation_closed_form(self):
         prof = CountProfile("exponential", num_classes=3, max_count=100, imbalance=0.01)
@@ -118,9 +118,7 @@ class TestHierarchy:
         with pytest.raises(ConfigError):
             HierarchySpec(4, 12, sigma_super=1.0, sigma_fine=2.0, sigma_sample=0.5)
         with pytest.raises(ConfigError):
-            HierarchySpec(4, 12, fine_layout="ring", fine_subspace_dim=3)
-        with pytest.raises(ConfigError):
-            HierarchySpec(4, 12, fine_layout="spiral")
+            HierarchySpec(4, 12, feature_dim=1)  # the ring needs a plane
         with pytest.raises(DataError):
             make_hierarchy(SPEC, ClassStats(np.full(5, 10)))  # wrong class total
         with pytest.raises(ConfigError):
