@@ -100,13 +100,21 @@ def _load_config_file(path: str, command: str | None = None) -> dict:
     return obj
 
 
-def _check_type(key: str, value, default) -> None:
-    """A config-file value must have its default's type; an int may stand
-    for a float, a bool never for an int. Keys whose default is None take
-    any value."""
+def _setting_type(key: str, default) -> type:
+    """The type of a setting's values: its default's, and for a None
+    default (an unset path or list) str, except int for hidden_dim."""
     if default is None:
+        return int if key == "hidden_dim" else str
+    return type(default)
+
+
+def _check_type(key: str, value, default) -> None:
+    """A config-file value must have the setting's type; an int may stand
+    for a float, a bool never for an int. A setting whose default is None
+    may also be null, as manifests write it when unset."""
+    if default is None and value is None:
         return
-    want = type(default)
+    want = _setting_type(key, default)
     if type(value) not in ((int, float) if want is float else (want,)):
         raise ConfigError(
             f"config key {key!r} must be {want.__name__}, got {type(value).__name__} "
@@ -554,18 +562,16 @@ _HELP = {
 
 
 def _add_setting(p: argparse.ArgumentParser, key: str, default) -> None:
-    """``--key-name`` parsed as the default's type: a bool is a --x/--no-x
-    switch, and a None default takes a string (an int for hidden_dim)."""
+    """``--key-name`` parsed as the setting's type (``_setting_type``); a
+    bool is a --x/--no-x switch."""
     flag = "--" + key.replace("_", "-")
     text = _HELP.get(key, "")
     if default is not None:
         text = f"{text} (default: {default})".lstrip()
     if isinstance(default, bool):
         p.add_argument(flag, action=argparse.BooleanOptionalAction, help=text)
-    elif default is None:
-        p.add_argument(flag, type=int if key == "hidden_dim" else str, help=text)
     else:
-        p.add_argument(flag, type=type(default), help=text)
+        p.add_argument(flag, type=_setting_type(key, default), help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:

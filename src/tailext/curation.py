@@ -20,12 +20,15 @@ from typing import Mapping, Protocol, Sequence
 import numpy as np
 
 from .core import (
+    _CHUNK,
     ClassStats,
     ConfigError,
     DataError,
     ExternalServiceError,
     FeatureDataset,
     LabelSpace,
+    _forked,
+    _part_count,
 )
 from .metrics import expand_splits, expansion_targets
 
@@ -318,10 +321,15 @@ def _corpus_row_problem(features, dim: int) -> str | None:
     return None
 
 
-def _corpus_block(pending: list[tuple[int, str, list]], dim: int) -> np.ndarray:
+def _newlines(fh, size: int) -> int:
+    """The newlines in the next ``size`` bytes of ``fh``."""
+    return sum(fh.read(min(_CHUNK, size - done)).count(b"\n") for done in range(0, size, _CHUNK))
+
+
+def _corpus_block(pending: list[tuple[int, list]], dim: int) -> np.ndarray:
     """The (n, dim) float64 block of the pending records' features, in file
     order; names the first bad line if a record's features are unusable."""
-    rows = [features for _, _, features in pending]
+    rows = [features for _, features in pending]
     try:
         block = np.array(rows)
     except ValueError:
@@ -332,7 +340,7 @@ def _corpus_block(pending: list[tuple[int, str, list]], dim: int) -> np.ndarray:
         or block.ndim != 2
         or not np.isfinite(block).all()
     ):
-        for line_no, _, features in pending:
+        for line_no, features in pending:
             problem = _corpus_row_problem(features, dim)
             if problem:
                 raise DataError(f"bad corpus record at line {line_no}: {problem}")
@@ -348,8 +356,13 @@ class FixtureRetriever:
     "features": [float, ...]}. Every record is validated when the corpus is
     loaded: all four keys present, class, image_ref and caption strings, and
     the features a flat list of finite numbers as long as the first
-    record's. The features of each normalized class name are kept as one
-    read-only (n, D) float64 array, and candidates carry views of its rows.
+    record's. The features are kept as one read-only (n, D) float64 array
+    in file order, and candidates carry views of its rows.
+
+    The corpus is parsed in byte ranges that start at line boundaries, one
+    per part (``core._part_count``): this process parses the first and
+    forked children the others. The array, and the line and message of the
+    first bad record, do not depend on the number of parts.
     """
 
     KEYS = frozenset({"class", "image_ref", "caption", "features"})
@@ -358,43 +371,91 @@ class FixtureRetriever:
         path = Path(corpus_path)
         if not path.exists():
             raise DataError(f"candidate corpus not found: {path}")
+        size = path.stat().st_size
+        dim, parts = 0, 1
+        with path.open("rb") as fh:
+            for line_no, line in enumerate(fh, 1):
+                if line.strip():
+                    features = self._parse(line.strip(), line_no)[3]
+                    if isinstance(features, list):
+                        dim = len(features)  # the first record sets the corpus's dim
+                        # about size / len(line) records of dim floats each
+                        parts = _part_count(dim * size // len(line))
+                    break
+            # each part starts at the first line that begins at or after its offset
+            bounds = [0]
+            for k in range(1, parts):
+                fh.seek(size * k // parts - 1)
+                fh.readline()
+                bounds.append(fh.tell())
+            bounds.append(size)
+
+        def load(part: int):
+            return self._load_range(path, bounds[part], bounds[part + 1], dim)
+
+        # a part's result is read only after every earlier part loaded
+        # without error, so the first bad line in the file is reported
+        with _forked(load, parts) as rest:
+            loaded = [load(0), *rest]
         self._records: dict[str, list[tuple[str, str]]] = {}
-        blocks: dict[str, list[np.ndarray]] = {}
-        pending: list[tuple[int, str, list]] = []
-        dim = 0
+        self._rows: dict[str, list[int]] = {}
+        first_row = 0
+        for records, rows, part_feats in loaded:
+            for key, pairs in records.items():
+                self._records.setdefault(key, []).extend(pairs)
+                self._rows.setdefault(key, []).extend(first_row + r for r in rows[key])
+            first_row += len(part_feats)
+        # one part is the whole corpus already; copying it would double the peak
+        feats = loaded[0][2] if parts == 1 else np.concatenate([f for _, _, f in loaded])
+        feats.setflags(write=False)
+        self._features = feats
+
+    def _load_range(self, path: Path, start: int, stop: int, dim: int):
+        """The corpus lines that begin in bytes [start, stop) of ``path``:
+        their (image_ref, caption) pairs and their row numbers by normalized
+        name, and their (n, dim) float64 features in file order. Raises
+        DataError for the first line that is not a record of ``dim`` finite
+        numbers."""
+        records: dict[str, list[tuple[str, str]]] = {}
+        rows: dict[str, list[int]] = {}
+        pending: list[tuple[int, list]] = []
+        row = 0
 
         def add_block():
-            block = _corpus_block(pending, dim)
-            rows: dict[str, list[int]] = {}
-            for i, (_, key, _) in enumerate(pending):
-                rows.setdefault(key, []).append(i)
-            for key, idx in rows.items():
-                blocks.setdefault(key, []).append(block[idx])
+            feats[row - len(pending):row] = _corpus_block(pending, dim)
             pending.clear()
 
         # binary lines: json.loads decodes them, so bad UTF-8 is a bad record
         with path.open("rb") as fh:
-            for line_no, line in enumerate(fh, 1):
+            first_line = 1 + _newlines(fh, start)  # line numbers count from the top
+            # one row per line is room for every record in the range
+            feats = np.empty((_newlines(fh, stop - start) + 1, dim))
+            fh.seek(start)
+            offset = start
+            for line_no, line in enumerate(fh, first_line):
+                if offset >= stop:
+                    break
+                offset += len(line)
                 line = line.strip()
                 if not line:
                     continue
-                key, image_ref, caption, features = self._parse(line, line_no)
-                if not dim and isinstance(features, list):
-                    dim = len(features)  # the first record sets the corpus's dim
-                if not (isinstance(features, list) and 0 < len(features) == dim):
-                    problem = _corpus_row_problem(features, dim)
-                    raise DataError(f"bad corpus record at line {line_no}: {problem}")
-                self._records.setdefault(key, []).append((image_ref, caption))
-                pending.append((line_no, key, features))
+                try:
+                    key, image_ref, caption, features = self._parse(line, line_no)
+                    if not (isinstance(features, list) and 0 < len(features) == dim):
+                        problem = _corpus_row_problem(features, dim)
+                        raise DataError(f"bad corpus record at line {line_no}: {problem}")
+                except DataError:
+                    _corpus_block(pending, dim)  # an earlier bad line is reported first
+                    raise
+                records.setdefault(key, []).append((image_ref, caption))
+                rows.setdefault(key, []).append(row)
+                pending.append((line_no, features))
+                row += 1
                 if len(pending) == _CORPUS_BLOCK_ROWS:
                     add_block()
         if pending:
             add_block()
-        self._features: dict[str, np.ndarray] = {}
-        for key in list(blocks):
-            feats = np.concatenate(blocks.pop(key))
-            feats.setflags(write=False)
-            self._features[key] = feats
+        return records, rows, feats[:row]
 
     def _parse(self, line: bytes, line_no: int) -> tuple[str, str, str, object]:
         try:
@@ -420,12 +481,12 @@ class FixtureRetriever:
             Candidate(
                 image_ref=image_ref,
                 caption=caption,
-                feature=row,
+                feature=self._features[row],
                 proposed_class=class_name,
                 source_target=source_target,
             )
             for (image_ref, caption), row in zip(
-                self._records.get(key, ()), self._features.get(key, ())
+                self._records.get(key, ()), self._rows.get(key, ())
             )
         ]
 

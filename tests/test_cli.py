@@ -415,6 +415,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and f"'{key}'" in err
 
+    # every setting whose default is None, in every command; hidden_dim takes
+    # an int and the others a string, so each gets a value of the other type
+    @pytest.mark.parametrize("command, key", [
+        (command, key)
+        for command, (_, settings, _) in cli._COMMANDS.items()
+        for key, default in settings.items()
+        if default is None
+    ])
+    def test_unset_setting_of_wrong_type_is_2(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "4" if key == "hidden_dim" else 5}))
+        assert run(command, "--config", cfg, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"'{key}'" in err
+
     def test_non_finite_feature_is_3(self, tmp_path, capsys, small_run):
         bad = _nan_copy(tmp_path, small_run / "data" / "train.jsonl", line_no=4)
         assert run("train", "--data", bad, "--epochs", "1", "--out", tmp_path / "t") == 3
@@ -528,7 +543,7 @@ class TestConfigResolution:
 
     @pytest.mark.parametrize("file_cfg", [
         {"lr": 1, "momentum": 0, "lambda_s": 1},  # an int stands for a float
-        {"hidden_dim": 4},  # a None default takes any value
+        {"hidden_dim": 4, "aux": None},  # an unset setting may be written as null
         {"epochs": 2, "ratio": "1:1:3", "optimizer": "adamw"},
     ])
     def test_config_values_of_default_type_accepted(self, tmp_path, file_cfg):

@@ -300,6 +300,49 @@ class TestBinaryCache:
                                           kept.features.view(np.uint64))
 
 
+def _awkward_dataset(rows=30):
+    """Non-ASCII ids and non-finite features: what a text split could mangle."""
+    rng = np.random.default_rng(4)
+    feats = rng.normal(size=(rows, 5))
+    feats[3, 1] = np.nan
+    feats[rows - 2, 4] = -np.inf
+    ids = tuple(f"{'猫ß'[i % 2]}-{i}" for i in range(rows))
+    return FeatureDataset(feats, np.arange(rows) % 3, ids=ids)
+
+
+class TestSplitWrite:
+    OUTPUTS = ("d.jsonl", "d.cache.npy", "d.meta.json")
+
+    def test_bytes_do_not_depend_on_the_split(self, tmp_path, force_parts):
+        ds = _awkward_dataset()
+        written = []
+        for parts in (1, 2, 3):
+            force_parts(parts)
+            out = tmp_path / str(parts)
+            write_dataset(ds, LabelSpace(num_target=3), out / "d.jsonl",
+                          extra_meta={"note": "é"})
+            assert sorted(p.name for p in out.iterdir()) == sorted(self.OUTPUTS)
+            written.append([(out / name).read_bytes() for name in self.OUTPUTS])
+        assert written[1] == written[0] and written[2] == written[0]
+        lines = written[0][0].decode("ascii").splitlines()
+        assert lines[3] == json.dumps({"id": ds.ids[3], "label": 0,
+                                       "features": ds.features[3].tolist()})
+
+    def test_error_in_a_worker_range_leaves_no_parts(self, tmp_path, force_parts):
+        ds = _awkward_dataset()
+        # bytes are not JSON: the last range fails to format
+        bad = FeatureDataset(ds.features, ds.labels, ids=ds.ids[:-1] + (b"raw",))
+        messages = []
+        for parts in (1, 3):
+            force_parts(parts)
+            out = tmp_path / str(parts)
+            with pytest.raises(TypeError) as exc:
+                write_dataset(bad, LabelSpace(num_target=3), out / "d.jsonl")
+            messages.append(str(exc.value))
+            assert [p.name for p in out.iterdir()] == ["d.jsonl"]
+        assert messages[0] == messages[1]
+
+
 class TestRunConfig:
     def test_defaults_valid(self):
         cfg = RunConfig()

@@ -1,6 +1,7 @@
 """Curation pipeline: prompting, leak filtering, the keep band, end-to-end
 runs against the frozen fixture corpus, and the HTTP client."""
 import json
+import multiprocessing
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -258,6 +259,83 @@ class TestFixtureBackends:
         p.write_text("".join(json.dumps(r) + "\n" for r in recs))
         with pytest.raises(DataError, match="line 7: non-finite"):
             FixtureRetriever(p)
+
+
+def _corpus_lines(count=30, features=(0.25, 0.75)):
+    """Corpus records whose lines all have the same length, so a split into
+    k byte ranges starts part j at line count * j / k + 1."""
+    return [json.dumps({"class": ("puma", "lynx", "ibex")[i % 3],
+                        "image_ref": f"i{i:03d}", "caption": "c",
+                        "features": list(features)[::1 - 2 * (i % 2)]})
+            for i in range(count)]
+
+
+class TestSplitCorpus:
+    def load_each_way(self, path, force_parts):
+        """The retriever, or its DataError text, for 1, 2 and 3 parts."""
+        outcomes = []
+        for parts in (1, 2, 3):
+            force_parts(parts)
+            try:
+                outcomes.append(FixtureRetriever(path))
+            except DataError as exc:
+                outcomes.append(str(exc))
+            assert multiprocessing.active_children() == []
+        return outcomes
+
+    def test_rows_do_not_depend_on_the_split(self, tmp_path, force_parts):
+        lines = _corpus_lines()
+        lines[7] = ""  # blank lines are skipped but still counted
+        p = tmp_path / "corpus.jsonl"
+        p.write_text("\n".join(lines) + "\n")
+        loaded = self.load_each_way(p, force_parts)
+        for name in ("puma", "lynx", "ibex"):
+            want = [(c.image_ref, c.feature.tolist()) for c in loaded[0].retrieve(name, 0)]
+            assert len(want) == 10 - (name == "lynx")
+            for retriever in loaded[1:]:
+                got = retriever.retrieve(name, 0)
+                assert [(c.image_ref, c.feature.tolist()) for c in got] == want
+                assert all(c.feature.dtype == np.float64 for c in got)
+
+    # split three ways, the 30 lines form parts 1-10, 11-20 and 21-30
+    @pytest.mark.parametrize("line_no", [5, 15, 25])
+    @pytest.mark.parametrize("fault", ["missing-key", "non-finite", "not-json", "short"])
+    def test_bad_record_in_each_part(self, tmp_path, force_parts, fault, line_no):
+        lines = _corpus_lines()
+        rec = json.loads(lines[line_no - 1])
+        if fault == "missing-key":
+            del rec["caption"]
+        elif fault == "non-finite":
+            rec["features"][1] = float("nan")
+        elif fault == "short":
+            rec["features"] = [1.0]
+        lines[line_no - 1] = json.dumps(rec)[:-1] if fault == "not-json" else json.dumps(rec)
+        p = tmp_path / "corpus.jsonl"
+        p.write_text("\n".join(lines) + "\n")
+        errors = self.load_each_way(p, force_parts)
+        assert errors[0].startswith(f"bad corpus record at line {line_no}: ")
+        assert errors[1] == errors[0] and errors[2] == errors[0]
+
+    def test_dim_change_at_a_part_boundary(self, tmp_path, force_parts):
+        # line 21 starts the third of three parts
+        lines = _corpus_lines(20) + _corpus_lines(10, features=(1, 2, 3.25))
+        p = tmp_path / "corpus.jsonl"
+        p.write_text("\n".join(lines) + "\n")
+        errors = self.load_each_way(p, force_parts)
+        assert errors == ["bad corpus record at line 21: features have 3 values, "
+                          "the corpus has 2"] * 3
+
+    def test_an_earlier_bad_line_is_reported_first(self, tmp_path, force_parts):
+        # line 9 is only caught when its block is converted, line 12 at once
+        lines = _corpus_lines()
+        rec = json.loads(lines[8])
+        rec["features"][0] = float("inf")
+        lines[8] = json.dumps(rec)
+        lines[11] = "{"
+        p = tmp_path / "corpus.jsonl"
+        p.write_text("\n".join(lines) + "\n")
+        errors = self.load_each_way(p, force_parts)
+        assert errors == ["bad corpus record at line 9: non-finite feature value"] * 3
 
 
 class _Handler(BaseHTTPRequestHandler):
