@@ -24,6 +24,7 @@ from .core import (
     ExternalServiceError,
     LabelSpace,
     RunConfig,
+    _map_runs,
     read_dataset,
     write_dataset,
 )
@@ -500,7 +501,8 @@ def cmd_sweep(args) -> int:
         rep = evaluate(state, te, splits, mask=True, seed=seed)
         return {"axis": axis, "value": value}, rep
 
-    rows = [run_point(v, s) for v in values for s in seeds]
+    points = [(v, s) for v in values for s in seeds]
+    rows = _map_runs(lambda point: run_point(*point), points)
 
     (out / "sweep.csv").write_text(reports_to_csv(rows, ("axis", "value")))
     _write_manifest(out, "sweep", cfg)

@@ -270,16 +270,32 @@ _CHUNK = 1 << 20
 _PART_MIN_FLOATS = 40_000
 
 
-def _part_count(floats: int) -> int:
-    """Into how many row ranges text work on ``floats`` values is split: one
-    per available CPU, each of at least _PART_MIN_FLOATS. It is 1, the
-    caller's own serial loop, on a platform without fork or while the
-    process runs other threads, whose held locks a forked child would
-    inherit."""
+# Threads this process runs besides its Python threads, such as the pool
+# OpenBLAS starts when numpy loads (one thread per CPU unless told
+# otherwise); 0 where the platform does not list a process's threads.
+# Counted once, here, just after numpy loaded: OpenBLAS stops its pool at
+# every fork and starts it again only at its next threaded call.
+try:
+    _NATIVE_THREADS = max(0, len(os.listdir("/proc/self/task")) - threading.active_count())
+except OSError:
+    _NATIVE_THREADS = 0
+
+
+def _cpu_count() -> int:
+    """How many processes may share independent work: one per available
+    CPU. It is 1, the caller's own serial loop, on a platform without fork
+    or while the process runs other threads, whose held locks a forked
+    child would inherit."""
     if threading.active_count() > 1 or not hasattr(os, "fork"):
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cpus or 1, math.ceil(floats / _PART_MIN_FLOATS)))
+    return cpus or 1
+
+
+def _part_count(floats: int) -> int:
+    """Into how many row ranges text work on ``floats`` values is split: one
+    per CPU that ``_cpu_count`` allows, each of at least _PART_MIN_FLOATS."""
+    return max(1, min(_cpu_count(), math.ceil(floats / _PART_MIN_FLOATS)))
 
 
 def _run_part(task: Callable, part: int, conn) -> None:
@@ -336,6 +352,43 @@ def _forked(task: Callable, parts: int) -> Iterator[Iterator]:
         for proc, conn in children:
             proc.join()
             conn.close()
+
+
+def _map_runs(fn: Callable, items: Sequence) -> list:
+    """``[fn(item) for item in items]`` for independent runs, in item order.
+
+    The items are dealt round-robin to parts: this process runs part 0 and
+    forked children the others (see ``_forked``), so only what ``fn``
+    returns is sent back, pickled. Every process runs its native threads
+    as well, a forked child a BLAS pool of the same size, so there is one
+    part per 1 + _NATIVE_THREADS of the CPUs that ``_cpu_count`` allows:
+    more would leave the pools spinning for CPU time, which made an MLP
+    ablation cell three times slower under a BLAS pool of 2 on 2 CPUs.
+
+    A run that raises ends its part, and once every part has finished the
+    exception of the first failed run in item order is raised, as the
+    serial loop would raise it.
+    """
+    parts = max(1, min(_cpu_count() // (1 + _NATIVE_THREADS), len(items)))
+
+    def run_part(part: int):
+        done = []
+        for i in range(part, len(items), parts):
+            try:
+                done.append(fn(items[i]))
+            except Exception as exc:  # raised below if no earlier run failed
+                return done, (i, exc)
+        return done, None
+
+    with _forked(run_part, parts) as rest:
+        dealt = [run_part(0), *rest]
+    failed = [f for _, f in dealt if f is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    out: list = [None] * len(items)
+    for part, (done, _) in enumerate(dealt):
+        out[part::parts] = done
+    return out
 
 
 class _HashingWriter:
@@ -413,7 +466,12 @@ def write_dataset(
     with cache.open("wb") as fh:
         cache_out = _HashingWriter(fh)
         for array in (dataset.features, dataset.labels, id_bytes):
-            np.lib.format.write_array(cache_out, array, allow_pickle=False)
+            # the bytes np.lib.format.write_array writes, without its chunked
+            # tobytes copies of the array
+            header = np.lib.format.header_data_from_array_1_0(array)
+            np.lib.format.write_array_header_1_0(cache_out, header)
+            data = array.T if header["fortran_order"] else np.ascontiguousarray(array)
+            cache_out.write(memoryview(data).cast("B"))
     meta = {
         "feature_dim": dataset.feature_dim,
         "num_target": space.num_target,

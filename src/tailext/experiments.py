@@ -1,15 +1,17 @@
 """End-to-end experiment drivers shared by the CLI and the acceptance tests.
 
 Each driver builds its synthetic data, trains, and evaluates from a single
-seed, so a grid of runs is reproducible cell by cell. Desk-scale defaults
-(100 classes, 64 dims, max 300 samples per class) keep a full pilot grid or
-benchmark under a few minutes on one core.
+seed, so a grid of runs is reproducible cell by cell. The independent runs of
+a driver (pilot cells, the arms of a method pair or an ablation cell) share
+the available CPUs through ``core._map_runs``, with the same results at any
+CPU count. Desk-scale defaults (100 classes, 64 dims, max 300 samples per
+class) keep a full pilot grid or benchmark under a few minutes.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
-from .core import ClassStats, LabelSpace, RunConfig
+from .core import ClassStats, LabelSpace, RunConfig, _map_runs
 from .metrics import assign_splits, count_rank_gap, evaluate, expansion_targets
 from .model import linear_probe_retrain, train
 from .synth import CountProfile, HierarchySpec, make_auxiliary, make_counts, make_hierarchy
@@ -68,8 +70,11 @@ def run_pilot_cell(
     run_cfg = (cfg or RunConfig()).with_overrides(seed=seed)
     state, log = train(train_ds, None, LabelSpace(num_target=num_classes), run_cfg)
     stats = ClassStats(train_ds.class_counts(num_classes))
-    report = evaluate(state, test_ds, assign_splits(stats), mask=True, seed=seed)
+    # one prediction pass serves the report and the rank gap
     preds = state.masked().predict_batch(test_ds.features)
+    report = evaluate(
+        state, test_ds, assign_splits(stats), mask=True, seed=seed, _predictions=preds
+    )
     gap = count_rank_gap(preds, test_ds.labels, stats)
     return {
         "num_superclasses": num_superclasses,
@@ -88,12 +93,8 @@ def run_pilot_grid(
     **cell_kwargs,
 ) -> list[dict]:
     """Full pilot grid in a deterministic row order (S, imbalance, seed)."""
-    return [
-        run_pilot_cell(s, b, seed, **cell_kwargs)
-        for s in superclass_grid
-        for b in imbalance_grid
-        for seed in seeds
-    ]
+    cells = [(s, b, seed) for s in superclass_grid for b in imbalance_grid for seed in seeds]
+    return _map_runs(lambda cell: run_pilot_cell(*cell, **cell_kwargs), cells)
 
 
 def build_benchmark(
@@ -140,17 +141,32 @@ def build_benchmark(
 
 def run_method_pair(seed: int, cfg: RunConfig | None = None, **geometry) -> dict:
     """Train the auxiliary-expansion method and its BalCE baseline on the
-    same target data and seed; evaluate both masked to the target classes."""
+    same target data and seed; evaluate both masked to the target classes.
+
+    The method arm runs in this process, so its state and log are returned
+    as trained; the baseline arm may run in a forked child (see
+    ``core._map_runs``), which sends back only its report.
+    """
     cfg = (cfg or BENCH_CONFIG).with_overrides(seed=seed)
     train_ds, test_ds, aux_ds, merged = build_benchmark(seed, **geometry)
     L = merged.num_target
     splits = assign_splits(ClassStats(train_ds.class_counts(L)))
-    base_state, _ = train(train_ds, None, LabelSpace(num_target=L), cfg)
-    method_state, method_log = train(train_ds, aux_ds, merged, cfg)
+
+    def method_arm():
+        state, log = train(train_ds, aux_ds, merged, cfg)
+        return evaluate(state, test_ds, splits, mask=True, seed=seed), state, log
+
+    def baseline_arm():
+        state, _ = train(train_ds, None, LabelSpace(num_target=L), cfg)
+        return evaluate(state, test_ds, splits, mask=True, seed=seed)
+
+    (method, method_state, method_log), baseline = _map_runs(
+        lambda arm: arm(), (method_arm, baseline_arm)
+    )
     return {
         "seed": seed,
-        "baseline": evaluate(base_state, test_ds, splits, mask=True, seed=seed),
-        "method": evaluate(method_state, test_ds, splits, mask=True, seed=seed),
+        "baseline": baseline,
+        "method": method,
         "method_state": method_state,
         "train_ds": train_ds,
         "test_ds": test_ds,
@@ -165,20 +181,29 @@ def run_ablation_cell(seed: int, cfg: RunConfig | None = None, **geometry) -> di
     Compares silencing strengths 0.1 vs 1.0 (the latter is the plain merged
     balanced CE) and, for the 0.1 model, masking vs linear-probe re-training.
     Pass MLP_CONFIG to run it in the representation-learning regime where
-    the silencing strength has a visible effect.
+    the silencing strength has a visible effect. The 0.1 arm and its probe
+    run in this process, the 1.0 arm possibly in a forked child (see
+    ``core._map_runs``).
     """
     cfg = (cfg or BENCH_CONFIG).with_overrides(seed=seed)
     train_ds, test_ds, aux_ds, merged = build_benchmark(seed, **geometry)
     L = merged.num_target
     splits = assign_splits(ClassStats(train_ds.class_counts(L)))
-    out: dict = {"seed": seed}
-    states = {}
-    for lam in (0.1, 1.0):
+
+    def arm(lam: float) -> list:
+        """Reports of the lambda_s = lam model and, at 0.1, of its probe."""
         state, _ = train(train_ds, aux_ds, merged, cfg.with_overrides(lambda_s=lam))
-        states[lam] = state
-        out[f"lambda_{lam}"] = evaluate(state, test_ds, splits, mask=True, seed=seed)
-    probe = linear_probe_retrain(states[0.1], train_ds, cfg)
-    out["masked"] = out["lambda_0.1"]
-    out["probe"] = evaluate(probe, test_ds, splits, mask=True, seed=seed)
-    return out
+        models = [state]
+        if lam == 0.1:
+            models.append(linear_probe_retrain(state, train_ds, cfg))
+        return [evaluate(m, test_ds, splits, mask=True, seed=seed) for m in models]
+
+    (masked, probe), (plain,) = _map_runs(arm, (0.1, 1.0))
+    return {
+        "seed": seed,
+        "lambda_0.1": masked,
+        "lambda_1.0": plain,
+        "masked": masked,
+        "probe": probe,
+    }
 

@@ -200,12 +200,16 @@ def evaluate(
     mask: bool = True,
     seed: int | None = None,
     config: Mapping | None = None,
+    *,
+    _predictions: np.ndarray | None = None,
 ) -> EvalReport:
     """Top-1 accuracy overall and per split; gap = many - few.
 
     With ``mask`` set the classifier is restricted to its target rows first
     (a no-op when K = 0). Test samples are grouped by their class's split tag
-    from the training counts.
+    from the training counts. ``_predictions``, the scored classifier's
+    predictions of ``test`` when the caller needs them too, saves a second
+    prediction pass.
     """
     from .losses import balanced_error
 
@@ -217,7 +221,7 @@ def evaluate(
             f"test labels reach {test.labels.max()} but classifier has "
             f"{scored.num_classes} classes (masked={mask})"
         )
-    preds = scored.predict_batch(test.features)
+    preds = scored.predict_batch(test.features) if _predictions is None else _predictions
     labels = test.labels
     correct = preds == labels
 

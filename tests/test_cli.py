@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from tailext import cli
+from tailext import cli, experiments
 from tailext.cli import build_parser, main
-from tailext.core import read_dataset
+from tailext.core import DataError, DivergenceError, read_dataset
 from tailext.model import load_checkpoint
 
 FIXTURES = Path(__file__).parent / "fixtures" / "curation"
@@ -227,6 +227,48 @@ class TestSweepAndReport:
         p.write_text("axis,value\nlambda_s,0.1\n")
         assert run("report", p) == 0
         assert "lambda_s,0.1" in capsys.readouterr().out
+
+
+class TestRunsOnEveryCore:
+    """pilot and sweep runs are dealt to forked children (core._map_runs)."""
+
+    PILOT = ["pilot", "--superclasses", "2,3", "--imbalances", "1.0,0.1", "--seeds", "0,1",
+             "--num-classes", "12", "--feature-dim", "8", "--max-count", "40",
+             "--test-per-class", "5"]
+    SWEEP = ["sweep", "--axis", "lambda_s", "--values", "0.0,0.5,1.0", "--seeds", "0",
+             "--num-classes", "10", "--num-superclasses", "2", "--feature-dim", "8",
+             "--max-count", "120", "--test-per-class", "5", "--epochs", "2"]
+    OUTPUTS = ("pilot/pilot.csv", "pilot/pilot_runs.csv", "sweep/sweep.csv")
+
+    def test_outputs_do_not_depend_on_the_part_count(self, tmp_path, force_parts):
+        written = []
+        for parts in (1, 2, 3):
+            force_parts(parts)
+            out = tmp_path / str(parts)
+            assert run(*self.PILOT, "--out", out / "pilot") == 0
+            assert run(*self.SWEEP, "--out", out / "sweep") == 0
+            written.append([(out / name).read_bytes() for name in self.OUTPUTS])
+        assert written[1] == written[0] and written[2] == written[0]
+
+    @pytest.mark.parametrize("error, code", [(DivergenceError, 2), (DataError, 3)])
+    def test_failed_run_in_a_child_exits_as_serially(self, tmp_path, force_parts,
+                                                    monkeypatch, capsys, error, code):
+        cell = experiments.run_pilot_cell
+
+        def failing(s, b, seed, **kwargs):
+            if seed == 1:  # runs 1, 3, 5 and 7: all in the child at 2 parts
+                raise error(f"cell S={s} b={b} seed {seed} failed")
+            return cell(s, b, seed, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_pilot_cell", failing)
+        errors = []
+        for parts in (1, 2):
+            force_parts(parts)
+            assert run(*self.PILOT, "--out", tmp_path / str(parts)) == code
+            errors.append(capsys.readouterr().err)
+        assert errors[1] == errors[0]
+        assert "cell S=2 b=1.0 seed 1 failed" in errors[0]
+        assert not (tmp_path / "2" / "pilot.csv").exists()
 
 
 def _dataset_copy(tmp_path: Path, manifest: Path = FIXTURES / "train.jsonl") -> Path:

@@ -1,4 +1,5 @@
 """Core domain types: RNG derivation, label spaces, stats, datasets, config."""
+import io
 import json
 
 import numpy as np
@@ -341,6 +342,68 @@ class TestSplitWrite:
             messages.append(str(exc.value))
             assert [p.name for p in out.iterdir()] == ["d.jsonl"]
         assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_cache_holds_the_bytes_of_write_array(self, tmp_path, order):
+        ds = _awkward_dataset()
+        ds = FeatureDataset(np.asarray(ds.features, order=order), ds.labels, ids=ds.ids)
+        write_dataset(ds, LabelSpace(num_target=3), tmp_path / "d.jsonl")
+        expected = io.BytesIO()
+        id_bytes = np.frombuffer(json.dumps(list(ds.ids)).encode("utf-8"), dtype=np.uint8)
+        for array in (ds.features, ds.labels, id_bytes):
+            np.lib.format.write_array(expected, array, allow_pickle=False)
+        assert (tmp_path / "d.cache.npy").read_bytes() == expected.getvalue()
+
+
+def _square_unless(bad: dict):
+    """x * x, or raises bad[x] for the runs named in ``bad``."""
+
+    def fn(x):
+        if x in bad:
+            raise bad[x]
+        return x * x
+
+    return fn
+
+
+class TestMapRuns:
+    def test_results_in_item_order_at_any_part_count(self, force_parts):
+        for parts in (1, 2, 3):
+            force_parts(parts)
+            assert core._map_runs(_square_unless({}), range(7)) == [x * x for x in range(7)]
+            # more parts than runs: one run each
+            assert core._map_runs(_square_unless({}), [5, 6]) == [25, 36]
+            assert core._map_runs(_square_unless({}), []) == []
+
+    def test_first_failed_run_in_item_order_is_raised(self, force_parts):
+        # at 2 parts runs 1 and 3 fail in the child, run 2 in this process
+        bad = {1: DataError("run 1"), 2: ConfigError("run 2"), 3: DataError("run 3")}
+        for parts in (1, 2, 3):
+            force_parts(parts)
+            with pytest.raises(DataError, match="^run 1$"):
+                core._map_runs(_square_unless(bad), range(6))
+            with pytest.raises(ConfigError, match="^run 2$"):
+                core._map_runs(_square_unless({2: bad[2], 3: bad[3]}), range(6))
+
+    def test_native_threads_share_the_cpus(self, force_parts, monkeypatch):
+        pids = []
+        for cpus in (2, 4):
+            force_parts(cpus)
+            # a BLAS pool of one more thread in every process
+            monkeypatch.setattr(core, "_NATIVE_THREADS", 1)
+            pids.append(len(set(core._map_runs(lambda _: core.os.getpid(), range(4)))))
+        assert pids == [1, 2]
+
+    def test_a_child_that_dies_is_an_error(self, force_parts):
+        force_parts(2)
+
+        def fn(x):
+            if x == 1:
+                core.os._exit(7)
+            return x
+
+        with pytest.raises(RuntimeError, match="exited with code 7"):
+            core._map_runs(fn, [0, 1])
 
 
 class TestRunConfig:
