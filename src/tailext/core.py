@@ -12,6 +12,9 @@ import hashlib
 import json
 import math
 import os
+import pickle
+import signal
+import sys
 import threading
 import warnings
 from contextlib import contextmanager
@@ -298,13 +301,32 @@ def _part_count(floats: int) -> int:
     return max(1, min(_cpu_count(), math.ceil(floats / _PART_MIN_FLOATS)))
 
 
-def _run_part(task: Callable, part: int, conn) -> None:
+def _flush_stdio() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):  # no stream, or a closed one
+            pass
+
+
+def _run_part(task: Callable, part: int, write_fd: int) -> None:
+    """The body of a forked child: run ``task(part)``, send back its result
+    or exception, pickled, and leave through ``os._exit``, so none of the
+    parent's exit handlers or ``finally`` blocks run a second time."""
+    code = 0
     try:
-        result = (True, task(part))
-    except Exception as exc:  # raised again in the parent, in part order
-        result = (False, exc)
-    conn.send(result)
-    conn.close()
+        try:
+            result = (True, task(part))
+        except Exception as exc:  # raised again in the parent, in part order
+            result = (False, exc)
+        with open(write_fd, "wb") as out:
+            pickle.dump(result, out, protocol=pickle.HIGHEST_PROTOCOL)
+    except BaseException:  # not all was sent: the parent reports the exit code
+        code = 1
+        sys.excepthook(*sys.exc_info())
+    finally:
+        _flush_stdio()
+        os._exit(code)
 
 
 @contextmanager
@@ -313,45 +335,59 @@ def _forked(task: Callable, parts: int) -> Iterator[Iterator]:
     caller does part 0 itself.
 
     Yields an iterator over the children's results in part order; it raises
-    a child's exception when it reaches that part. On exit every child whose
-    result was not received is killed, and every child is joined.
+    a child's exception when it reaches that part, and a RuntimeError
+    naming the exit code of a child that ended without sending its result.
+    On exit every child whose result was not received is killed, and every
+    child is reaped. Standard output and error are flushed before each
+    fork, so a child never writes again what the caller printed.
     """
-    if parts > 1:
-        # imported here: most runs never split, and the import holds ~0.8 MB
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-    children = []
+    pids: list[int | None] = []  # None once reaped
+    pipes: list[int] = []  # the read end of each child's pipe
     received = 0
 
     def results():
         nonlocal received
-        for proc, conn in children:
-            try:
-                ok, value = conn.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(f"part worker exited with code {proc.exitcode}") from None
+        while received < len(pids):
+            part = received
+            with open(pipes[part], "rb", closefd=False) as src:
+                try:
+                    sent = pickle.load(src)
+                except (EOFError, pickle.UnpicklingError):  # nothing, or not all of it
+                    sent = None
             received += 1
+            if sent is None:
+                status = os.waitpid(pids[part], 0)[1]
+                pids[part] = None
+                raise RuntimeError(
+                    f"part worker exited with code {os.waitstatus_to_exitcode(status)}"
+                )
+            ok, value = sent
             if not ok:
                 raise value
             yield value
 
     try:
         for part in range(1, parts):
-            conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_run_part, args=(task, part, child_conn))
-            proc.start()
-            children.append((proc, conn))
-            # the parent holds no write end, so a child that dies reads as EOF
-            child_conn.close()
+            read_fd, write_fd = os.pipe()
+            pipes.append(read_fd)
+            try:
+                _flush_stdio()
+                pid = os.fork()
+                if pid == 0:
+                    _run_part(task, part, write_fd)  # never returns
+            finally:
+                # the parent holds no write end, so a child that dies reads as EOF
+                os.close(write_fd)
+            pids.append(pid)
         yield results()
     finally:
-        for proc, _ in children[received:]:
-            proc.kill()
-        for proc, conn in children:
-            proc.join()
-            conn.close()
+        for part, pid in enumerate(pids):
+            if pid is not None:
+                if part >= received:
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for read_fd in pipes:
+            os.close(read_fd)
 
 
 def _map_runs(fn: Callable, items: Sequence) -> list:

@@ -9,11 +9,13 @@ tests and against HTTP services in production.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
@@ -277,10 +279,11 @@ def filter_candidates(
         )
     kept: list[Candidate] = []
     rejected: list[tuple[Candidate, str]] = []
-    # each prototype with its norm, computed once per call
+    # each prototype with its norm, and each proposed name, once per call
     normed = {target: _with_norm(vector) for target, vector in protos.items()}
+    wanted = {name: normalize_name(name) for name in {cand.proposed_class for cand in cands}}
     for cand in cands:
-        if normalize_name(cand.proposed_class) not in normalize_name(cand.caption):
+        if wanted[cand.proposed_class] not in normalize_name(cand.caption):
             rejected.append((cand, "caption"))
             continue
         if cand.source_target not in normed:
@@ -301,7 +304,7 @@ class Retriever(Protocol):
 
 # Corpus rows converted into one float64 block at a time: bounds the Python
 # float lists held at once while the corpus loads.
-_CORPUS_BLOCK_ROWS = 4096
+_CORPUS_BLOCK_ROWS = 512
 
 
 def _corpus_row_problem(features, dim: int) -> str | None:
@@ -356,13 +359,16 @@ class FixtureRetriever:
     "features": [float, ...]}. Every record is validated when the corpus is
     loaded: all four keys present, class, image_ref and caption strings, and
     the features a flat list of finite numbers as long as the first
-    record's. The features are kept as one read-only (n, D) float64 array
-    in file order, and candidates carry views of its rows.
+    record's. The features are kept as one read-only float64 array of D
+    columns, allocated once with a row for every line, and candidates carry
+    views of its rows.
 
     The corpus is parsed in byte ranges that start at line boundaries, one
     per part (``core._part_count``): this process parses the first and
-    forked children the others. The array, and the line and message of the
-    first bad record, do not depend on the number of parts.
+    forked children the others, each into its own rows of the array, which
+    is memory shared with them. Only names and strings come back from a
+    child. The rows a name retrieves, and the line and message of the first
+    bad record, do not depend on the number of parts.
     """
 
     KEYS = frozenset({"class", "image_ref", "caption", "features"})
@@ -389,9 +395,21 @@ class FixtureRetriever:
                 fh.readline()
                 bounds.append(fh.tell())
             bounds.append(size)
+            fh.seek(0)
+            newlines = [_newlines(fh, stop - start) for start, stop in zip(bounds, bounds[1:])]
+        # line numbers count from the top of the file; a part has a row for
+        # each of its lines, and one for a last line without a newline
+        first_lines = list(accumulate(newlines, initial=1))
+        first_rows = list(accumulate((n + 1 for n in newlines), initial=0))
+        # one array for the whole corpus, in memory shared with the forked
+        # children, each of which parses its part straight into its rows
+        shape = (first_rows[-1], dim)
+        shared = mmap.mmap(-1, max(1, shape[0] * dim * 8))  # no mapping is empty
+        feats = np.frombuffer(shared, count=shape[0] * dim).reshape(shape)
 
         def load(part: int):
-            return self._load_range(path, bounds[part], bounds[part + 1], dim)
+            rows = feats[first_rows[part]:first_rows[part + 1]]
+            return self._load_range(path, bounds[part], bounds[part + 1], first_lines[part], rows)
 
         # a part's result is read only after every earlier part loaded
         # without error, so the first bad line in the file is reported
@@ -399,23 +417,22 @@ class FixtureRetriever:
             loaded = [load(0), *rest]
         self._records: dict[str, list[tuple[str, str]]] = {}
         self._rows: dict[str, list[int]] = {}
-        first_row = 0
-        for records, rows, part_feats in loaded:
+        for first_row, (records, rows) in zip(first_rows, loaded):
             for key, pairs in records.items():
                 self._records.setdefault(key, []).extend(pairs)
                 self._rows.setdefault(key, []).extend(first_row + r for r in rows[key])
-            first_row += len(part_feats)
-        # one part is the whole corpus already; copying it would double the peak
-        feats = loaded[0][2] if parts == 1 else np.concatenate([f for _, _, f in loaded])
         feats.setflags(write=False)
+        # rows past the end of each part's records are never addressed
         self._features = feats
 
-    def _load_range(self, path: Path, start: int, stop: int, dim: int):
-        """The corpus lines that begin in bytes [start, stop) of ``path``:
-        their (image_ref, caption) pairs and their row numbers by normalized
-        name, and their (n, dim) float64 features in file order. Raises
-        DataError for the first line that is not a record of ``dim`` finite
-        numbers."""
+    def _load_range(self, path: Path, start: int, stop: int, first_line: int, feats):
+        """Parse the corpus lines that begin in bytes [start, stop) of
+        ``path``, the first of them line ``first_line``: their features go
+        into the rows of ``feats`` in file order, and their (image_ref,
+        caption) pairs and row numbers are returned by normalized name.
+        Raises DataError for the first line that is not a record of
+        ``feats.shape[1]`` finite numbers."""
+        dim = feats.shape[1]
         records: dict[str, list[tuple[str, str]]] = {}
         rows: dict[str, list[int]] = {}
         pending: list[tuple[int, list]] = []
@@ -427,9 +444,6 @@ class FixtureRetriever:
 
         # binary lines: json.loads decodes them, so bad UTF-8 is a bad record
         with path.open("rb") as fh:
-            first_line = 1 + _newlines(fh, start)  # line numbers count from the top
-            # one row per line is room for every record in the range
-            feats = np.empty((_newlines(fh, stop - start) + 1, dim))
             fh.seek(start)
             offset = start
             for line_no, line in enumerate(fh, first_line):
@@ -455,7 +469,7 @@ class FixtureRetriever:
                     add_block()
         if pending:
             add_block()
-        return records, rows, feats[:row]
+        return records, rows
 
     def _parse(self, line: bytes, line_no: int) -> tuple[str, str, str, object]:
         try:
@@ -552,12 +566,33 @@ def curate(
     all_names = [space.class_names[c] for c in range(space.num_target)]
 
     def stage_one(tid: int):
-        # network-bound part: one LLM query, then one retrieval per name
-        name = space.class_names[tid]
-        proposed = query_neighbors(client, name, cfg.k, cfg.retries)
+        # one LLM query, then per surviving name one retrieval, filtered at
+        # once, so only the candidates of the targets in flight are alive
+        proposed = query_neighbors(client, space.class_names[tid], cfg.k, cfg.retries)
         survivors = filter_leaks(proposed, all_names)
-        fetched = [(n, retriever.retrieve(n, tid)) for n in survivors]
-        return tid, len(proposed), survivors, fetched
+        proto = {tid: compute_prototype(dataset, tid)}
+        rejected = {"caption": 0, "similarity-low": 0, "similarity-high": 0}
+        retrieved = 0
+        kept_by_name = []
+        for name in survivors:
+            cands = retriever.retrieve(name, tid)
+            retrieved += len(cands)
+            kept, dropped = filter_candidates(cands, proto, cfg.gamma_low, cfg.gamma_high)
+            for _, reason in dropped:
+                rejected[reason] += 1
+            if kept:
+                kept_by_name.append(
+                    (name, [c.feature for c in kept], [c.image_ref for c in kept])
+                )
+        counts = {
+            "class_name": space.class_names[tid],
+            "proposed": len(proposed),
+            "after_leak_filter": len(survivors),
+            "retrieved": retrieved,
+            "kept": sum(len(refs) for _, _, refs in kept_by_name),
+            "rejected": rejected,
+        }
+        return tid, counts, kept_by_name
 
     if cfg.concurrency > 1 and len(targets) > 1:
         with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
@@ -565,7 +600,7 @@ def curate(
     else:
         stage = [stage_one(t) for t in targets]
 
-    # everything after this point is pure and runs in target-id order
+    # auxiliary ids are given in target-id order, the order of ``targets``
     feats: list[np.ndarray] = []
     labels: list[int] = []
     ids: list[str] = []
@@ -574,40 +609,17 @@ def curate(
     per_target: dict[str, dict] = {}
     empty: list[int] = []
     warnings_: list[str] = []
-    next_id = space.num_target
 
-    for tid, n_proposed, survivors, fetched in sorted(stage):
-        proto = {tid: compute_prototype(dataset, tid)}
-        rej_counts = {"caption": 0, "similarity-low": 0, "similarity-high": 0}
-        n_retrieved = 0
-        n_kept = 0
-        for name, cands in fetched:
-            n_retrieved += len(cands)
-            kept, rejected = filter_candidates(
-                cands, proto, cfg.gamma_low, cfg.gamma_high
-            )
-            for _, reason in rejected:
-                rej_counts[reason] += 1
-            if not kept:
-                continue
-            aux_id = next_id
-            next_id += 1
+    for tid, counts, kept_by_name in stage:
+        for name, kept_feats, kept_ids in kept_by_name:
+            aux_id = space.num_target + len(pairs)
             pairs.append((aux_id, tid))
             aux_names[aux_id] = name
-            for cand in kept:
-                feats.append(cand.feature)
-                labels.append(aux_id)
-                ids.append(cand.image_ref)
-            n_kept += len(kept)
-        per_target[str(tid)] = {
-            "class_name": space.class_names[tid],
-            "proposed": n_proposed,
-            "after_leak_filter": len(survivors),
-            "retrieved": n_retrieved,
-            "kept": n_kept,
-            "rejected": rej_counts,
-        }
-        if n_kept == 0:
+            feats.extend(kept_feats)
+            labels.extend([aux_id] * len(kept_ids))
+            ids.extend(kept_ids)
+        per_target[str(tid)] = counts
+        if counts["kept"] == 0:
             empty.append(tid)
 
     if not feats:
@@ -624,7 +636,7 @@ def curate(
         if len(dims) != 1:
             raise DataError(f"candidate feature dims differ: {sorted(dims)}")
         aux = FeatureDataset(
-            features=np.stack(feats),
+            features=np.array(feats),
             labels=np.asarray(labels, dtype=np.int64),
             provenance="ingested",
             ids=tuple(ids),

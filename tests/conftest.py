@@ -1,5 +1,5 @@
 """Fixtures shared by the test modules."""
-import multiprocessing
+import os
 
 import pytest
 
@@ -13,7 +13,8 @@ def force_parts(monkeypatch):
     threads, so ``_map_runs`` deals independent runs to that many parts
     (fewer when there are fewer runs), and one float makes a row range of
     the JSONL text work of ``write_dataset`` and ``FixtureRetriever`` worth
-    a fork. Checks on the way out that no forked child is left running."""
+    a fork. Checks on the way out that this process has no child left,
+    running or exited and not reaped."""
 
     def force(parts: int) -> None:
         monkeypatch.setattr(core, "_PART_MIN_FLOATS", 1)
@@ -24,4 +25,5 @@ def force_parts(monkeypatch):
         assert core._part_count(parts) == parts
 
     yield force
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

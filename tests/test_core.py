@@ -1,6 +1,10 @@
 """Core domain types: RNG derivation, label spaces, stats, datasets, config."""
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -404,6 +408,53 @@ class TestMapRuns:
 
         with pytest.raises(RuntimeError, match="exited with code 7"):
             core._map_runs(fn, [0, 1])
+
+
+_SPLITS_SCRIPT = r"""
+import json, os, sys
+from pathlib import Path
+import numpy as np
+from tailext import core
+from tailext.core import FeatureDataset, LabelSpace, write_dataset
+from tailext.curation import FixtureRetriever
+
+core._PART_MIN_FLOATS = 1
+core._NATIVE_THREADS = 0
+core.os.sched_getaffinity = lambda pid: {0, 1, 2}
+print("printed before the splits")
+out = Path(sys.argv[1])
+ds = FeatureDataset(np.arange(30.0).reshape(10, 3), np.arange(10) % 2)
+write_dataset(ds, LabelSpace(num_target=2), out / "d.jsonl")
+corpus = out / "corpus.jsonl"
+corpus.write_text("".join(json.dumps({"class": "lynx", "image_ref": f"i{i}", "caption": "c",
+                                      "features": [i, 1.0]}) + "\n" for i in range(9)))
+assert [c.feature[0] for c in FixtureRetriever(corpus).retrieve("lynx", 0)] == list(range(9))
+print(len(set(core._map_runs(lambda _: os.getpid(), range(3)))), "processes")
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+print("multiprocessing imported:", "multiprocessing" in sys.modules)
+"""
+
+
+def test_splits_fork_without_multiprocessing(tmp_path):
+    """A split ``write_dataset``, corpus load and ``_map_runs`` in a fresh
+    interpreter, with stdout redirected to a file and so block-buffered: a
+    line printed before the splits is written once, not again by a child,
+    and ``multiprocessing`` is never imported."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    stdout = tmp_path / "stdout.txt"
+    with stdout.open("wb") as fh:
+        done = subprocess.run([sys.executable, "-c", _SPLITS_SCRIPT, str(tmp_path)], env=env,
+                              stdout=fh, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert stdout.read_text().splitlines() == [
+        "printed before the splits", "3 processes", "no child left",
+        "multiprocessing imported: False",
+    ]
 
 
 class TestRunConfig:

@@ -1,7 +1,7 @@
 """Curation pipeline: prompting, leak filtering, the keep band, end-to-end
 runs against the frozen fixture corpus, and the HTTP client."""
 import json
-import multiprocessing
+import os
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -280,7 +280,8 @@ class TestSplitCorpus:
                 outcomes.append(FixtureRetriever(path))
             except DataError as exc:
                 outcomes.append(str(exc))
-            assert multiprocessing.active_children() == []
+            with pytest.raises(ChildProcessError):  # every child was reaped
+                os.waitpid(-1, os.WNOHANG)
         return outcomes
 
     def test_rows_do_not_depend_on_the_split(self, tmp_path, force_parts):
@@ -336,6 +337,43 @@ class TestSplitCorpus:
         p.write_text("\n".join(lines) + "\n")
         errors = self.load_each_way(p, force_parts)
         assert errors == ["bad corpus record at line 9: non-finite feature value"] * 3
+
+    def test_an_empty_corpus_loads(self, tmp_path, force_parts):
+        p = tmp_path / "corpus.jsonl"
+        for text in ("", "\n\n"):
+            p.write_text(text)
+            assert [r.retrieve("lynx", 0) for r in self.load_each_way(p, force_parts)] == [[]] * 3
+
+    def test_curate_does_not_depend_on_the_split_or_the_threads(self, tmp_path, force_parts):
+        # the fixture corpus without the records target 2 keeps: its names
+        # are still retrieved and rejected for all three reasons, but kept
+        # by none, so target 2 is empty
+        golden = json.loads((FIXTURES / "golden.json").read_text())
+        terriers = {a["name"] for a in golden["aux_classes"].values() if a["target"] == 2}
+        recs = [json.loads(line)
+                for line in (FIXTURES / "candidates.jsonl").read_text().splitlines()]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps(r) + "\n" for r in recs
+            if not (normalize_name(r["class"]) in terriers
+                    and golden["reasons"][r["image_ref"]] == "kept")))
+        dataset, space, _ = read_dataset(FIXTURES / "train.jsonl")
+        outcomes = []
+        for concurrency in (1, 2):
+            for parts in (1, 2, 3):
+                force_parts(parts)
+                aux, merged, report = curate(space, dataset, FixtureLLMClient(FIXTURES),
+                                             FixtureRetriever(corpus),
+                                             CurationConfig(concurrency=concurrency))
+                assert report["config"].pop("concurrency") == concurrency
+                outcomes.append((aux.features.tobytes(), aux.sample_ids(),
+                                 aux.labels.tolist(), merged, report))
+        assert outcomes[1:] == outcomes[:1] * 5
+        _, ids, _, merged, report = outcomes[0]
+        assert report["empty_targets"] == [2]
+        assert all(n > 0 for n in report["per_target"]["2"]["rejected"].values())
+        assert len(ids) == golden["total_kept"] - 12
+        assert set(merged.neighbor_of.values()) == {1, 3}
 
 
 class _Handler(BaseHTTPRequestHandler):
