@@ -25,6 +25,7 @@ from .core import (
     LabelSpace,
     RunConfig,
     _map_runs,
+    _sidecar_path,
     read_dataset,
     write_dataset,
 )
@@ -346,6 +347,8 @@ def cmd_curate(args) -> int:
         concurrency=cfg["jobs"],
     )
     aux, merged, report = curate(space, dataset, client, retriever, cur_cfg)
+    # the aux features are copies: free the corpus before the write
+    del dataset, retriever
 
     if len(aux):
         write_dataset(aux, merged, out / "aux.jsonl", extra_meta={"curation": report})
@@ -434,7 +437,14 @@ def cmd_eval(args) -> int:
         train_ds, _, _ = read_dataset(cfg["data"])
         counts = train_ds.class_counts(state.space.num_target)
     elif "train_counts" in test_meta:
-        counts = np.asarray(test_meta["train_counts"], dtype=np.int64)
+        counts = test_meta["train_counts"]
+        n = state.space.num_target
+        if not (isinstance(counts, list) and len(counts) == n
+                and all(type(c) is int for c in counts)):
+            raise DataError(
+                f"{_sidecar_path(Path(cfg['test']))}: train_counts must be a list of "
+                f"{n} integers, one per target class of the checkpoint"
+            )
     else:
         raise ConfigError(
             "eval needs --data for split counts (test manifest has no train_counts)"
@@ -617,7 +627,3 @@ def main(argv=None) -> int:
     except ExternalServiceError as exc:
         print(f"external service error: {exc}", file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -47,7 +47,6 @@ __all__ = [
     "query_neighbors",
     "filter_leaks",
     "compute_prototype",
-    "cosine",
     "filter_candidates",
     "curate",
 ]
@@ -253,10 +252,6 @@ def _cosine(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:
     if na == 0.0 or nb == 0.0:
         raise DataError("cosine undefined for zero-norm vector")
     return float(a @ b / (na * nb))
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    return _cosine(*_with_norm(a), *_with_norm(b))
 
 
 def filter_candidates(

@@ -152,14 +152,24 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "EvalReport":
+        """The report ``to_json`` wrote. DataError unless each accuracy and
+        error is a number; the split accuracies and the gap may also be
+        null or absent."""
+
+        def number(key: str, absent: bool = False):
+            value = obj.get(key) if absent else obj[key]
+            if (absent and value is None) or type(value) in (int, float):
+                return value
+            raise DataError(f"{key} must be a number{' or null' * absent}, got {value!r}")
+
         return cls(
-            overall_acc=obj["overall_acc"],
-            many_acc=obj.get("many_acc"),
-            medium_acc=obj.get("medium_acc"),
-            few_acc=obj.get("few_acc"),
-            head_tail_gap=obj.get("head_tail_gap"),
-            balanced_error_sum=obj["balanced_error_sum"],
-            balanced_error_mean=obj["balanced_error_mean"],
+            overall_acc=number("overall_acc"),
+            many_acc=number("many_acc", absent=True),
+            medium_acc=number("medium_acc", absent=True),
+            few_acc=number("few_acc", absent=True),
+            head_tail_gap=number("head_tail_gap", absent=True),
+            balanced_error_sum=number("balanced_error_sum"),
+            balanced_error_mean=number("balanced_error_mean"),
             split_sizes=dict(obj.get("split_sizes", {})),
             num_classes=obj["num_classes"],
             num_samples=obj["num_samples"],

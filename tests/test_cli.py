@@ -341,6 +341,15 @@ def _report(text):
     return build
 
 
+# an eval report as write_report writes it
+REPORT = {
+    "overall_acc": 62.5, "many_acc": 92.5, "medium_acc": 73.8, "few_acc": 47.5,
+    "head_tail_gap": 45.0, "balanced_error_sum": 37.2, "balanced_error_mean": 0.372,
+    "split_sizes": {"many": 400, "medium": 300, "few": 300}, "num_classes": 10,
+    "num_samples": 1000, "masked": True, "seed": 0, "config": None,
+}
+
+
 MALFORMED_JSON_INPUTS = {
     "sidecar-not-json": _bad_sidecar,
     "ragged-feature-rows": _ragged_rows,
@@ -482,6 +491,43 @@ class TestExitCodes:
         assert run("eval", "--checkpoint", small_run / "run" / "checkpoint.json",
                    "--test", bad_test, "--out", tmp_path / "o") == 3
         assert f"{bad_test}:2: non-finite feature" in capsys.readouterr().err
+
+    # small_run's checkpoint has 10 target classes
+    @pytest.mark.parametrize("counts", [
+        "60", {"0": 60}, None, [60] * 5, [60] * 15, [60.0] * 10, [True] * 10,
+        [60] * 9 + ["60"],
+    ])
+    def test_bad_train_counts_in_test_sidecar_is_3(self, tmp_path, capsys, small_run,
+                                                   counts):
+        test = _dataset_copy(tmp_path, small_run / "data" / "test.jsonl")
+        sidecar = test.with_suffix(".meta.json")
+        meta = json.loads(sidecar.read_text())
+        meta["train_counts"] = counts
+        sidecar.write_text(json.dumps(meta))
+        out = tmp_path / "o"
+        assert run("eval", "--checkpoint", small_run / "run" / "checkpoint.json",
+                   "--test", test, "--out", out) == 3
+        assert (f"data error: {sidecar}: train_counts must be a list of 10 integers"
+                in capsys.readouterr().err)
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("overall_acc", "x"), ("few_acc", [1]), ("head_tail_gap", "1.0"),
+        ("balanced_error_sum", None), ("balanced_error_mean", True),
+    ])
+    def test_report_field_not_a_number_is_3(self, tmp_path, capsys, key, value):
+        report = dict(REPORT, **{key: value})
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert run("report", path) == 3
+        assert f"{key} must be a number" in capsys.readouterr().err
+
+    def test_report_splits_may_be_null_or_absent(self, tmp_path, capsys):
+        report = {k: v for k, v in REPORT.items() if k != "many_acc"}
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(dict(report, few_acc=None, head_tail_gap=None)))
+        assert run("report", path) == 0
+        assert "many absent" in capsys.readouterr().out
 
     def test_non_finite_checkpoint_is_3(self, tmp_path, capsys, small_run):
         payload = json.loads((small_run / "run" / "checkpoint.json").read_text())

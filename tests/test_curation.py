@@ -28,7 +28,6 @@ from tailext.curation import (
     HttpLLMClient,
     build_prompt,
     compute_prototype,
-    cosine,
     curate,
     filter_candidates,
     filter_leaks,
@@ -112,18 +111,27 @@ class TestPrototypesAndCosine:
         with pytest.raises(DataError):
             compute_prototype(ds, 1)
 
-    @given(st.floats(0.01, 100), st.floats(0.01, 100), st.integers(0, 10**6))
+    # cosines 0.5, 0.8, 1.0 and 0.0 against the prototype (2, 0, 0, 0)
+    FEATURES = ((1.0, 1.0, 1.0, 1.0), (4.0, 3.0, 0.0, 0.0), (3.0, 0.0, 0.0, 0.0),
+                (0.0, 1.0, 0.0, 0.0))
+
+    @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
     @settings(max_examples=40, deadline=None)
-    def test_cosine_scale_invariant(self, sa, sb, seed):
-        rng = np.random.default_rng(seed)
-        a, b = rng.normal(size=5), rng.normal(size=5)
-        assert cosine(a * sa, b * sb) == pytest.approx(cosine(a, b), abs=1e-12)
+    def test_cosine_scale_invariant(self, scale, proto_scale):
+        protos = {0: np.array([2.0, 0.0, 0.0, 0.0]) * proto_scale}
+        cands = [cand(feature=np.asarray(f) * scale) for f in self.FEATURES]
+        kept, rejected = filter_candidates(cands, protos, 0.6, 0.95)
+        assert kept == [cands[1]]
+        assert rejected == [(cands[0], "similarity-low"), (cands[2], "similarity-high"),
+                            (cands[3], "similarity-low")]
 
     def test_cosine_errors(self):
-        with pytest.raises(DataError):
-            cosine(np.ones(3), np.ones(4))
-        with pytest.raises(DataError):
-            cosine(np.zeros(3), np.ones(3))
+        unit = (1.0, 0.0, 0.0, 0.0)
+        zero = (0.0, 0.0, 0.0, 0.0)
+        # a dim mismatch, a zero-norm prototype, a zero-norm feature
+        for proto, feature in (((1.0, 0.0, 0.0), unit), (zero, unit), (unit, zero)):
+            with pytest.raises(DataError, match="cosine"):
+                filter_candidates([cand(feature=feature)], {0: np.asarray(proto)})
 
 
 def cand(name="hawk", caption="a hawk in flight", feature=(1.0, 0.0),
