@@ -54,7 +54,7 @@ SWEEP_OPTIONS = {
 
 
 def _parse_ratio(text: str) -> tuple[float, float, float] | None:
-    if text in ("derive", "auto"):
+    if text == "derive":
         return None
     parts = text.split(":")
     if len(parts) != 3:

@@ -242,7 +242,7 @@ def compute_prototype(dataset: FeatureDataset, class_id: int) -> np.ndarray:
 
 
 def _with_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
-    v = np.asarray(v, dtype=np.float64).ravel()
+    v = np.asarray(v, dtype=np.float64)
     return v, np.linalg.norm(v)
 
 
@@ -403,35 +403,36 @@ class FixtureRetriever:
         feats = np.frombuffer(shared, count=shape[0] * dim).reshape(shape)
 
         def load(part: int):
-            rows = feats[first_rows[part]:first_rows[part + 1]]
-            return self._load_range(path, bounds[part], bounds[part + 1], first_lines[part], rows)
+            return self._load_range(
+                path, bounds[part], bounds[part + 1], first_lines[part], first_rows[part], feats
+            )
 
         # a part's result is read only after every earlier part loaded
         # without error, so the first bad line in the file is reported
         with _forked(load, parts) as rest:
             loaded = [load(0), *rest]
-        self._records: dict[str, list[tuple[str, str]]] = {}
-        self._rows: dict[str, list[int]] = {}
-        for first_row, (records, rows) in zip(first_rows, loaded):
-            for key, pairs in records.items():
-                self._records.setdefault(key, []).extend(pairs)
-                self._rows.setdefault(key, []).extend(first_row + r for r in rows[key])
+        # normalized name -> (image_ref, caption, row) of its records, in file order
+        self._records: dict[str, list[tuple[str, str, int]]] = {}
+        for records in loaded:
+            for key, recs in records.items():
+                self._records.setdefault(key, []).extend(recs)
         feats.setflags(write=False)
         # rows past the end of each part's records are never addressed
         self._features = feats
 
-    def _load_range(self, path: Path, start: int, stop: int, first_line: int, feats):
+    def _load_range(
+        self, path: Path, start: int, stop: int, first_line: int, first_row: int, feats
+    ) -> dict[str, list[tuple[str, str, int]]]:
         """Parse the corpus lines that begin in bytes [start, stop) of
         ``path``, the first of them line ``first_line``: their features go
-        into the rows of ``feats`` in file order, and their (image_ref,
-        caption) pairs and row numbers are returned by normalized name.
-        Raises DataError for the first line that is not a record of
+        into the rows of ``feats`` from ``first_row`` on, in file order, and
+        their (image_ref, caption, row) triples are returned by normalized
+        name. Raises DataError for the first line that is not a record of
         ``feats.shape[1]`` finite numbers."""
         dim = feats.shape[1]
-        records: dict[str, list[tuple[str, str]]] = {}
-        rows: dict[str, list[int]] = {}
+        records: dict[str, list[tuple[str, str, int]]] = {}
         pending: list[tuple[int, list]] = []
-        row = 0
+        row = first_row
 
         def add_block():
             feats[row - len(pending):row] = _corpus_block(pending, dim)
@@ -456,15 +457,14 @@ class FixtureRetriever:
                 except DataError:
                     _corpus_block(pending, dim)  # an earlier bad line is reported first
                     raise
-                records.setdefault(key, []).append((image_ref, caption))
-                rows.setdefault(key, []).append(row)
+                records.setdefault(key, []).append((image_ref, caption, row))
                 pending.append((line_no, features))
                 row += 1
                 if len(pending) == _CORPUS_BLOCK_ROWS:
                     add_block()
         if pending:
             add_block()
-        return records, rows
+        return records
 
     def _parse(self, line: bytes, line_no: int) -> tuple[str, str, str, object]:
         try:
@@ -494,9 +494,7 @@ class FixtureRetriever:
                 proposed_class=class_name,
                 source_target=source_target,
             )
-            for (image_ref, caption), row in zip(
-                self._records.get(key, ()), self._rows.get(key, ())
-            )
+            for image_ref, caption, row in self._records.get(key, ())
         ]
 
 
@@ -589,11 +587,10 @@ def curate(
         }
         return tid, counts, kept_by_name
 
-    if cfg.concurrency > 1 and len(targets) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
-            stage = list(pool.map(stage_one, targets))
-    else:
-        stage = [stage_one(t) for t in targets]
+    # map hands back the targets in order, and at the first failure cancels
+    # the ones no worker has started
+    with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
+        stage = list(pool.map(stage_one, targets))
 
     # auxiliary ids are given in target-id order, the order of ``targets``
     feats: list[np.ndarray] = []
@@ -619,34 +616,19 @@ def curate(
 
     if not feats:
         warnings_.append("no candidates survived curation; auxiliary set is empty")
-        aux = FeatureDataset(
-            features=np.zeros((0, dataset.feature_dim)),
-            labels=np.zeros(0, dtype=np.int64),
-            provenance="ingested",
-            ids=(),
-        )
-        merged = space
-    else:
-        dims = {f.shape for f in feats}
-        if len(dims) != 1:
-            raise DataError(f"candidate feature dims differ: {sorted(dims)}")
-        aux = FeatureDataset(
-            features=np.array(feats),
-            labels=np.asarray(labels, dtype=np.int64),
-            provenance="ingested",
-            ids=tuple(ids),
-        )
-        if aux.feature_dim != dataset.feature_dim:
-            raise DataError(
-                f"candidate feature dim {aux.feature_dim} does not match "
-                f"dataset dim {dataset.feature_dim}"
-            )
-        merged = LabelSpace(
-            num_target=space.num_target,
-            num_auxiliary=len(pairs),
-            neighbor_of=dict(pairs),
-            class_names={**space.class_names, **aux_names},
-        )
+    # every kept feature passed the cosine check against a (D,) prototype
+    aux = FeatureDataset(
+        features=np.array(feats).reshape(-1, dataset.feature_dim),
+        labels=np.asarray(labels, dtype=np.int64),
+        provenance="ingested",
+        ids=tuple(ids),
+    )
+    merged = LabelSpace(
+        num_target=space.num_target,
+        num_auxiliary=len(pairs),
+        neighbor_of=dict(pairs),
+        class_names={**space.class_names, **aux_names},
+    )
 
     report = {
         "config": cfg.to_json(),

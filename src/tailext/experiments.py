@@ -105,17 +105,14 @@ def build_benchmark(
     max_count: int = 300,
     imbalance: float = 0.01,
     test_per_class: int = 100,
-    sigma_fine: float = 2.5,
     per_target: int = 5,
     samples_per_aux: int = 120,
-    offset: float = 3.0,
-    expand: tuple[str, ...] = ("medium", "few"),
 ):
     """Long-tail target data plus synthetic neighbor categories.
 
-    Expansion targets are selected by split tag (default: medium and few),
-    mirroring the curation default of leaving head classes alone. Returns
-    (train, test, aux, merged space).
+    The hierarchy's ring is widened as in the pilot (sigma_fine 2.5), and the
+    medium and few classes are expanded, mirroring the curation default of
+    leaving head classes alone. Returns (train, test, aux, merged space).
     """
     counts = make_counts(
         CountProfile("exponential", num_classes, max_count, imbalance=imbalance), seed
@@ -124,7 +121,7 @@ def build_benchmark(
         num_superclasses=num_superclasses,
         num_classes=num_classes,
         feature_dim=feature_dim,
-        sigma_fine=sigma_fine,
+        sigma_fine=2.5,
     )
     train_ds, test_ds = make_hierarchy(spec, counts, seed, test_per_class)
     aux_ds, merged = make_auxiliary(
@@ -133,8 +130,7 @@ def build_benchmark(
         per_target=per_target,
         samples_per_aux=samples_per_aux,
         seed=seed,
-        targets=expansion_targets(counts, expand),
-        offset=offset,
+        targets=expansion_targets(counts, ("medium", "few")),
     )
     return train_ds, test_ds, aux_ds, merged
 
@@ -168,9 +164,6 @@ def run_method_pair(seed: int, cfg: RunConfig | None = None, **geometry) -> dict
         "baseline": baseline,
         "method": method,
         "method_state": method_state,
-        "train_ds": train_ds,
-        "test_ds": test_ds,
-        "splits": splits,
         "log": method_log,
     }
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
@@ -110,6 +110,24 @@ class SplitAssignment:
         return out
 
 
+# EvalReport's JSON fields beside split_sizes: the kind of value each holds,
+# and whether it may be null (or absent). A bool is never a number here.
+_KINDS = {"a number": (int, float), "an integer": (int,), "a boolean": (bool,)}
+_REPORT_FIELDS = (
+    ("overall_acc", "a number", False),
+    ("many_acc", "a number", True),
+    ("medium_acc", "a number", True),
+    ("few_acc", "a number", True),
+    ("head_tail_gap", "a number", True),
+    ("balanced_error_sum", "a number", False),
+    ("balanced_error_mean", "a number", False),
+    ("num_classes", "an integer", False),
+    ("num_samples", "an integer", False),
+    ("masked", "a boolean", False),
+    ("seed", "an integer", True),
+)
+
+
 @dataclass(frozen=True)
 class EvalReport:
     """Per-split and overall accuracy plus balanced error for one evaluation.
@@ -131,51 +149,27 @@ class EvalReport:
     num_samples: int
     masked: bool
     seed: int | None = None
-    config: Mapping | None = field(default=None)
 
     def to_json(self) -> dict:
-        return {
-            "overall_acc": self.overall_acc,
-            "many_acc": self.many_acc,
-            "medium_acc": self.medium_acc,
-            "few_acc": self.few_acc,
-            "head_tail_gap": self.head_tail_gap,
-            "balanced_error_sum": self.balanced_error_sum,
-            "balanced_error_mean": self.balanced_error_mean,
-            "split_sizes": dict(self.split_sizes),
-            "num_classes": self.num_classes,
-            "num_samples": self.num_samples,
-            "masked": self.masked,
-            "seed": self.seed,
-            "config": dict(self.config) if self.config is not None else None,
-        }
+        out = {key: getattr(self, key) for key, _, _ in _REPORT_FIELDS}
+        out["split_sizes"] = dict(self.split_sizes)
+        return out
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "EvalReport":
-        """The report ``to_json`` wrote. DataError unless each accuracy and
-        error is a number; the split accuracies and the gap may also be
-        null or absent."""
+        """The report ``to_json`` wrote. DataError unless each field holds
+        its kind of value (``_REPORT_FIELDS``); keys it does not know, such
+        as the ``config`` of older reports, are ignored."""
 
-        def number(key: str, absent: bool = False):
-            value = obj.get(key) if absent else obj[key]
-            if (absent and value is None) or type(value) in (int, float):
+        def field(key: str, kind: str, nullable: bool):
+            value = obj.get(key) if nullable else obj[key]
+            if (nullable and value is None) or type(value) in _KINDS[kind]:
                 return value
-            raise DataError(f"{key} must be a number{' or null' * absent}, got {value!r}")
+            raise DataError(f"{key} must be {kind}{' or null' * nullable}, got {value!r}")
 
         return cls(
-            overall_acc=number("overall_acc"),
-            many_acc=number("many_acc", absent=True),
-            medium_acc=number("medium_acc", absent=True),
-            few_acc=number("few_acc", absent=True),
-            head_tail_gap=number("head_tail_gap", absent=True),
-            balanced_error_sum=number("balanced_error_sum"),
-            balanced_error_mean=number("balanced_error_mean"),
             split_sizes=dict(obj.get("split_sizes", {})),
-            num_classes=obj["num_classes"],
-            num_samples=obj["num_samples"],
-            masked=obj["masked"],
-            seed=obj.get("seed"),
-            config=obj.get("config"),
+            **{key: field(key, kind, nullable) for key, kind, nullable in _REPORT_FIELDS},
         )
 
     def to_text(self) -> str:
@@ -189,18 +183,8 @@ class EvalReport:
         )
 
     def csv_row(self) -> list:
-        return [
-            self.seed,
-            int(self.masked),
-            self.num_classes,
-            self.overall_acc,
-            self.many_acc,
-            self.medium_acc,
-            self.few_acc,
-            self.head_tail_gap,
-            self.balanced_error_sum,
-            self.balanced_error_mean,
-        ]
+        """The EVAL_CSV_COLUMNS values, with masked written as 1 or 0."""
+        return [int(self.masked) if c == "masked" else getattr(self, c) for c in EVAL_CSV_COLUMNS]
 
 
 def evaluate(
@@ -209,7 +193,6 @@ def evaluate(
     splits: SplitAssignment,
     mask: bool = True,
     seed: int | None = None,
-    config: Mapping | None = None,
     *,
     _predictions: np.ndarray | None = None,
 ) -> EvalReport:
@@ -262,7 +245,6 @@ def evaluate(
         num_samples=len(test),
         masked=mask,
         seed=seed,
-        config=config,
     )
 
 
@@ -270,12 +252,11 @@ def count_rank_gap(
     predictions: np.ndarray,
     labels: np.ndarray,
     stats: ClassStats,
-    fraction: float = 1 / 3,
 ) -> float:
     """Head-tail accuracy gap with head/tail defined by count rank terciles.
 
-    Head classes are the ``fraction`` most frequent, tail classes the least
-    frequent (ties broken by class id, stable sort). Unlike the threshold
+    Head classes are the most frequent third, tail classes the least
+    frequent third (ties broken by class id, stable sort). Unlike the threshold
     splits this stays defined on balanced data, where it hovers around zero;
     the granularity pilot sweeps imbalance ratios down to 1.0 and needs a gap
     at every grid point.
@@ -283,7 +264,7 @@ def count_rank_gap(
     preds = np.asarray(predictions, dtype=np.int64)
     labs = np.asarray(labels, dtype=np.int64)
     n_classes = len(stats)
-    n_group = max(1, int(n_classes * fraction))
+    n_group = max(1, int(n_classes * (1 / 3)))
     order = np.argsort(-stats.counts, kind="stable")
     head = order[:n_group]
     tail = order[n_classes - n_group:]

@@ -222,14 +222,14 @@ def make_auxiliary(
     seed: int = 0,
     targets: Sequence[int] | None = None,
     offset: float = 3.0,
-    noise: float = 1.0,
 ) -> tuple[FeatureDataset, LabelSpace]:
     """Synthesize neighbor categories for the designated target classes.
 
     Each auxiliary center sits at the target's empirical class mean plus
-    `offset` along a random unit direction; with the default geometry that
-    puts neighbors between the fine-class spread and the superclass spread,
-    close enough to compete with their target but not identical to it.
+    `offset` along a random unit direction, and its samples spread around it
+    with unit standard deviation; with the default geometry that puts
+    neighbors between the fine-class spread and the superclass spread, close
+    enough to compete with their target but not identical to it.
     """
     if per_target < 1:
         raise ConfigError(f"per_target must be >= 1, got {per_target}")
@@ -262,7 +262,7 @@ def make_auxiliary(
             direction /= np.linalg.norm(direction)
             start = (next_id - L) * samples_per_aux
             _fill(feats[start : start + samples_per_aux], center + offset * direction,
-                  derive_rng(seed, "aux-sample", t, j), noise)
+                  derive_rng(seed, "aux-sample", t, j), 1.0)
             neighbor_of[next_id] = t
             next_id += 1
     aux_ds = FeatureDataset(

@@ -1,6 +1,12 @@
 """Fixtures shared by the test modules."""
 import os
 
+# The tests run as the CLI does (tailext.__main__): BLAS at one thread, set
+# before tailext.core loads numpy. Results then do not depend on the CPU
+# count, and with no BLAS pool the drivers split their runs across the CPUs.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import pytest
 
 from tailext import core

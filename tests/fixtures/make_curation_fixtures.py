@@ -1,6 +1,7 @@
 """Regenerate the curation fixture corpus and its golden outcome file.
 
-Run from the repo root:  python3 tests/fixtures/make_curation_fixtures.py
+Run from the repo root:  python3 tests/fixtures/make_curation_fixtures.py [OUT_DIR]
+(OUT_DIR defaults to tests/fixtures/curation).
 
 The corpus is constructed so every candidate has a planned outcome (kept,
 caption, similarity-low, similarity-high) with comfortable margins to the
@@ -11,6 +12,7 @@ test suite then holds curate() to that file exactly.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -120,7 +122,7 @@ def build_targets() -> tuple[FeatureDataset, LabelSpace]:
 def build_corpus(ds: FeatureDataset) -> list[dict]:
     records = []
     for name, (tid, outcomes) in PLAN.items():
-        proto = compute_prototype(ds, tid).vector
+        proto = compute_prototype(ds, tid)
         p_hat = proto / np.linalg.norm(proto)  # exactly e_tid
         for seq, (outcome, cos_v) in enumerate(outcomes):
             u = np.zeros(DIM)
@@ -145,20 +147,20 @@ def build_corpus(ds: FeatureDataset) -> list[dict]:
     return records
 
 
-def main() -> None:
-    HERE.mkdir(parents=True, exist_ok=True)
+def main(out: Path = HERE) -> None:
+    out.mkdir(parents=True, exist_ok=True)
     ds, space = build_targets()
-    write_dataset(ds, space, HERE / "train.jsonl", extra_meta={"fixture": "curation"})
-    (HERE / "responses.json").write_text(json.dumps(RESPONSES, indent=2) + "\n")
+    write_dataset(ds, space, out / "train.jsonl", extra_meta={"fixture": "curation"})
+    (out / "responses.json").write_text(json.dumps(RESPONSES, indent=2) + "\n")
 
     records = build_corpus(ds)
-    with (HERE / "candidates.jsonl").open("w") as fh:
+    with (out / "candidates.jsonl").open("w") as fh:
         for rec in records:
             fh.write(json.dumps({k: v for k, v in rec.items() if k != "_planned"}) + "\n")
 
     # audit: the real pipeline must agree with the plan record by record
-    client = FixtureLLMClient(HERE)
-    retriever = FixtureRetriever(HERE / "candidates.jsonl")
+    client = FixtureLLMClient(out)
+    retriever = FixtureRetriever(out / "candidates.jsonl")
     cfg = CurationConfig()
     aux, merged, report = curate(space, ds, client, retriever, cfg)
 
@@ -191,7 +193,7 @@ def main() -> None:
         "empty_targets": report["empty_targets"],
         "total_kept": len(aux),
     }
-    (HERE / "golden.json").write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    (out / "golden.json").write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     print(
         f"fixture ready: {len(records)} candidates, {golden['total_kept']} kept, "
         f"{merged.num_auxiliary} aux classes"
@@ -199,4 +201,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else HERE)

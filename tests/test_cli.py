@@ -384,6 +384,8 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert run("train", "--data", FIXTURES / "train.jsonl",
                    "--ratio", "1:2", "--out", tmp_path / "o") == 2
+        assert run("train", "--data", FIXTURES / "train.jsonl",
+                   "--ratio", "auto", "--out", tmp_path / "o") == 2
         assert run("eval", "--test", "t.jsonl") == 2
         assert run("report") == 2
         cfg = tmp_path / "axis.json"
@@ -521,6 +523,19 @@ class TestExitCodes:
         path.write_text(json.dumps(report))
         assert run("report", path) == 3
         assert f"{key} must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("masked", "no", "a boolean"), ("masked", 1, "a boolean"),
+        ("num_classes", "x", "an integer"), ("num_classes", True, "an integer"),
+        ("num_samples", 1000.0, "an integer"), ("num_samples", None, "an integer"),
+        ("seed", "0", "an integer or null"), ("seed", False, "an integer or null"),
+    ])
+    def test_report_field_of_the_wrong_type_is_3(self, tmp_path, capsys, key, value, kind):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(dict(REPORT, **{key: value})))
+        assert run("report", path, "--out", tmp_path / "o") == 3
+        assert f"{key} must be {kind}, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.csv").exists()
 
     def test_report_splits_may_be_null_or_absent(self, tmp_path, capsys):
         report = {k: v for k, v in REPORT.items() if k != "many_acc"}

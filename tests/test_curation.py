@@ -1,5 +1,6 @@
 """Curation pipeline: prompting, leak filtering, the keep band, end-to-end
 runs against the frozen fixture corpus, and the HTTP client."""
+import importlib.util
 import json
 import os
 import threading
@@ -513,6 +514,35 @@ class EmptyRetriever:
         return []
 
 
+class ShapedRetriever:
+    """One candidate per name, captioned with it, of ones in ``shape``."""
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def retrieve(self, class_name, source_target):
+        return [cand(name=class_name, caption=f"a {class_name}", target=source_target,
+                     feature=np.ones(self.shape))]
+
+
+class FailingClient:
+    """Replays ``inner`` but fails the query for ``fail``; records the class
+    of every query, in the order they came."""
+
+    def __init__(self, inner, fail):
+        self.inner, self.fail = inner, fail
+        self.queried: list[str] = []
+        self.lock = threading.Lock()
+
+    def complete(self, prompt):
+        name = prompt.rsplit("Query: ", 1)[1].split("\n", 1)[0]
+        with self.lock:
+            self.queried.append(name)
+        if name == self.fail:
+            raise ExternalServiceError(f"no answer for {name}")
+        return self.inner.complete(prompt)
+
+
 class TestCurateEdges:
     def space_and_data(self):
         dataset, space, _ = read_dataset(FIXTURES / "train.jsonl")
@@ -524,6 +554,7 @@ class TestCurateEdges:
         aux, merged, report = curate(space, dataset, client, EmptyRetriever())
         assert len(aux) == 0
         assert aux.features.shape == (0, dataset.feature_dim)
+        assert aux.features.dtype == np.float64
         assert merged == space
         assert report["num_aux_classes"] == 0
         assert report["warnings"]
@@ -558,6 +589,24 @@ class TestCurateEdges:
         par_rep = {k: v for k, v in par[2].items() if k != "config"}
         assert seq_rep == par_rep
 
+    def test_first_failure_stops_the_queries_at_one_job(self):
+        space, dataset = self.space_and_data()
+        client = FailingClient(FixtureLLMClient(FIXTURES), fail="ragdoll")
+        cfg = CurationConfig(concurrency=1)
+        with pytest.raises(ExternalServiceError, match="ragdoll"):
+            curate(space, dataset, client, FixtureRetriever(FIXTURES / "candidates.jsonl"), cfg)
+        # ragdoll is the first of the three expanded targets; at most the
+        # next one was started before the failure cancelled the rest
+        assert client.queried[0] == "ragdoll"
+        assert len(client.queried) <= 2
+
+    @pytest.mark.parametrize("shape", [(8, 1), (7,)])
+    def test_feature_not_a_flat_vector_of_the_dim(self, shape):
+        space, dataset = self.space_and_data()
+        assert dataset.feature_dim == 8
+        with pytest.raises(DataError, match="cosine"):
+            curate(space, dataset, FixtureLLMClient(FIXTURES), ShapedRetriever(shape))
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             CurationConfig(k=0)
@@ -569,3 +618,14 @@ class TestCurateEdges:
             CurationConfig(expand=())
         with pytest.raises(ConfigError):
             CurationConfig(concurrency=0)
+
+
+class TestFixtureGenerator:
+    def test_rebuilds_the_committed_fixture(self, tmp_path):
+        script = FIXTURES.parent / "make_curation_fixtures.py"
+        spec = importlib.util.spec_from_file_location("make_curation_fixtures", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module.main(tmp_path)
+        for name in ("candidates.jsonl", "responses.json", "golden.json", "train.jsonl"):
+            assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tailext.core import RunConfig
+from tailext.core import ClassStats, LabelSpace, RunConfig
 from tailext.experiments import (
     BENCH_CONFIG,
     MLP_CONFIG,
@@ -16,8 +16,9 @@ from tailext.experiments import (
     run_pilot_cell,
     run_pilot_grid,
 )
-from tailext.metrics import EvalReport
+from tailext.metrics import EvalReport, expansion_targets
 from tailext.model import ClassifierState
+from tailext.synth import make_auxiliary
 
 TOY = dict(num_classes=10, num_superclasses=2, feature_dim=8,
            max_count=120, test_per_class=5)
@@ -72,9 +73,11 @@ class TestBenchmark:
         assert len(test) == 50
 
     def test_expand_many_only(self):
-        _, _, _, merged = build_benchmark(
-            seed=0, per_target=1, samples_per_aux=5, expand=("many",), **TOY
-        )
+        # build_benchmark expands medium and few; the same steps expand the head
+        train, _, _, _ = build_benchmark(seed=0, per_target=1, samples_per_aux=5, **TOY)
+        counts = ClassStats(train.class_counts(10))
+        _, merged = make_auxiliary(train, LabelSpace(num_target=10), 1, 5, seed=0,
+                                   targets=expansion_targets(counts, ("many",)))
         assert sorted(set(merged.neighbor_of.values())) == [0]  # only count 120
 
 

@@ -163,7 +163,7 @@ def small_report(**over):
         overall_acc=75.0, many_acc=90.0, medium_acc=70.0, few_acc=40.0,
         head_tail_gap=50.0, balanced_error_sum=1.2, balanced_error_mean=0.3,
         split_sizes={"many": 10, "medium": 5, "few": 5}, num_classes=4,
-        num_samples=20, masked=True, seed=3, config={"lambda_s": 0.1},
+        num_samples=20, masked=True, seed=3,
     )
     base.update(over)
     return EvalReport(**base)

@@ -158,7 +158,7 @@ class TestAuxiliary:
 
         def center_dists(offset):
             aux, _ = make_auxiliary(self.train, self.space, 1, 400, seed=5,
-                                    targets=[2], offset=offset, noise=1.0)
+                                    targets=[2], offset=offset)
             return np.linalg.norm(aux.features - center, axis=1)
 
         near = center_dists(1e-9)
