@@ -214,7 +214,6 @@ def cmd_synth(args) -> int:
     counts = make_counts(profile, cfg["seed"])
     # checked even when no auxiliary data is made
     targets = expansion_targets(counts, cfg["expand"])
-    out = _out_dir(args)
     spec = HierarchySpec(
         num_superclasses=cfg["num_superclasses"],
         num_classes=cfg["num_classes"],
@@ -227,6 +226,18 @@ def cmd_synth(args) -> int:
 
     names = _read_names(cfg["names"]) if cfg["names"] else None
     space = LabelSpace(num_target=cfg["num_classes"], class_names=names)
+    # made before any file is written, so that its checks leave none behind
+    aux = None
+    if cfg["aux_per_target"] > 0:
+        aux = make_auxiliary(
+            train_ds,
+            space,
+            per_target=cfg["aux_per_target"],
+            samples_per_aux=cfg["samples_per_aux"],
+            seed=cfg["seed"],
+            targets=targets,
+            offset=cfg["aux_offset"],
+        )
 
     meta = {
         "generator": {
@@ -236,20 +247,11 @@ def cmd_synth(args) -> int:
         },
         "train_counts": counts.counts.tolist(),
     }
+    out = _out_dir(args)
     write_dataset(train_ds, space, out / "train.jsonl", extra_meta=meta)
     write_dataset(test_ds, space, out / "test.jsonl", extra_meta=meta)
-
-    if cfg["aux_per_target"] > 0:
-        aux_ds, merged = make_auxiliary(
-            train_ds,
-            space,
-            per_target=cfg["aux_per_target"],
-            samples_per_aux=cfg["samples_per_aux"],
-            seed=cfg["seed"],
-            targets=targets,
-            offset=cfg["aux_offset"],
-        )
-        write_dataset(aux_ds, merged, out / "aux.jsonl", extra_meta=meta)
+    if aux is not None:
+        write_dataset(*aux, out / "aux.jsonl", extra_meta=meta)
 
     _write_manifest(out, "synth", cfg)
     print(f"wrote {len(train_ds)} train / {len(test_ds)} test samples to {out}")

@@ -11,16 +11,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import mmap
 import os
 import pickle
-import signal
 import sys
 import threading
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "derive_rng",
     "write_dataset",
     "read_dataset",
+    "read_records",
 ]
 
 
@@ -210,7 +211,10 @@ class FeatureDataset:
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        try:
+            labels = np.asarray(self.labels, dtype=np.int64)
+        except OverflowError as exc:
+            raise DataError(f"labels must fit in int64: {exc}") from exc
         if feats.ndim != 2:
             raise DataError(f"features must be 2-d (N, C), got shape {feats.shape}")
         if labels.shape != (feats.shape[0],):
@@ -271,6 +275,9 @@ _CHUNK = 1 << 20
 # Floats of JSON text one part must format or parse before it is worth a
 # fork: about 50 ms of json.dumps at ~1.25 us per float on one core.
 _PART_MIN_FLOATS = 40_000
+# Record rows converted into one float64 block at a time: bounds the Python
+# float lists held at once while a file of records loads.
+_CORPUS_BLOCK_ROWS = 512
 
 
 # Threads this process runs besides its Python threads, such as the pool
@@ -284,21 +291,23 @@ except OSError:
     _NATIVE_THREADS = 0
 
 
-def _cpu_count() -> int:
-    """How many processes may share independent work: one per available
-    CPU. It is 1, the caller's own serial loop, on a platform without fork
-    or while the process runs other threads, whose held locks a forked
-    child would inherit."""
+def _process_count(floats: int | None = None) -> int:
+    """How many processes may share independent work: one per
+    1 + _NATIVE_THREADS of the CPUs available, since every process runs its
+    native threads as well, a forked child a BLAS pool of the same size.
+    More would leave the pools spinning for CPU time, which made an MLP
+    ablation cell three times slower under a BLAS pool of 2 on 2 CPUs. Text
+    work on ``floats`` values also gives each process at least
+    _PART_MIN_FLOATS of them. It is 1, the caller's own serial loop, on a
+    platform without fork or while the process runs other threads, whose
+    held locks a forked child would inherit."""
     if threading.active_count() > 1 or not hasattr(os, "fork"):
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return cpus or 1
-
-
-def _part_count(floats: int) -> int:
-    """Into how many row ranges text work on ``floats`` values is split: one
-    per CPU that ``_cpu_count`` allows, each of at least _PART_MIN_FLOATS."""
-    return max(1, min(_cpu_count(), math.ceil(floats / _PART_MIN_FLOATS)))
+    count = (cpus or 1) // (1 + _NATIVE_THREADS)
+    if floats is not None:
+        count = min(count, math.ceil(floats / _PART_MIN_FLOATS))
+    return max(1, count)
 
 
 def _flush_stdio() -> None:
@@ -309,63 +318,35 @@ def _flush_stdio() -> None:
             pass
 
 
-def _run_part(task: Callable, part: int, write_fd: int) -> None:
-    """The body of a forked child: run ``task(part)``, send back its result
-    or exception, pickled, and leave through ``os._exit``, so none of the
-    parent's exit handlers or ``finally`` blocks run a second time."""
-    code = 0
-    try:
-        try:
-            result = (True, task(part))
-        except Exception as exc:  # raised again in the parent, in part order
-            result = (False, exc)
-        with open(write_fd, "wb") as out:
-            pickle.dump(result, out, protocol=pickle.HIGHEST_PROTOCOL)
-    except BaseException:  # not all was sent: the parent reports the exit code
-        code = 1
-        sys.excepthook(*sys.exc_info())
-    finally:
-        _flush_stdio()
-        os._exit(code)
+def _map_runs(fn: Callable, items: Sequence) -> list:
+    """``[fn(item) for item in items]`` for independent items, in item order.
 
+    The items are dealt round-robin to at most ``_process_count()`` parts:
+    this process runs part 0, item 0 always among them, and forked children
+    the others, each sending back only what ``fn`` returned, pickled.
+    Standard output and error are flushed before each fork, so a child
+    never writes again what the caller printed, and a child leaves through
+    ``os._exit``, so none of the caller's exit handlers or ``finally``
+    blocks run a second time.
 
-@contextmanager
-def _forked(task: Callable, parts: int) -> Iterator[Iterator]:
-    """Run ``task(1)`` ... ``task(parts - 1)`` in forked children while the
-    caller does part 0 itself.
-
-    Yields an iterator over the children's results in part order; it raises
-    a child's exception when it reaches that part, and a RuntimeError
-    naming the exit code of a child that ended without sending its result.
-    On exit every child whose result was not received is killed, and every
-    child is reaped. Standard output and error are flushed before each
-    fork, so a child never writes again what the caller printed.
+    An item that raises ends its part. Once every child has been reaped,
+    a RuntimeError names the exit code of the first child that ended
+    without sending its results; otherwise the exception of the first
+    failed item in item order is raised, as the serial loop would raise it.
     """
-    pids: list[int | None] = []  # None once reaped
+    parts = max(1, min(_process_count(), len(items)))
+
+    def run_part(part: int):
+        done = []
+        for i in range(part, len(items), parts):
+            try:
+                done.append(fn(items[i]))
+            except Exception as exc:  # raised below if no earlier item failed
+                return done, (i, exc)
+        return done, None
+
+    pids: list[int] = []
     pipes: list[int] = []  # the read end of each child's pipe
-    received = 0
-
-    def results():
-        nonlocal received
-        while received < len(pids):
-            part = received
-            with open(pipes[part], "rb", closefd=False) as src:
-                try:
-                    sent = pickle.load(src)
-                except (EOFError, pickle.UnpicklingError):  # nothing, or not all of it
-                    sent = None
-            received += 1
-            if sent is None:
-                status = os.waitpid(pids[part], 0)[1]
-                pids[part] = None
-                raise RuntimeError(
-                    f"part worker exited with code {os.waitstatus_to_exitcode(status)}"
-                )
-            ok, value = sent
-            if not ok:
-                raise value
-            yield value
-
     try:
         for part in range(1, parts):
             read_fd, write_fd = os.pipe()
@@ -374,50 +355,33 @@ def _forked(task: Callable, parts: int) -> Iterator[Iterator]:
                 _flush_stdio()
                 pid = os.fork()
                 if pid == 0:
-                    _run_part(task, part, write_fd)  # never returns
+                    code = 0
+                    try:
+                        with open(write_fd, "wb") as out:
+                            pickle.dump(run_part(part), out, protocol=pickle.HIGHEST_PROTOCOL)
+                    except BaseException:  # not all was sent: the caller reports the exit code
+                        code = 1
+                        sys.excepthook(*sys.exc_info())
+                    finally:
+                        _flush_stdio()
+                        os._exit(code)
             finally:
-                # the parent holds no write end, so a child that dies reads as EOF
+                # the caller holds no write end, so a child that dies reads as EOF
                 os.close(write_fd)
             pids.append(pid)
-        yield results()
-    finally:
-        for part, pid in enumerate(pids):
-            if pid is not None:
-                if part >= received:
-                    os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        dealt = [run_part(0)]
         for read_fd in pipes:
-            os.close(read_fd)
-
-
-def _map_runs(fn: Callable, items: Sequence) -> list:
-    """``[fn(item) for item in items]`` for independent runs, in item order.
-
-    The items are dealt round-robin to parts: this process runs part 0 and
-    forked children the others (see ``_forked``), so only what ``fn``
-    returns is sent back, pickled. Every process runs its native threads
-    as well, a forked child a BLAS pool of the same size, so there is one
-    part per 1 + _NATIVE_THREADS of the CPUs that ``_cpu_count`` allows:
-    more would leave the pools spinning for CPU time, which made an MLP
-    ablation cell three times slower under a BLAS pool of 2 on 2 CPUs.
-
-    A run that raises ends its part, and once every part has finished the
-    exception of the first failed run in item order is raised, as the
-    serial loop would raise it.
-    """
-    parts = max(1, min(_cpu_count() // (1 + _NATIVE_THREADS), len(items)))
-
-    def run_part(part: int):
-        done = []
-        for i in range(part, len(items), parts):
-            try:
-                done.append(fn(items[i]))
-            except Exception as exc:  # raised below if no earlier run failed
-                return done, (i, exc)
-        return done, None
-
-    with _forked(run_part, parts) as rest:
-        dealt = [run_part(0), *rest]
+            with open(read_fd, "rb", closefd=False) as src:
+                try:
+                    dealt.append(pickle.load(src))
+                except (EOFError, pickle.UnpicklingError):  # nothing, or not all of it
+                    dealt.append(None)
+    finally:
+        for read_fd in pipes:
+            os.close(read_fd)  # a child still sending then fails, and exits
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if None in dealt:
+        raise RuntimeError(f"part worker exited with code {codes[dealt.index(None) - 1]}")
     failed = [f for _, f in dealt if f is not None]
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
@@ -425,6 +389,176 @@ def _map_runs(fn: Callable, items: Sequence) -> list:
     for part, (done, _) in enumerate(dealt):
         out[part::parts] = done
     return out
+
+
+def _row_problem(features, dim: int, owner: str) -> str | None:
+    """Why one record's features are unusable, or None."""
+    if not isinstance(features, list) or not features:
+        return "features must be a non-empty list of numbers"
+    try:
+        row = np.array(features)
+    except ValueError:
+        row = None
+    if row is None or row.dtype.kind not in "biuf" or row.shape != (len(features),):
+        return "features must be a flat list of numbers"
+    if row.size != dim:
+        return f"features have {row.size} values, the {owner} has {dim}"
+    if not np.isfinite(row).all():
+        return "non-finite feature value"
+    return None
+
+
+def _parse_record(line: bytes, fields: Mapping[str, type], seen: dict) -> tuple[tuple, object]:
+    """The values of ``fields`` and the features of one JSON record, each
+    value the first equal one in ``seen``; raises ValueError naming what is
+    wrong with the record."""
+    try:
+        rec = json.loads(line)
+    # bad UTF-8 too, as json.loads decodes the bytes; and nesting too deep
+    # for its recursion
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(repr(exc)) from None
+    if not isinstance(rec, dict):
+        raise ValueError(f"a record must be a JSON object, got {type(rec).__name__}")
+    missing = ({*fields, "features"}) - rec.keys()
+    if missing:
+        raise ValueError(f"missing {sorted(missing)}")
+    for key, kind in fields.items():
+        if isinstance(rec[key], bool) or not isinstance(rec[key], kind):
+            raise ValueError(
+                f"{key!r} must be of type {kind.__name__}, got {type(rec[key]).__name__}"
+            )
+    return tuple(seen.setdefault(rec[key], rec[key]) for key in fields), rec["features"]
+
+
+def _newlines(fh, size: int) -> int:
+    """The newlines in the next ``size`` bytes of ``fh``."""
+    return sum(fh.read(min(_CHUNK, size - done)).count(b"\n") for done in range(0, size, _CHUNK))
+
+
+def read_records(
+    path: Path,
+    dim: int | None,
+    fields: Mapping[str, type],
+    where: Callable[[int], str],
+) -> tuple[np.ndarray, list[tuple]]:
+    """(features, records) of a JSONL file of records with a ``features``
+    list: record i is the tuple of its ``fields`` values, in their order,
+    and row i of the read-only (N, dim) float64 array its features, both
+    in file order. Blank lines are skipped.
+
+    Every record must be a JSON object with the keys of ``fields`` and
+    ``features``; each field value an instance of its type, where a bool is
+    no int; and the features a flat list of ``dim`` finite numbers, where a
+    string is no number. ``dim`` of None takes the first record's length.
+    The first line that breaks a rule raises DataError, its message
+    ``where(line number)`` and then the problem.
+
+    The file is parsed in byte ranges that start at line boundaries, one
+    per process (``_process_count``): this process parses the first and
+    forked children the others, each into its own rows of one array in
+    memory shared with them. Only the field values come back from a child.
+    The result and the error do not depend on the number of ranges.
+    """
+    owner = "corpus" if dim is None else "sidecar"
+    size = path.stat().st_size
+    parts = 1
+    with path.open("rb") as fh:
+        for line in fh:
+            if line.strip():
+                if dim is None:
+                    try:
+                        first = json.loads(line).get("features")
+                    # reported when its part loads
+                    except (ValueError, RecursionError, AttributeError):
+                        first = None
+                    dim = len(first) if isinstance(first, list) else 0
+                # about size / len(line) records of dim floats each
+                parts = _process_count(dim * size // len(line))
+                break
+        dim = dim or 0  # a file without records has no columns either
+        # each part starts at the first line that begins at or after its offset
+        bounds = [0]
+        for k in range(1, parts):
+            fh.seek(size * k // parts - 1)
+            fh.readline()
+            bounds.append(fh.tell())
+        bounds.append(size)
+        fh.seek(0)
+        newlines = [_newlines(fh, stop - start) for start, stop in zip(bounds, bounds[1:])]
+    # line numbers count from the top of the file, and every line but the
+    # file's last ends in its own part: part k's rows start at the row of
+    # its first line, and the last line of the file has a row even without
+    # a newline
+    first_lines = list(accumulate(newlines, initial=1))
+    rows = first_lines[-1]
+    row_bytes = dim * 8
+    shared = mmap.mmap(-1, max(1, rows * row_bytes))  # no mapping is empty
+    feats = np.frombuffer(shared, count=rows * dim).reshape(rows, dim)
+
+    def block(pending: list[tuple[int, list]]) -> np.ndarray:
+        """The (n, dim) float64 block of the pending features, in file
+        order; names the first bad line if a record's are unusable."""
+        lists = [features for _, features in pending]
+        try:
+            out = np.array(lists)
+        except ValueError:
+            out = None
+        if out is None or out.dtype.kind not in "biuf" or out.ndim != 2 or not (
+            np.isfinite(out).all()
+        ):
+            for line_no, features in pending:
+                problem = _row_problem(features, dim, owner)
+                if problem:
+                    raise DataError(f"{where(line_no)}: {problem}")
+            # every row is numeric on its own, so together they convert to float64
+            out = np.array(lists, dtype=np.float64)
+        return out.astype(np.float64, copy=False)
+
+    def load(part: int) -> list[tuple]:
+        records: list[tuple] = []
+        # equal field values, such as a corpus's class names, are held, and
+        # sent back, once
+        seen: dict = {}
+        pending: list[tuple[int, list]] = []
+        row = first_lines[part] - 1
+        with path.open("rb") as fh:
+            fh.seek(bounds[part])
+            offset = bounds[part]
+            for line_no, line in enumerate(fh, first_lines[part]):
+                if offset >= bounds[part + 1]:
+                    break
+                offset += len(line)
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    values, features = _parse_record(line, fields, seen)
+                    if not (isinstance(features, list) and 0 < len(features) == dim):
+                        raise ValueError(_row_problem(features, dim, owner))
+                except ValueError as exc:
+                    block(pending)  # an earlier bad line is reported first
+                    raise DataError(f"{where(line_no)}: {exc}") from None
+                records.append(values)
+                pending.append((line_no, features))
+                row += 1
+                if len(pending) == _CORPUS_BLOCK_ROWS:
+                    feats[row - len(pending):row] = block(pending)
+                    pending.clear()
+        if pending:
+            feats[row - len(pending):row] = block(pending)
+        return records
+
+    records: list[tuple] = []
+    for part, loaded in enumerate(_map_runs(load, range(parts))):
+        # close the rows that blank lines left empty, so record i is row i
+        start = first_lines[part] - 1
+        if start != len(records):
+            shared.move(len(records) * row_bytes, start * row_bytes, len(loaded) * row_bytes)
+        records.extend(loaded)
+    feats = feats[: len(records)]
+    feats.setflags(write=False)
+    return feats, records
 
 
 class _HashingWriter:
@@ -461,15 +595,16 @@ def write_dataset(
     sidecar names it with the sha256 of both files, so ``read_dataset`` can
     skip parsing float text while the two still match.
 
-    The rows are formatted in contiguous ranges (see ``_part_count``): this
-    process writes the first straight to the manifest, and forked children
-    write the others to part files beside it, which are then appended in
-    order. The bytes do not depend on the number of ranges.
+    The rows are formatted in contiguous ranges, one per process (see
+    ``_process_count``): this process writes the first straight to the
+    manifest, and forked children write the others to part files beside it,
+    which are then appended in order. The bytes do not depend on the number
+    of ranges.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     ids = dataset.sample_ids()
-    parts = _part_count(dataset.features.size)
+    parts = _process_count(dataset.features.size)
     bounds = [len(dataset) * k // parts for k in range(parts + 1)]
     part_files = {k: path.with_name(f"{path.name}.part{k}") for k in range(1, parts)}
 
@@ -482,16 +617,20 @@ def write_dataset(
             }
             out.write((json.dumps(rec) + "\n").encode("utf-8"))
 
-    def write_part(part: int) -> None:
-        with part_files[part].open("wb") as fh:
-            write_rows(fh, part)
-
     try:
-        with _forked(write_part, parts) as done, path.open("wb") as fh:
+        with path.open("wb") as fh:
             out = _HashingWriter(fh)
-            write_rows(out, 0)
-            for part, _ in enumerate(done, 1):
-                with part_files[part].open("rb") as src:
+
+            def write_range(part: int) -> None:
+                if part == 0:  # always run by this process
+                    write_rows(out, 0)
+                    return
+                with part_files[part].open("wb") as part_fh:
+                    write_rows(part_fh, part)
+
+            _map_runs(write_range, range(parts))
+            for part_file in part_files.values():
+                with part_file.open("rb") as src:
                     while chunk := src.read(_CHUNK):
                         out.write(chunk)
     finally:
@@ -560,40 +699,6 @@ def _read_cache(path: Path, meta: Mapping, dim: int):
     return feats, labels, [str(i) for i in ids]
 
 
-def _read_jsonl(path: Path, dim: int):
-    """(features, labels, ids, line numbers) parsed from the JSONL text."""
-    ids: list[str] = []
-    labels: list[int] = []
-    rows: list[list[float]] = []
-    line_nos: list[int] = []
-    # binary lines: json.loads decodes them, so bad UTF-8 is a bad record
-    with path.open("rb") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                ids.append(str(rec["id"]))
-                labels.append(int(rec["label"]))
-                rows.append(rec["features"])
-            except (KeyError, ValueError) as exc:
-                raise DataError(f"{path}:{line_no}: bad manifest record: {exc}") from exc
-            line_nos.append(line_no)
-    try:
-        feats = np.asarray(rows, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}: feature rows do not form a numeric matrix: {exc}") from exc
-    if feats.size == 0:
-        feats = feats.reshape(0, dim)
-    if feats.ndim != 2 or feats.shape[1] != dim:
-        raise DataError(
-            f"{path}: feature rows of shape {feats.shape[1:]} disagree with sidecar "
-            f"feature dim {dim}"
-        )
-    return feats, labels, ids, line_nos
-
-
 def read_dataset(path: str | Path) -> tuple[FeatureDataset, LabelSpace, dict]:
     """Read a JSONL manifest and its sidecar; returns (dataset, space, meta).
 
@@ -610,24 +715,29 @@ def read_dataset(path: str | Path) -> tuple[FeatureDataset, LabelSpace, dict]:
     try:
         meta = json.loads(sidecar.read_text())
         space = LabelSpace.from_json(meta["label_space"])
-        dim = int(meta["feature_dim"])
+        dim = meta["feature_dim"]
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise ValueError(f"feature_dim must be an integer >= 1, got {dim!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{sidecar}: bad header sidecar: {exc!r}") from exc
     cached = _read_cache(path, meta, dim)
-    if cached is not None:
-        feats, labels, ids = cached
-        # a manifest that matches its hash is writer output: record i is line i + 1
-        line_nos = range(1, len(labels) + 1)
+    if cached is None:
+        feats, records = read_records(
+            path, dim, {"id": str, "label": int}, lambda line_no: f"{path}:{line_no}"
+        )
+        ids = [record_id for record_id, _ in records]
+        labels = [label for _, label in records]
     else:
-        feats, labels, ids, line_nos = _read_jsonl(path, dim)
-    # json reads NaN and Infinity; they must not reach training or scoring
-    finite = np.isfinite(feats).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise DataError(f"{path}:{line_nos[row]}: non-finite feature value")
+        feats, labels, ids = cached
+        # json writes NaN and Infinity, which must not reach training or
+        # scoring; a manifest that matches its hash is writer output, so
+        # record i is line i + 1
+        finite = np.isfinite(feats).all(axis=1)
+        if not finite.all():
+            raise DataError(f"{path}:{int(np.argmin(finite)) + 1}: non-finite feature value")
     ds = FeatureDataset(
         features=feats,
-        labels=np.asarray(labels, dtype=np.int64),
+        labels=labels,
         provenance=meta.get("provenance", "ingested"),
         ids=tuple(ids),
     )

@@ -9,28 +9,24 @@ tests and against HTTP services in production.
 from __future__ import annotations
 
 import json
-import mmap
 import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .core import (
-    _CHUNK,
     ClassStats,
     ConfigError,
     DataError,
     ExternalServiceError,
     FeatureDataset,
     LabelSpace,
-    _forked,
-    _part_count,
+    read_records,
 )
 from .metrics import expand_splits, expansion_targets
 
@@ -297,192 +293,32 @@ class Retriever(Protocol):
     def retrieve(self, class_name: str, source_target: int) -> list[Candidate]: ...
 
 
-# Corpus rows converted into one float64 block at a time: bounds the Python
-# float lists held at once while the corpus loads.
-_CORPUS_BLOCK_ROWS = 512
-
-
-def _corpus_row_problem(features, dim: int) -> str | None:
-    """Why one corpus record's features are unusable, or None."""
-    if not isinstance(features, list) or not features:
-        return "features must be a non-empty list of numbers"
-    try:
-        row = np.array(features)
-    except ValueError:
-        row = None
-    if row is None or row.dtype.kind not in "biuf" or row.shape != (len(features),):
-        return "features must be a flat list of numbers"
-    if row.size != dim:
-        return f"features have {row.size} values, the corpus has {dim}"
-    if not np.isfinite(row).all():
-        return "non-finite feature value"
-    return None
-
-
-def _newlines(fh, size: int) -> int:
-    """The newlines in the next ``size`` bytes of ``fh``."""
-    return sum(fh.read(min(_CHUNK, size - done)).count(b"\n") for done in range(0, size, _CHUNK))
-
-
-def _corpus_block(pending: list[tuple[int, list]], dim: int) -> np.ndarray:
-    """The (n, dim) float64 block of the pending records' features, in file
-    order; names the first bad line if a record's features are unusable."""
-    rows = [features for _, features in pending]
-    try:
-        block = np.array(rows)
-    except ValueError:
-        block = None
-    if (
-        block is None
-        or block.dtype.kind not in "biuf"
-        or block.ndim != 2
-        or not np.isfinite(block).all()
-    ):
-        for line_no, features in pending:
-            problem = _corpus_row_problem(features, dim)
-            if problem:
-                raise DataError(f"bad corpus record at line {line_no}: {problem}")
-        # every row is numeric on its own, so together they convert to float64
-        block = np.array(rows, dtype=np.float64)
-    return block.astype(np.float64, copy=False)
-
-
 class FixtureRetriever:
     """Serves candidates from a JSONL corpus keyed by proposed class name.
 
     Each line: {"class": str, "image_ref": str, "caption": str,
-    "features": [float, ...]}. Every record is validated when the corpus is
-    loaded: all four keys present, class, image_ref and caption strings, and
-    the features a flat list of finite numbers as long as the first
-    record's. The features are kept as one read-only float64 array of D
-    columns, allocated once with a row for every line, and candidates carry
-    views of its rows.
-
-    The corpus is parsed in byte ranges that start at line boundaries, one
-    per part (``core._part_count``): this process parses the first and
-    forked children the others, each into its own rows of the array, which
-    is memory shared with them. Only names and strings come back from a
-    child. The rows a name retrieves, and the line and message of the first
-    bad record, do not depend on the number of parts.
+    "features": [float, ...]}. The corpus is loaded on every CPU by
+    ``core.read_records``, which checks every record: all four keys
+    present, class, image_ref and caption strings, and the features a flat
+    list of finite numbers as long as the first record's. The features are
+    kept as one read-only float64 array, and candidates carry views of its
+    rows.
     """
 
-    KEYS = frozenset({"class", "image_ref", "caption", "features"})
+    FIELDS = {"class": str, "image_ref": str, "caption": str}
 
     def __init__(self, corpus_path: str | Path):
         path = Path(corpus_path)
         if not path.exists():
             raise DataError(f"candidate corpus not found: {path}")
-        size = path.stat().st_size
-        dim, parts = 0, 1
-        with path.open("rb") as fh:
-            for line_no, line in enumerate(fh, 1):
-                if line.strip():
-                    features = self._parse(line.strip(), line_no)[3]
-                    if isinstance(features, list):
-                        dim = len(features)  # the first record sets the corpus's dim
-                        # about size / len(line) records of dim floats each
-                        parts = _part_count(dim * size // len(line))
-                    break
-            # each part starts at the first line that begins at or after its offset
-            bounds = [0]
-            for k in range(1, parts):
-                fh.seek(size * k // parts - 1)
-                fh.readline()
-                bounds.append(fh.tell())
-            bounds.append(size)
-            fh.seek(0)
-            newlines = [_newlines(fh, stop - start) for start, stop in zip(bounds, bounds[1:])]
-        # line numbers count from the top of the file; a part has a row for
-        # each of its lines, and one for a last line without a newline
-        first_lines = list(accumulate(newlines, initial=1))
-        first_rows = list(accumulate((n + 1 for n in newlines), initial=0))
-        # one array for the whole corpus, in memory shared with the forked
-        # children, each of which parses its part straight into its rows
-        shape = (first_rows[-1], dim)
-        shared = mmap.mmap(-1, max(1, shape[0] * dim * 8))  # no mapping is empty
-        feats = np.frombuffer(shared, count=shape[0] * dim).reshape(shape)
-
-        def load(part: int):
-            return self._load_range(
-                path, bounds[part], bounds[part + 1], first_lines[part], first_rows[part], feats
-            )
-
-        # a part's result is read only after every earlier part loaded
-        # without error, so the first bad line in the file is reported
-        with _forked(load, parts) as rest:
-            loaded = [load(0), *rest]
+        self._features, records = read_records(
+            path, None, self.FIELDS, lambda line_no: f"bad corpus record at line {line_no}"
+        )
+        names = {name: normalize_name(name) for name in {name for name, _, _ in records}}
         # normalized name -> (image_ref, caption, row) of its records, in file order
         self._records: dict[str, list[tuple[str, str, int]]] = {}
-        for records in loaded:
-            for key, recs in records.items():
-                self._records.setdefault(key, []).extend(recs)
-        feats.setflags(write=False)
-        # rows past the end of each part's records are never addressed
-        self._features = feats
-
-    def _load_range(
-        self, path: Path, start: int, stop: int, first_line: int, first_row: int, feats
-    ) -> dict[str, list[tuple[str, str, int]]]:
-        """Parse the corpus lines that begin in bytes [start, stop) of
-        ``path``, the first of them line ``first_line``: their features go
-        into the rows of ``feats`` from ``first_row`` on, in file order, and
-        their (image_ref, caption, row) triples are returned by normalized
-        name. Raises DataError for the first line that is not a record of
-        ``feats.shape[1]`` finite numbers."""
-        dim = feats.shape[1]
-        records: dict[str, list[tuple[str, str, int]]] = {}
-        pending: list[tuple[int, list]] = []
-        row = first_row
-
-        def add_block():
-            feats[row - len(pending):row] = _corpus_block(pending, dim)
-            pending.clear()
-
-        # binary lines: json.loads decodes them, so bad UTF-8 is a bad record
-        with path.open("rb") as fh:
-            fh.seek(start)
-            offset = start
-            for line_no, line in enumerate(fh, first_line):
-                if offset >= stop:
-                    break
-                offset += len(line)
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    key, image_ref, caption, features = self._parse(line, line_no)
-                    if not (isinstance(features, list) and 0 < len(features) == dim):
-                        problem = _corpus_row_problem(features, dim)
-                        raise DataError(f"bad corpus record at line {line_no}: {problem}")
-                except DataError:
-                    _corpus_block(pending, dim)  # an earlier bad line is reported first
-                    raise
-                records.setdefault(key, []).append((image_ref, caption, row))
-                pending.append((line_no, features))
-                row += 1
-                if len(pending) == _CORPUS_BLOCK_ROWS:
-                    add_block()
-        if pending:
-            add_block()
-        return records
-
-    def _parse(self, line: bytes, line_no: int) -> tuple[str, str, str, object]:
-        try:
-            rec = json.loads(line)
-            missing = self.KEYS - rec.keys()
-        except (ValueError, AttributeError) as exc:
-            raise DataError(f"bad corpus record at line {line_no}: {exc!r}")
-        if missing:
-            raise DataError(
-                f"bad corpus record at line {line_no}: missing {sorted(missing)}"
-            )
-        for name in ("class", "image_ref", "caption"):
-            if not isinstance(rec[name], str):
-                raise DataError(
-                    f"bad corpus record at line {line_no}: {name!r} must be a string, "
-                    f"got {type(rec[name]).__name__}"
-                )
-        return normalize_name(rec["class"]), rec["image_ref"], rec["caption"], rec["features"]
+        for row, (name, image_ref, caption) in enumerate(records):
+            self._records.setdefault(names[name], []).append((image_ref, caption, row))
 
     def retrieve(self, class_name: str, source_target: int) -> list[Candidate]:
         key = normalize_name(class_name)

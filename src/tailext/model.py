@@ -114,8 +114,11 @@ class ClassifierState:
         if self.hidden_weights is not None:
             self.hidden_weights = np.asarray(self.hidden_weights, dtype=np.float64)
             self.hidden_bias = np.asarray(self.hidden_bias, dtype=np.float64)
-            if self.weights.shape[1] != self.hidden_weights.shape[0]:
-                raise DataError("output layer width must equal hidden width")
+            width = self.weights.shape[1]
+            if self.hidden_weights.ndim != 2 or self.hidden_weights.shape[0] != width:
+                raise DataError("hidden weights must be (H, D), H the output layer's width")
+            if self.hidden_bias.shape != (width,):
+                raise DataError("hidden bias must be (H,), H the output layer's width")
 
     @property
     def num_classes(self) -> int:

@@ -9,6 +9,7 @@ classes crowded into each cluster, i.e. a finer-grained label space.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,8 +63,11 @@ class CountProfile:
                     f"{self.imbalance!r}"
                 )
         else:
-            if self.alpha is None or self.alpha <= 0:
-                raise ConfigError(f"pareto profile needs alpha > 0, got {self.alpha!r}")
+            # written so that NaN fails the bound
+            if self.alpha is None or not 0 < self.alpha < math.inf:
+                raise ConfigError(
+                    f"pareto profile needs a finite alpha > 0, got {self.alpha!r}"
+                )
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "num_classes": self.num_classes, "max_count": self.max_count}
@@ -121,9 +125,10 @@ class HierarchySpec:
             )
         if self.feature_dim < 2:
             raise ConfigError("feature_dim must be >= 2, the fine-class ring's plane")
-        if not self.sigma_super > self.sigma_fine > self.sigma_sample > 0:
+        if not math.inf > self.sigma_super > self.sigma_fine > self.sigma_sample > 0:
             raise ConfigError(
-                "spreads must satisfy sigma_super > sigma_fine > sigma_sample > 0"
+                "spreads must be finite and satisfy "
+                "sigma_super > sigma_fine > sigma_sample > 0"
             )
 
     def superclass_of(self, y: int) -> int:
@@ -235,6 +240,8 @@ def make_auxiliary(
         raise ConfigError(f"per_target must be >= 1, got {per_target}")
     if samples_per_aux < 1:
         raise ConfigError(f"samples_per_aux must be >= 1, got {samples_per_aux}")
+    if not math.isfinite(offset):
+        raise ConfigError(f"offset must be finite, got {offset}")
     if space.num_auxiliary:
         raise ConfigError("base label space already has auxiliary classes")
     L = space.num_target

@@ -27,8 +27,8 @@ def force_parts(monkeypatch):
         monkeypatch.setattr(core, "_NATIVE_THREADS", 0)
         monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(parts)),
                             raising=False)
-        assert core._cpu_count() == parts
-        assert core._part_count(parts) == parts
+        assert core._process_count() == parts
+        assert core._process_count(floats=parts) == parts
 
     yield force
     with pytest.raises(ChildProcessError):

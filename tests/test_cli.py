@@ -9,6 +9,7 @@ import shlex
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tailext import cli, experiments
@@ -494,6 +495,26 @@ class TestExitCodes:
                    "--test", bad_test, "--out", tmp_path / "o") == 3
         assert f"{bad_test}:2: non-finite feature" in capsys.readouterr().err
 
+    # each makes one record of a manifest without its binary cache break
+    # the record rules a corpus is held to
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("features", ["1.5", "2", 0, 0, 0, 0, 0, 0], id="features-strings"),
+        pytest.param("label", 1.7, id="label-float"),
+        pytest.param("label", True, id="label-bool"),
+        pytest.param("id", None, id="id-null"),
+    ])
+    def test_cache_less_manifest_record_of_wrong_type_is_3(self, tmp_path, capsys, key, value):
+        data = _dataset_copy(tmp_path)
+        lines = data.read_text().splitlines()
+        record = json.loads(lines[3])
+        record[key] = value
+        lines[3] = json.dumps(record)
+        data.write_text("\n".join(lines) + "\n")
+        assert run("train", "--data", data, "--epochs", "1", "--out", tmp_path / "t") == 3
+        err = capsys.readouterr().err
+        assert f"data error: {data}:4: " in err and "Traceback" not in err
+        assert not (tmp_path / "t" / "checkpoint.json").exists()
+
     # small_run's checkpoint has 10 target classes
     @pytest.mark.parametrize("counts", [
         "60", {"0": 60}, None, [60] * 5, [60] * 15, [60.0] * 10, [True] * 10,
@@ -553,6 +574,25 @@ class TestExitCodes:
                    small_run / "data" / "test.jsonl", "--out", tmp_path / "o") == 3
         assert "non-finite weights or biases" in capsys.readouterr().err
 
+    # small_run's checkpoint is linear over 8 features: each gives it a
+    # hidden layer whose weights or bias do not fit its width of 8
+    @pytest.mark.parametrize("hidden", [
+        pytest.param({"weights": np.eye(8).tolist(), "bias": [0.0] * 9}, id="bias-one-longer"),
+        pytest.param({"weights": np.eye(8).tolist(), "bias": [[0.0]] * 8}, id="bias-2d"),
+        pytest.param({"weights": [1.0] * 8, "bias": [0.0] * 8}, id="weights-1d"),
+        pytest.param({"weights": np.ones((8, 8, 1)).tolist(), "bias": [0.0] * 8},
+                     id="weights-3d"),
+    ])
+    def test_hidden_layer_of_wrong_shape_is_3(self, tmp_path, capsys, small_run, hidden):
+        payload = json.loads((small_run / "run" / "checkpoint.json").read_text())
+        payload["hidden"] = hidden
+        ck = tmp_path / "checkpoint.json"
+        ck.write_text(json.dumps(payload))
+        assert run("eval", "--checkpoint", ck, "--test",
+                   small_run / "data" / "test.jsonl", "--out", tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert f"data error: {ck}: bad checkpoint" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("flags", [["--lr", "1e9"], ["--optimizer", "adamw", "--lr", "1e3"]])
     def test_diverging_train_is_2_without_checkpoint(self, tmp_path, capsys, small_run, flags):
         data = small_run / "data"
@@ -590,6 +630,19 @@ class TestExitCodes:
                    *flags, "--out", out) == 2
         assert f"config error: {field} must be" in capsys.readouterr().err
         assert not (out / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("flags, field", [
+        pytest.param(["--aux-per-target", "1", "--aux-offset", "nan"], "offset",
+                     id="aux-offset-nan"),
+        pytest.param(["--sigma-super", "inf"], "spreads", id="sigma-super-inf"),
+        pytest.param(["--profile", "pareto", "--alpha", "nan"], "alpha", id="alpha-nan"),
+        pytest.param(["--profile", "pareto", "--alpha", "inf"], "alpha", id="alpha-inf"),
+    ])
+    def test_non_finite_synth_geometry_is_2(self, tmp_path, capsys, flags, field):
+        out = tmp_path / "data"
+        assert run("synth", "--out", out, *SMALL_SYNTH, *flags) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_synth_expand_checked_without_auxiliary_data(self, tmp_path, capsys):
         out = tmp_path / "data"

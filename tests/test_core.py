@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tailext import core
@@ -24,6 +24,7 @@ from tailext.core import (
     read_dataset,
     write_dataset,
 )
+from tailext.curation import FixtureRetriever
 
 
 class TestDeriveRng:
@@ -223,7 +224,7 @@ class TestBinaryCache:
         def no_parse(*args):
             raise AssertionError("JSONL parsed despite a valid cache")
 
-        monkeypatch.setattr(core, "_read_jsonl", no_parse)
+        monkeypatch.setattr(core, "read_records", no_parse)
         back, _, meta = read_dataset(path)
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
@@ -268,6 +269,24 @@ class TestBinaryCache:
         assert messages[0] == messages[1]
         if fault == "nan-written":
             assert messages[0] == "<dir>/d.jsonl:7: non-finite feature value"
+
+    @pytest.mark.parametrize("dim", [0, -1, 6.0, "6", True, None])
+    def test_sidecar_feature_dim_must_be_an_integer_above_zero(self, tmp_path, dim):
+        _, path = _cached_dataset(tmp_path)
+        _edit_sidecar(path, lambda m: m.update(feature_dim=dim))
+        with pytest.raises(DataError, match="bad header sidecar.*feature_dim"):
+            read_dataset(path)
+
+    def test_label_beyond_int64_is_a_data_error(self, tmp_path):
+        _, path = _cached_dataset(tmp_path)
+        path.with_suffix(".cache.npy").unlink()
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["label"] = 2**70
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="int64"):
+            read_dataset(path)
 
     def test_rewrites_are_byte_identical(self, tmp_path):
         ds, _ = _cached_dataset(tmp_path)
@@ -359,6 +378,95 @@ class TestSplitWrite:
         assert (tmp_path / "d.cache.npy").read_bytes() == expected.getvalue()
 
 
+NOT_STR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+                   st.lists(st.text(max_size=2), max_size=2))
+NOT_INT = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False),
+                    st.text(max_size=3), st.lists(st.integers(), max_size=2))
+FAULTS = ("missing", "field", "strings", "nested", "short", "long", "non-finite",
+          "not-utf8", "non-object", "not-json", "too-deep")
+
+
+@st.composite
+def _malformed_line(draw, rec: dict, fields: dict) -> bytes:
+    """The bytes of a line that holds ``rec`` made to break one record rule."""
+    rec = {**rec, "features": list(rec["features"])}
+    feats = rec["features"]
+    i = draw(st.integers(0, len(feats) - 1))
+    fault = draw(st.sampled_from(FAULTS))
+    if fault == "missing":
+        del rec[draw(st.sampled_from(sorted(rec)))]
+    elif fault == "field":
+        key = draw(st.sampled_from(sorted(fields)))
+        rec[key] = draw(NOT_INT if fields[key] is int else NOT_STR)
+    elif fault == "strings":
+        feats[i] = draw(st.one_of(st.text(max_size=4), st.just(str(feats[i]))))
+    elif fault == "nested":
+        rec["features"] = draw(st.sampled_from([[[v] for v in feats],
+                                                feats[:i] + [feats[i:i + 1]] + feats[i + 1:]]))
+    elif fault == "short":
+        del feats[draw(st.integers(0, len(feats) - 1)):]
+    elif fault == "long":
+        feats += draw(st.lists(st.floats(-9, 9), min_size=1, max_size=3))
+    elif fault == "non-finite":
+        feats[i] = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    elif fault == "not-utf8":
+        rec[draw(st.sampled_from([k for k, kind in fields.items() if kind is str]))] = "@@"
+        return json.dumps(rec).encode().replace(b"@@", b"\xff")
+    elif fault == "non-object":
+        return json.dumps(draw(st.one_of(st.none(), st.integers(), st.text(max_size=3),
+                                         st.lists(st.integers(), max_size=2)))).encode()
+    elif fault == "not-json":
+        return json.dumps(rec).encode()[:-1]
+    else:  # deeper than json.loads can recurse
+        return b"[" * 100_000 + b"]" * 100_000
+    return json.dumps(rec).encode()
+
+
+_RECORDS = {
+    "manifest": ({"id": "r", "label": 1, "features": [0.5, -1.25, 2.0]},
+                 {"id": str, "label": int}),
+    "corpus": ({"class": "lynx", "image_ref": "i", "caption": "c",
+                "features": [0.5, -1.25, 2.0]},
+               {"class": str, "image_ref": str, "caption": str}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RECORDS))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_malformed_record_names_its_line(tmp_path, force_parts, kind, data):
+    """One malformed line in a manifest without its binary cache, or in a
+    corpus, is a DataError naming that line, the same one at 1 and at 3
+    parts, with no child left behind. A corpus's first line sets its dim,
+    so only later lines of a corpus are made too short or too long."""
+    rec, fields = _RECORDS[kind]
+    path = tmp_path / f"{kind}.jsonl"
+    if kind == "manifest":
+        ds = FeatureDataset(np.tile(rec["features"], (30, 1)), np.arange(30) % 2,
+                            ids=tuple(f"r{i}" for i in range(30)))
+        write_dataset(ds, LabelSpace(num_target=2), path)
+        path.with_suffix(".cache.npy").unlink()
+        load, where = read_dataset, f"{path}:{{}}: "
+    else:
+        path.write_text("".join(json.dumps(rec) + "\n" for _ in range(30)))
+        load, where = FixtureRetriever, "bad corpus record at line {}: "
+    line_no = data.draw(st.integers(1 + (kind == "corpus"), 30), label="line")
+    lines = path.read_bytes().splitlines()
+    lines[line_no - 1] = data.draw(_malformed_line(rec, fields), label="line bytes")
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    messages = []
+    for parts in (1, 3):
+        force_parts(parts)
+        with pytest.raises(DataError) as exc:
+            load(path)
+        messages.append(str(exc.value))
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+    assert messages[0].startswith(where.format(line_no))
+    assert messages[1] == messages[0]
+
+
 def _square_unless(bad: dict):
     """x * x, or raises bad[x] for the runs named in ``bad``."""
 
@@ -429,6 +537,9 @@ corpus = out / "corpus.jsonl"
 corpus.write_text("".join(json.dumps({"class": "lynx", "image_ref": f"i{i}", "caption": "c",
                                       "features": [i, 1.0]}) + "\n" for i in range(9)))
 assert [c.feature[0] for c in FixtureRetriever(corpus).retrieve("lynx", 0)] == list(range(9))
+(out / "d.cache.npy").unlink()
+back = core.read_dataset(out / "d.jsonl")[0]
+assert back.features.tolist() == ds.features.tolist() and back.labels.tolist() == ds.labels.tolist()
 print(len(set(core._map_runs(lambda _: os.getpid(), range(3)))), "processes")
 try:
     os.waitpid(-1, os.WNOHANG)
@@ -439,10 +550,12 @@ print("multiprocessing imported:", "multiprocessing" in sys.modules)
 
 
 def test_splits_fork_without_multiprocessing(tmp_path):
-    """A split ``write_dataset``, corpus load and ``_map_runs`` in a fresh
-    interpreter, with stdout redirected to a file and so block-buffered: a
-    line printed before the splits is written once, not again by a child,
-    and ``multiprocessing`` is never imported."""
+    """Every caller of ``_map_runs`` split into parts in a fresh interpreter:
+    ``write_dataset``, a corpus load, a read of a manifest without its
+    binary cache, and ``_map_runs`` itself. Stdout is redirected to a file
+    and so block-buffered: a line printed before the splits is written
+    once, not again by a child, no child is left, and ``multiprocessing``
+    is never imported."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))

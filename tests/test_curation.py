@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailext import curation
+from tailext import core, curation
 from tailext.core import (
     ConfigError,
     DataError,
@@ -253,7 +253,7 @@ class TestFixtureBackends:
         recs[4]["features"] = [1, 2, 3]  # integers are numbers too
         p = tmp_path / "corpus.jsonl"
         p.write_text("".join(json.dumps(r) + "\n" for r in recs))
-        monkeypatch.setattr(curation, "_CORPUS_BLOCK_ROWS", 2)
+        monkeypatch.setattr(core, "_CORPUS_BLOCK_ROWS", 2)
         retriever = FixtureRetriever(p)
         for name in ("tabby", "maine coon", "lynx"):
             want = [r for r in recs if normalize_name(r["class"]) == name]

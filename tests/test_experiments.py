@@ -172,7 +172,7 @@ print("same" if csv[0] == csv[1] else "differ")
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS caps its pool at the CPUs")
 def test_forked_pilot_grid_under_blas_threads(tmp_path):
     """A BLAS thread pool, which the check for other Python threads in
-    ``core._cpu_count`` cannot see, is counted: with a pool of 2, two runs
+    ``core._process_count`` cannot see, is counted: with a pool of 2, two runs
     share 2 CPUs in one process and 4 CPUs in two. A forked child then
     starts a pool of its own, and neither hangs nor changes the results.
     The test set is scored in chunks of 1,000 rows by 64 dims by 100

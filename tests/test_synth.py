@@ -60,8 +60,9 @@ class TestCountProfiles:
             CountProfile("exponential", 10, 100, imbalance=1.5)
         with pytest.raises(ConfigError):
             CountProfile("exponential", 10, 100)  # imbalance missing
-        with pytest.raises(ConfigError):
-            CountProfile("pareto", 10, 100, alpha=0.0)
+        for alpha in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                CountProfile("pareto", 10, 100, alpha=alpha)
         with pytest.raises(ConfigError):
             CountProfile("zipf", 10, 100, imbalance=0.5)
         with pytest.raises(ConfigError):
@@ -119,6 +120,8 @@ class TestHierarchy:
             HierarchySpec(4, 12, sigma_super=1.0, sigma_fine=2.0, sigma_sample=0.5)
         with pytest.raises(ConfigError):
             HierarchySpec(4, 12, feature_dim=1)  # the ring needs a plane
+        with pytest.raises(ConfigError):
+            HierarchySpec(4, 12, sigma_super=float("inf"))
         with pytest.raises(DataError):
             make_hierarchy(SPEC, ClassStats(np.full(5, 10)))  # wrong class total
         with pytest.raises(ConfigError):
@@ -184,6 +187,9 @@ class TestAuxiliary:
             make_auxiliary(self.train, self.space, 1, 5, targets=[9])
         with pytest.raises(ConfigError):
             make_auxiliary(self.train, self.space, 1, 5, targets=[])
+        for offset in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                make_auxiliary(self.train, self.space, 1, 5, offset=offset)
         merged_space = LabelSpace(num_target=6, num_auxiliary=1, neighbor_of={6: 0})
         with pytest.raises(ConfigError):
             make_auxiliary(self.train, merged_space, 1, 5)
