@@ -3,14 +3,13 @@
 Every command resolves its settings as flag > config file > built-in
 default, writes a manifest.json with the exact resolved configuration, and
 produces byte-identical outputs when re-run with the same config and seed.
-Exit codes: 0 success, 2 config error, 3 data error, 4 external service
-failure.
+Exit codes: 0 success, 2 config error (a size that cannot be allocated
+too), 3 data error, 4 external service failure.
 """
 from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import sys
 from pathlib import Path
 
@@ -26,8 +25,11 @@ from .core import (
     RunConfig,
     _map_runs,
     _sidecar_path,
+    check_json,
     read_dataset,
+    read_json,
     write_dataset,
+    write_json,
 )
 from .curation import CurationConfig
 from .experiments import BENCH_CONFIG, build_benchmark, run_pilot_cell, run_pilot_grid
@@ -36,6 +38,7 @@ from .metrics import (
     assign_splits,
     evaluate,
     expansion_targets,
+    read_report,
     reports_to_csv,
     write_report,
 )
@@ -66,39 +69,24 @@ def _parse_ratio(text: str) -> tuple[float, float, float] | None:
     return ratio  # type: ignore[return-value]
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_list(text: str, kind: type) -> list:
     try:
-        return [int(p) for p in str(text).split(",") if p.strip() != ""]
+        return [kind(p) for p in text.split(",") if p.strip() != ""]
     except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}")
-
-
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(p) for p in str(text).split(",") if p.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}")
+        raise ConfigError(f"expected comma-separated {kind.__name__} values, got {text!r}")
 
 
 def _load_config_file(path: str, command: str | None = None) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    try:
-        obj = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {p} is not valid JSON: {exc}")
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config file {p} must hold a JSON object")
+    obj = read_json(path, {}, ConfigError, "config file")
     # a previously written manifest is accepted as a config file, but only
     # by the command that wrote it
     if "config" in obj and "command" in obj:
         if command is not None and obj["command"] != command:
             raise ConfigError(
-                f"{p} is a manifest written by '{obj['command']}', "
+                f"{path} is a manifest written by '{obj['command']}', "
                 f"not a config for '{command}'"
             )
-        obj = obj["config"]
+        obj = check_json(obj["config"], {}, f"{path}: config", ConfigError)
     return obj
 
 
@@ -108,20 +96,6 @@ def _setting_type(key: str, default) -> type:
     if default is None:
         return int if key == "hidden_dim" else str
     return type(default)
-
-
-def _check_type(key: str, value, default) -> None:
-    """A config-file value must have the setting's type; an int may stand
-    for a float, a bool never for an int. A setting whose default is None
-    may also be null, as manifests write it when unset."""
-    if default is None and value is None:
-        return
-    want = _setting_type(key, default)
-    if type(value) not in ((int, float) if want is float else (want,)):
-        raise ConfigError(
-            f"config key {key!r} must be {want.__name__}, got {type(value).__name__} "
-            f"{value!r}"
-        )
 
 
 def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
@@ -134,7 +108,11 @@ def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_cfg.items():
-            _check_type(key, value, defaults[key])
+            # an int may stand for a float, and a setting whose default is
+            # None may be null, as manifests write it when unset
+            kind = _setting_type(key, defaults[key])
+            check_json(value, kind if defaults[key] is not None else (kind, None),
+                       f"config key {key!r}", ConfigError)
         cfg.update(file_cfg)
     for key in defaults:
         val = getattr(args, key, None)
@@ -151,21 +129,7 @@ def _out_dir(args) -> Path:
 
 def _write_manifest(out: Path, command: str, cfg: dict) -> None:
     manifest = {"command": command, "version": __version__, "config": cfg}
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
-
-
-def _read_names(path: str) -> dict[int, str]:
-    p = Path(path)
-    if not p.is_file():
-        raise DataError(f"names file not found: {p}")
-    try:
-        return {int(k): str(v) for k, v in json.loads(p.read_text()).items()}
-    except (AttributeError, ValueError) as exc:
-        raise DataError(
-            f"names file {p} must hold a JSON object mapping class ids to names: {exc}"
-        ) from exc
+    write_json(out / "manifest.json", manifest)
 
 
 def _keyword_defaults(fn, *names: str) -> dict:
@@ -224,7 +188,10 @@ def cmd_synth(args) -> int:
     )
     train_ds, test_ds = make_hierarchy(spec, counts, cfg["seed"], cfg["test_per_class"])
 
-    names = _read_names(cfg["names"]) if cfg["names"] else None
+    names = read_json(cfg["names"], {int: str}, DataError, "names file") if cfg["names"] else None
+    if names and max(names) >= cfg["num_classes"]:
+        raise DataError(f"{cfg['names']}: bad names file: class id {max(names)} is outside "
+                        f"[0, {cfg['num_classes']})")
     space = LabelSpace(num_target=cfg["num_classes"], class_names=names)
     # made before any file is written, so that its checks leave none behind
     aux = None
@@ -271,9 +238,9 @@ _PILOT_DEFAULTS = {
 def cmd_pilot(args) -> int:
     cfg = _resolve(_PILOT_DEFAULTS, args)
     out = _out_dir(args)
-    s_grid = _parse_int_list(cfg["superclasses"])
-    b_grid = _parse_float_list(cfg["imbalances"])
-    seeds = _parse_int_list(cfg["seeds"])
+    s_grid = _parse_list(cfg["superclasses"], int)
+    b_grid = _parse_list(cfg["imbalances"], float)
+    seeds = _parse_list(cfg["seeds"], int)
     if not s_grid or not b_grid or not seeds:
         raise ConfigError("pilot grid needs superclasses, imbalances, and seeds")
 
@@ -354,9 +321,7 @@ def cmd_curate(args) -> int:
 
     if len(aux):
         write_dataset(aux, merged, out / "aux.jsonl", extra_meta={"curation": report})
-    (out / "curation_report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out / "curation_report.json", report)
     _write_manifest(out, "curate", cfg)
     print(
         f"kept {len(aux)} samples in {merged.num_auxiliary} auxiliary classes "
@@ -383,8 +348,7 @@ def _run_config_from(cfg: dict) -> RunConfig:
     fields = {
         _FLAG_FIELDS.get(k, k): v for k, v in cfg.items() if k not in ("data", "aux")
     }
-    if isinstance(fields["aux_ratio"], str):
-        fields["aux_ratio"] = _parse_ratio(fields["aux_ratio"])
+    fields["aux_ratio"] = _parse_ratio(fields["aux_ratio"])
     return RunConfig(**fields)
 
 
@@ -407,9 +371,7 @@ def cmd_train(args) -> int:
 
     state, log = train(train_ds, aux_ds, space, run_cfg)
     save_checkpoint(state, out / "checkpoint.json")
-    (out / "train_log.json").write_text(
-        json.dumps(log.to_json(), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out / "train_log.json", log.to_json())
     _write_manifest(out, "train", cfg)
     print(
         f"trained {space.num_target}+{space.num_auxiliary} classes, "
@@ -439,14 +401,14 @@ def cmd_eval(args) -> int:
         train_ds, _, _ = read_dataset(cfg["data"])
         counts = train_ds.class_counts(state.space.num_target)
     elif "train_counts" in test_meta:
-        counts = test_meta["train_counts"]
         n = state.space.num_target
-        if not (isinstance(counts, list) and len(counts) == n
-                and all(type(c) is int for c in counts)):
-            raise DataError(
-                f"{_sidecar_path(Path(cfg['test']))}: train_counts must be a list of "
-                f"{n} integers, one per target class of the checkpoint"
-            )
+        wrong = DataError(
+            f"{_sidecar_path(Path(cfg['test']))}: train_counts must be a list of "
+            f"{n} integers, one per target class of the checkpoint"
+        )
+        counts = check_json(test_meta["train_counts"], [int], "", lambda _: wrong)
+        if len(counts) != n:
+            raise wrong
     else:
         raise ConfigError(
             "eval needs --data for split counts (test manifest has no train_counts)"
@@ -484,14 +446,14 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     if cfg["values"] is not None:
         if axis == "aux_count" or axis == "per_class_cap":
-            values = _parse_int_list(cfg["values"])
+            values = _parse_list(cfg["values"], int)
         elif axis == "lambda_s":
-            values = _parse_float_list(cfg["values"])
+            values = _parse_list(cfg["values"], float)
         else:
-            values = [v for v in str(cfg["values"]).split("/") if v]
+            values = [v for v in cfg["values"].split("/") if v]
     else:
         values = SWEEP_OPTIONS[axis]
-    seeds = _parse_int_list(cfg["seeds"])
+    seeds = _parse_list(cfg["seeds"], int)
 
     base_cfg = BENCH_CONFIG.with_overrides(epochs=cfg["epochs"])
     geometry = {key: cfg[key] for key in _SWEEP_GEOMETRY}
@@ -528,16 +490,13 @@ def cmd_report(args) -> int:
         raise ConfigError("report needs at least one input file")
     rows: list[tuple[dict, EvalReport]] = []
     for path in inputs:
-        if not path.exists():
-            raise DataError(f"report input not found: {path}")
         if path.suffix == ".csv":
+            if not path.is_file():
+                raise DataError(f"report input not found: {path}")
             print(f"== {path} ==")
             print(path.read_text(), end="")
             continue
-        try:
-            report = EvalReport.from_json(json.loads(path.read_text()))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: not an eval report: {exc!r}") from exc
+        report = read_report(path)
         rows.append(({"source": str(path)}, report))
         print(f"== {path} ==")
         print(report.to_text())
@@ -629,3 +588,6 @@ def main(argv=None) -> int:
     except ExternalServiceError as exc:
         print(f"external service error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2

@@ -14,10 +14,12 @@ import math
 import mmap
 import os
 import pickle
+import re
+import reprlib
 import sys
 import threading
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -34,10 +36,13 @@ __all__ = [
     "FeatureDataset",
     "RunConfig",
     "build_label_space",
+    "check_json",
     "derive_rng",
     "write_dataset",
     "read_dataset",
+    "read_json",
     "read_records",
+    "write_json",
 ]
 
 
@@ -56,6 +61,92 @@ class ExternalServiceError(RuntimeError):
 class DivergenceError(ConfigError):
     """Training diverged: a non-finite logit or batch loss, or a runaway
     batch loss (CLI exit code 2, like any other setting that cannot train)."""
+
+
+# The JSON types a value of each kind may have, ``list`` and ``dict``
+# standing for ``[kind]`` and ``{...}``, and the kind's name in messages:
+# a bool is no number, and a numeric string none either.
+_JSON_KINDS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    bool: ((bool,), "a boolean"),
+    None: ((type(None),), "null"),
+    list: ((list,), "a list"),
+    dict: ((dict,), "an object"),
+}
+_CLASS_ID = re.compile(r"0|[1-9][0-9]{0,17}")
+
+
+def _kind(kind) -> tuple[tuple[type, ...], str]:
+    return _JSON_KINDS[type(kind) if isinstance(kind, (list, dict)) else kind]
+
+
+def check_json(value, kind, name: str, error: Callable[[str], Exception]):
+    """``value``, a decoded JSON value, if it holds ``kind``; otherwise
+    raises ``error(message)`` for its first part that does not, the message
+    ``{name} must be {kind}, got {value!r}`` (the repr shortened by
+    ``reprlib``), where a field is named ``name.key`` (``key`` when ``name``
+    is empty) and a list item ``name[i]``.
+
+    A kind is ``int`` (a bool is no integer), ``float`` (an int or a
+    float), ``str``, ``bool`` or ``None``; a tuple, any one of its kinds; ``[kind]``,
+    a list of that kind; ``{key: kind}``, an object with those keys, where
+    a key whose kind admits None may be absent and reads as None, and other
+    keys are kept unchecked; ``{int: kind}``, an object keyed by canonical
+    decimal class ids ("7", never "07" or "+7"), returned with int keys; or
+    ``{str: kind}``, an object with any keys.
+    """
+    if (kind is None or type(kind) is type) and type(value) in _JSON_KINDS[kind][0]:
+        return value  # the common case, on the record reader's path
+    options = kind if isinstance(kind, tuple) else (kind,)
+    fitting = [k for k in options if type(value) in _kind(k)[0]]
+    if not fitting:
+        wanted = " or ".join(_kind(k)[1] for k in options)
+        raise error(f"{name or 'the value'} must be {wanted}, got {reprlib.repr(value)}")
+    kind = fitting[0]
+    if isinstance(kind, list):
+        item = kind[0]
+        if item in (int, float, str, bool) and all(type(v) in _JSON_KINDS[item][0] for v in value):
+            return value
+        return [check_json(v, item, f"{name}[{i}]", error) for i, v in enumerate(value)]
+    if not isinstance(kind, dict):
+        return value
+    child = (lambda key: f"{name}.{key}") if name else str
+    keys = next(iter(kind), None)
+    if keys is int or keys is str:  # {int: kind} or {str: kind}
+        item = kind[keys]
+        for key in value:
+            if keys is int and not _CLASS_ID.fullmatch(key):
+                raise error(f"{child('key')} must be a class id, got {key!r}")
+        return {keys(key): check_json(v, item, child(key), error) for key, v in value.items()}
+    out = dict(value)
+    for key, sub in kind.items():
+        if key not in value and None not in (sub if isinstance(sub, tuple) else (sub,)):
+            raise error(f"{child(key)} is missing")
+        out[key] = check_json(value.get(key), sub, child(key), error)
+    return out
+
+
+def read_json(path: str | Path, kind, error: Callable[[str], Exception], what: str):
+    """The JSON value in the file at ``path``, checked against ``kind``
+    (``check_json``). A file that is missing, is not JSON or does not hold
+    ``kind`` raises ``error`` naming the file as ``what``."""
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"{what} not found: {path}")
+    try:
+        value = json.loads(path.read_bytes())
+    # bad UTF-8 too, as json.loads decodes the bytes; and nesting too deep
+    # for its recursion
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: {what} is not valid JSON: {exc}") from None
+    return check_json(value, kind, "", lambda message: error(f"{path}: bad {what}: {message}"))
+
+
+def write_json(path: str | Path, value) -> None:
+    """Write ``value`` to ``path`` as JSON indented by 2, keys sorted."""
+    Path(path).write_text(json.dumps(value, indent=2, sort_keys=True) + "\n")
 
 
 def _hash_component(part: int | str) -> int:
@@ -136,13 +227,17 @@ class LabelSpace:
         return out
 
     @classmethod
-    def from_json(cls, obj: Mapping) -> "LabelSpace":
-        names = obj.get("class_names")
+    def from_json(cls, obj) -> "LabelSpace":
+        """The label space ``to_json`` wrote; DataError unless ``obj`` holds
+        its kinds of values, ConfigError unless they make a label space."""
+        kinds = {"num_target": int, "num_auxiliary": (int, None),
+                 "neighbor_of": ({int: int}, None), "class_names": ({int: str}, None)}
+        obj = check_json(obj, kinds, "label_space", DataError)
         return cls(
-            num_target=int(obj["num_target"]),
-            num_auxiliary=int(obj.get("num_auxiliary", 0)),
-            neighbor_of={int(k): int(v) for k, v in obj.get("neighbor_of", {}).items()},
-            class_names={int(k): str(v) for k, v in names.items()} if names else None,
+            num_target=obj["num_target"],
+            num_auxiliary=obj["num_auxiliary"] or 0,
+            neighbor_of=obj["neighbor_of"] or {},
+            class_names=obj["class_names"] or None,
         )
 
 
@@ -180,7 +275,10 @@ class ClassStats:
     counts: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.counts, dtype=np.int64)
+        try:
+            arr = np.asarray(self.counts, dtype=np.int64)
+        except OverflowError as exc:
+            raise DataError(f"counts must fit in int64: {exc}") from None
         if arr.ndim != 1 or arr.size == 0:
             raise DataError("counts must be a non-empty 1-d array")
         if (arr < 1).any():
@@ -393,42 +491,28 @@ def _map_runs(fn: Callable, items: Sequence) -> list:
 
 def _row_problem(features, dim: int, owner: str) -> str | None:
     """Why one record's features are unusable, or None."""
-    if not isinstance(features, list) or not features:
-        return "features must be a non-empty list of numbers"
     try:
-        row = np.array(features)
-    except ValueError:
-        row = None
-    if row is None or row.dtype.kind not in "biuf" or row.shape != (len(features),):
-        return "features must be a flat list of numbers"
-    if row.size != dim:
-        return f"features have {row.size} values, the {owner} has {dim}"
-    if not np.isfinite(row).all():
-        return "non-finite feature value"
-    return None
+        check_json(features, [float], "features", ValueError)
+        if not 0 < len(features) == dim:
+            return f"features have {len(features)} values, the {owner} has {dim}"
+        finite = np.isfinite(np.array(features, dtype=np.float64)).all()
+    except (ValueError, OverflowError) as exc:  # an int past the largest float too
+        return str(exc)
+    return None if finite else "non-finite feature value"
 
 
 def _parse_record(line: bytes, fields: Mapping[str, type], seen: dict) -> tuple[tuple, object]:
-    """The values of ``fields`` and the features of one JSON record, each
-    value the first equal one in ``seen``; raises ValueError naming what is
-    wrong with the record."""
+    """The values of ``fields``, each the first equal one in ``seen``, and
+    the features of one JSON record, None if it has none; raises ValueError
+    naming what is wrong with the record."""
     try:
         rec = json.loads(line)
     # bad UTF-8 too, as json.loads decodes the bytes; and nesting too deep
     # for its recursion
     except (ValueError, RecursionError) as exc:
         raise ValueError(repr(exc)) from None
-    if not isinstance(rec, dict):
-        raise ValueError(f"a record must be a JSON object, got {type(rec).__name__}")
-    missing = ({*fields, "features"}) - rec.keys()
-    if missing:
-        raise ValueError(f"missing {sorted(missing)}")
-    for key, kind in fields.items():
-        if isinstance(rec[key], bool) or not isinstance(rec[key], kind):
-            raise ValueError(
-                f"{key!r} must be of type {kind.__name__}, got {type(rec[key]).__name__}"
-            )
-    return tuple(seen.setdefault(rec[key], rec[key]) for key in fields), rec["features"]
+    rec = check_json(rec, fields, "record", ValueError)
+    return tuple(seen.setdefault(rec[key], rec[key]) for key in fields), rec.get("features")
 
 
 def _newlines(fh, size: int) -> int:
@@ -447,10 +531,10 @@ def read_records(
     and row i of the read-only (N, dim) float64 array its features, both
     in file order. Blank lines are skipped.
 
-    Every record must be a JSON object with the keys of ``fields`` and
-    ``features``; each field value an instance of its type, where a bool is
-    no int; and the features a flat list of ``dim`` finite numbers, where a
-    string is no number. ``dim`` of None takes the first record's length.
+    Every record must be a JSON object with the keys of ``fields``, each
+    holding its kind (``check_json``), and ``features``, a flat list of
+    ``dim`` finite numbers, where neither a string nor a bool is a number.
+    ``dim`` of None takes the first record's length.
     The first line that breaks a rule raises DataError, its message
     ``where(line number)`` and then the problem.
 
@@ -468,9 +552,8 @@ def read_records(
             if line.strip():
                 if dim is None:
                     try:
-                        first = json.loads(line).get("features")
-                    # reported when its part loads
-                    except (ValueError, RecursionError, AttributeError):
+                        first = _parse_record(line, {}, {})[1]
+                    except ValueError:  # reported when its part loads
                         first = None
                     dim = len(first) if isinstance(first, list) else 0
                 # about size / len(line) records of dim floats each
@@ -493,7 +576,10 @@ def read_records(
     first_lines = list(accumulate(newlines, initial=1))
     rows = first_lines[-1]
     row_bytes = dim * 8
-    shared = mmap.mmap(-1, max(1, rows * row_bytes))  # no mapping is empty
+    try:
+        shared = mmap.mmap(-1, max(1, rows * row_bytes))  # no mapping is empty
+    except (OverflowError, OSError) as exc:  # a dim far beyond what the file holds
+        raise DataError(f"{path}: no room for {rows} rows of {dim} features: {exc}") from None
     feats = np.frombuffer(shared, count=rows * dim).reshape(rows, dim)
 
     def block(pending: list[tuple[int, list]]) -> np.ndarray:
@@ -504,7 +590,7 @@ def read_records(
             out = np.array(lists)
         except ValueError:
             out = None
-        if out is None or out.dtype.kind not in "biuf" or out.ndim != 2 or not (
+        if out is None or out.dtype.kind not in "iuf" or out.ndim != 2 or not (
             np.isfinite(out).all()
         ):
             for line_no, features in pending:
@@ -534,7 +620,11 @@ def read_records(
                     continue
                 try:
                     values, features = _parse_record(line, fields, seen)
-                    if not (isinstance(features, list) and 0 < len(features) == dim):
+                    # json reads true and false as bools, which numpy takes
+                    # for numbers: only a line that spells one is searched
+                    if not (isinstance(features, list) and 0 < len(features) == dim) or (
+                        (b"true" in line or b"false" in line) and bool in map(type, features)
+                    ):
                         raise ValueError(_row_problem(features, dim, owner))
                 except ValueError as exc:
                     block(pending)  # an earlier bad line is reported first
@@ -661,7 +751,7 @@ def write_dataset(
         "jsonl_sha256": out.sha.hexdigest(),
         "cache_sha256": cache_out.sha.hexdigest(),
     }
-    _sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(_sidecar_path(path), meta)
 
 
 def _read_cache(path: Path, meta: Mapping, dim: int):
@@ -710,16 +800,14 @@ def read_dataset(path: str | Path) -> tuple[FeatureDataset, LabelSpace, dict]:
     sidecar = _sidecar_path(path)
     if not path.exists():
         raise DataError(f"manifest not found: {path}")
-    if not sidecar.exists():
-        raise DataError(f"header sidecar not found: {sidecar}")
+    meta = read_json(sidecar, {"feature_dim": int}, DataError, "header sidecar")
+    dim = meta["feature_dim"]
     try:
-        meta = json.loads(sidecar.read_text())
-        space = LabelSpace.from_json(meta["label_space"])
-        dim = meta["feature_dim"]
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-            raise ValueError(f"feature_dim must be an integer >= 1, got {dim!r}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{sidecar}: bad header sidecar: {exc!r}") from exc
+        if dim < 1:
+            raise DataError(f"feature_dim must be >= 1, got {dim}")
+        space = LabelSpace.from_json(meta.get("label_space"))
+    except ValueError as exc:  # ConfigError from LabelSpace too
+        raise DataError(f"{sidecar}: bad header sidecar: {exc}") from None
     cached = _read_cache(path, meta, dim)
     if cached is None:
         feats, records = read_records(
@@ -823,16 +911,4 @@ class RunConfig:
         return replace(self, **kwargs)
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "lambda_s": self.lambda_s,
-            "per_class_cap": self.per_class_cap,
-            "aux_ratio": list(self.aux_ratio) if self.aux_ratio is not None else None,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "optimizer": self.optimizer,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "hidden_dim": self.hidden_dim,
-        }
+        return asdict(self)

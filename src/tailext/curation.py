@@ -8,12 +8,11 @@ tests and against HTTP services in production.
 """
 from __future__ import annotations
 
-import json
 import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
@@ -26,6 +25,8 @@ from .core import (
     ExternalServiceError,
     FeatureDataset,
     LabelSpace,
+    check_json,
+    read_json,
     read_records,
 )
 from .metrics import expand_splits, expansion_targets
@@ -85,8 +86,9 @@ class HttpLLMClient:
     """Minimal chat-completion client over HTTP.
 
     Endpoint and key default to the TAILEXT_LLM_URL / TAILEXT_LLM_KEY
-    environment variables. Transport failures are retried with a short
-    backoff before giving up.
+    environment variables. A failure that may pass (no connection, a
+    timeout, HTTP 429 or 5xx) is retried with a short backoff; any other
+    ends the call at once.
     """
 
     def __init__(
@@ -119,8 +121,11 @@ class HttpLLMClient:
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
         }
-        last: Exception | None = None
+        def failed(problem: str) -> ExternalServiceError:
+            return ExternalServiceError(f"LLM endpoint {self.base_url}: {problem}")
+
         for attempt in range(self.transport_retries + 1):
+            time.sleep(self.backoff * attempt)
             try:
                 resp = requests.post(
                     f"{self.base_url}/chat/completions",
@@ -128,21 +133,27 @@ class HttpLLMClient:
                     headers=headers,
                     timeout=self.timeout,
                 )
-                resp.raise_for_status()
-                payload = resp.json()
-                return payload["choices"][0]["message"]["content"]
-            except (KeyError, IndexError, TypeError) as exc:
-                raise ExternalServiceError(
-                    f"malformed completion payload from {self.base_url}: {exc!r}"
-                ) from exc
-            except Exception as exc:  # transport-level: retry
-                last = exc
-                if attempt < self.transport_retries:
-                    time.sleep(self.backoff * (attempt + 1))
-        raise ExternalServiceError(
-            f"LLM endpoint {self.base_url} unreachable after "
-            f"{self.transport_retries + 1} attempts: {last!r}"
-        )
+            except (requests.ConnectionError, requests.Timeout) as exc:
+                last = repr(exc)
+                continue
+            except requests.RequestException as exc:
+                raise failed(repr(exc)) from None
+            if resp.status_code != 429 and resp.status_code < 500:
+                break
+            last = f"HTTP {resp.status_code}"
+        else:
+            raise failed(f"unreachable after {self.transport_retries + 1} attempts: {last}")
+        if not resp.ok:
+            raise failed(f"refused the request: HTTP {resp.status_code}")
+        try:
+            payload = resp.json()
+        except ValueError as exc:  # the body is not JSON
+            raise failed(f"malformed completion payload: {exc!r}") from None
+        payload = check_json(payload, {"choices": [{"message": {"content": str}}]}, "",
+                             lambda problem: failed(f"malformed completion payload: {problem}"))
+        if not payload["choices"]:
+            raise failed("malformed completion payload: no choices")
+        return payload["choices"][0]["message"]["content"]
 
 
 class FixtureLLMClient:
@@ -157,19 +168,7 @@ class FixtureLLMClient:
         path = Path(fixture_dir)
         if path.is_dir():
             path = path / "responses.json"
-        if not path.exists():
-            raise DataError(f"LLM fixture not found: {path}")
-        try:
-            recorded = json.loads(path.read_text())
-        except ValueError as exc:
-            raise DataError(f"LLM fixture {path} is not valid JSON: {exc}") from exc
-        if not isinstance(recorded, dict) or not all(
-            isinstance(v, str) for v in recorded.values()
-        ):
-            raise DataError(
-                f"LLM fixture {path} must hold a JSON object mapping query names "
-                "to response strings"
-            )
+        recorded = read_json(path, {str: str}, DataError, "LLM fixture")
         self.responses: dict[str, str] = {
             normalize_name(k): v for k, v in recorded.items()
         }
@@ -356,14 +355,7 @@ class CurationConfig:
             raise ConfigError("retries must be >= 0 and concurrency >= 1")
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "gamma_low": self.gamma_low,
-            "gamma_high": self.gamma_high,
-            "expand": list(self.expand),
-            "retries": self.retries,
-            "concurrency": self.concurrency,
-        }
+        return asdict(self)
 
 
 def curate(

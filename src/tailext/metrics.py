@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
-from .core import ClassStats, ConfigError, DataError, FeatureDataset
+from .core import ClassStats, ConfigError, DataError, FeatureDataset, read_json, write_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .model import ClassifierState
@@ -110,22 +109,21 @@ class SplitAssignment:
         return out
 
 
-# EvalReport's JSON fields beside split_sizes: the kind of value each holds,
-# and whether it may be null (or absent). A bool is never a number here.
-_KINDS = {"a number": (int, float), "an integer": (int,), "a boolean": (bool,)}
-_REPORT_FIELDS = (
-    ("overall_acc", "a number", False),
-    ("many_acc", "a number", True),
-    ("medium_acc", "a number", True),
-    ("few_acc", "a number", True),
-    ("head_tail_gap", "a number", True),
-    ("balanced_error_sum", "a number", False),
-    ("balanced_error_mean", "a number", False),
-    ("num_classes", "an integer", False),
-    ("num_samples", "an integer", False),
-    ("masked", "a boolean", False),
-    ("seed", "an integer", True),
-)
+# EvalReport's JSON fields and the kind of value each holds
+_REPORT_JSON = {
+    "overall_acc": float,
+    "many_acc": (float, None),
+    "medium_acc": (float, None),
+    "few_acc": (float, None),
+    "head_tail_gap": (float, None),
+    "balanced_error_sum": float,
+    "balanced_error_mean": float,
+    "split_sizes": {name: int for name in SPLIT_NAMES},
+    "num_classes": int,
+    "num_samples": int,
+    "masked": bool,
+    "seed": (int, None),
+}
 
 
 @dataclass(frozen=True)
@@ -151,26 +149,8 @@ class EvalReport:
     seed: int | None = None
 
     def to_json(self) -> dict:
-        out = {key: getattr(self, key) for key, _, _ in _REPORT_FIELDS}
-        out["split_sizes"] = dict(self.split_sizes)
-        return out
+        return asdict(self)
 
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "EvalReport":
-        """The report ``to_json`` wrote. DataError unless each field holds
-        its kind of value (``_REPORT_FIELDS``); keys it does not know, such
-        as the ``config`` of older reports, are ignored."""
-
-        def field(key: str, kind: str, nullable: bool):
-            value = obj.get(key) if nullable else obj[key]
-            if (nullable and value is None) or type(value) in _KINDS[kind]:
-                return value
-            raise DataError(f"{key} must be {kind}{' or null' * nullable}, got {value!r}")
-
-        return cls(
-            split_sizes=dict(obj.get("split_sizes", {})),
-            **{key: field(key, kind, nullable) for key, kind, nullable in _REPORT_FIELDS},
-        )
 
     def to_text(self) -> str:
         def fmt(v: float | None) -> str:
@@ -287,6 +267,12 @@ def reports_to_csv(rows: list[tuple[Mapping, EvalReport]], extra_columns: tuple[
 
 
 def write_report(report: EvalReport, path) -> None:
-    from pathlib import Path
+    write_json(path, report.to_json())
 
-    Path(path).write_text(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+
+def read_report(path) -> EvalReport:
+    """The report ``write_report`` wrote to ``path``; DataError unless the
+    file holds one. Keys it does not know, such as the ``config`` of older
+    reports, are ignored."""
+    obj = read_json(path, _REPORT_JSON, DataError, "eval report")
+    return EvalReport(**{key: obj[key] for key in _REPORT_JSON})

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -50,6 +50,7 @@ from .core import (
     LabelSpace,
     RunConfig,
     derive_rng,
+    read_json,
 )
 from .losses import bal_ce_batch, ns_ce_batch
 from .metrics import assign_splits
@@ -191,12 +192,7 @@ class TrainLog:
     epochs: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "config": dict(self.config),
-            "plan": dict(self.plan) if self.plan is not None else None,
-            "epochs": self.epochs,
-        }
+        return asdict(self)
 
 
 class _Optimizer:
@@ -557,33 +553,33 @@ def load_checkpoint(path: str | Path) -> ClassifierState:
     A checkpoint that names an activation is accepted only when it is tanh,
     the one hidden-layer activation the model has.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"checkpoint not found: {path}")
-    try:
-        payload = json.loads(path.read_text())
-    except ValueError as exc:
-        raise DataError(f"{path}: checkpoint is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise DataError(f"{path}: checkpoint must hold a JSON object")
-    version = payload.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {version!r}")
-    activation = payload.get("activation", "tanh")
-    if activation != "tanh":
-        raise DataError(f"{path}: unsupported activation {activation!r}")
-    hidden = payload.get("hidden")
+    payload = read_json(path, _CHECKPOINT_JSON, DataError, "checkpoint")
+    if payload["format_version"] != CHECKPOINT_VERSION:
+        raise DataError(f"{path}: unsupported checkpoint version {payload['format_version']!r}")
+    if payload["activation"] not in (None, "tanh"):
+        raise DataError(f"{path}: unsupported activation {payload['activation']!r}")
+    hidden = payload["hidden"] or {}
     try:
         state = ClassifierState(
-            weights=np.asarray(payload["weights"], dtype=np.float64),
-            bias=np.asarray(payload["bias"], dtype=np.float64),
-            space=LabelSpace.from_json(payload["label_space"]),
-            hidden_weights=None if hidden is None else np.asarray(hidden["weights"]),
-            hidden_bias=None if hidden is None else np.asarray(hidden["bias"]),
+            weights=payload["weights"],
+            bias=payload["bias"],
+            space=LabelSpace.from_json(payload.get("label_space")),
+            hidden_weights=hidden.get("weights"),
+            hidden_bias=hidden.get("bias"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: bad checkpoint: {exc!r}") from exc
+    # DataError and ConfigError too, and an integer too large for a float
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: bad checkpoint: {exc}") from None
     arrays = (state.weights, state.bias, state.hidden_weights, state.hidden_bias)
     if not all(a is None or np.isfinite(a).all() for a in arrays):
         raise DataError(f"{path}: non-finite weights or biases")
     return state
+
+
+_CHECKPOINT_JSON = {
+    "format_version": int,
+    "activation": (str, None),
+    "weights": [[float]],
+    "bias": [float],
+    "hidden": ({"weights": [[float]], "bias": [float]}, None),
+}

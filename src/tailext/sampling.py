@@ -17,7 +17,7 @@ ceil(N_ref/N_S).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -70,13 +70,8 @@ class AuxSamplingPlan:
         return math.ceil(self.ratio[SPLIT_NAMES.index(split_tag)])
 
     def to_json(self) -> dict:
-        return {
-            "per_class_cap": self.per_class_cap,
-            "ratio": list(self.ratio),
-            "expanded_targets": {
-                str(t): tag for t, tag in sorted(self.expanded_targets.items())
-            },
-        }
+        targets = {str(t): tag for t, tag in sorted(self.expanded_targets.items())}
+        return {**asdict(self), "expanded_targets": targets}
 
 
 def build_plan(

@@ -10,7 +10,7 @@ classes crowded into each cluster, i.e. a finer-grained label space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -70,12 +70,9 @@ class CountProfile:
                 )
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind, "num_classes": self.num_classes, "max_count": self.max_count}
-        if self.kind == "exponential":
-            out["imbalance"] = self.imbalance
-        else:
-            out["alpha"] = self.alpha
-        return out
+        """The fields the profile's kind reads."""
+        unread = "alpha" if self.kind == "exponential" else "imbalance"
+        return {k: v for k, v in asdict(self).items() if k != unread}
 
 
 def make_counts(profile: CountProfile, seed: int = 0) -> ClassStats:
@@ -136,14 +133,7 @@ class HierarchySpec:
         return y % self.num_superclasses
 
     def to_json(self) -> dict:
-        return {
-            "num_superclasses": self.num_superclasses,
-            "num_classes": self.num_classes,
-            "feature_dim": self.feature_dim,
-            "sigma_super": self.sigma_super,
-            "sigma_fine": self.sigma_fine,
-            "sigma_sample": self.sigma_sample,
-        }
+        return asdict(self)
 
 
 def _fill(

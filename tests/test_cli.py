@@ -4,18 +4,22 @@ Everything drives main() in process with argv lists; no subprocesses needed.
 """
 import csv
 import json
+import os
 import re
 import shlex
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tailext import cli, experiments
 from tailext.cli import build_parser, main
 from tailext.core import DataError, DivergenceError, read_dataset
-from tailext.model import load_checkpoint
+from tailext.model import ClassifierState, load_checkpoint, save_checkpoint
 
 FIXTURES = Path(__file__).parent / "fixtures" / "curation"
 README = Path(__file__).parents[1] / "README.md"
@@ -334,6 +338,42 @@ def _checkpoint(text):
     return build
 
 
+def _edited_checkpoint(edit):
+    """A checkpoint for the fixture's label space, edited by ``edit``."""
+    def build(tmp_path):
+        train, space, _ = read_dataset(FIXTURES / "train.jsonl")
+        ck = tmp_path / "checkpoint.json"
+        m = space.num_classes
+        save_checkpoint(ClassifierState(np.zeros((m, train.feature_dim)), np.zeros(m), space), ck)
+        payload = json.loads(ck.read_text())
+        edit(payload)
+        return _checkpoint(json.dumps(payload))(tmp_path)
+    return build
+
+
+def _edited_sidecar(edit):
+    """The fixture manifest with its sidecar edited by ``edit``."""
+    def build(tmp_path):
+        data = _dataset_copy(tmp_path)
+        sidecar = data.with_suffix(".meta.json")
+        meta = json.loads(sidecar.read_text())
+        edit(meta)
+        sidecar.write_text(json.dumps(meta))
+        return ["train", "--data", data, "--epochs", "1"]
+    return build
+
+
+def _set(*path_and_value):
+    """An edit setting the value at the key path of a JSON object."""
+    *keys, last, value = path_and_value
+
+    def edit(obj):
+        for key in keys:
+            obj = obj[key]
+        obj[last] = value
+    return edit
+
+
 def _report(text):
     def build(tmp_path):
         rep = tmp_path / "report.json"
@@ -359,6 +399,26 @@ MALFORMED_JSON_INPUTS = {
     "checkpoint-missing-keys": _checkpoint('{"format_version": 1, "bias": [0.0]}'),
     "report-not-json": _report("[1, 2"),
     "report-missing-keys": _report('{"overall_acc": 50.0}'),
+    # each of these ended in a traceback or loaded before the kinds of
+    # every JSON input were checked (the fixture has 4 target classes)
+    "checkpoint-label-space-list": _edited_checkpoint(_set("label_space", [4])),
+    "checkpoint-neighbor-of-list": _edited_checkpoint(_set("label_space", "neighbor_of", [])),
+    "checkpoint-weights-strings": _edited_checkpoint(
+        lambda ck: ck.update(weights=[["0.5"] * len(row) for row in ck["weights"]])),
+    "checkpoint-bias-strings": _edited_checkpoint(lambda ck: ck.update(bias=["0"] * 4)),
+    "checkpoint-weights-bools": _edited_checkpoint(
+        lambda ck: ck.update(weights=[[False] * len(row) for row in ck["weights"]])),
+    "checkpoint-bias-bools": _edited_checkpoint(lambda ck: ck.update(bias=[True] * 4)),
+    "checkpoint-version-true": _edited_checkpoint(_set("format_version", True)),
+    "checkpoint-version-float": _edited_checkpoint(_set("format_version", 1.0)),
+    "checkpoint-num-target-float": _edited_checkpoint(_set("label_space", "num_target", 4.9)),
+    "sidecar-label-space-null": _edited_sidecar(_set("label_space", None)),
+    "sidecar-class-names-list": _edited_sidecar(_set("label_space", "class_names", ["a"])),
+    "sidecar-num-target-float": _edited_sidecar(_set("label_space", "num_target", 4.9)),
+    "sidecar-num-target-string": _edited_sidecar(_set("label_space", "num_target", "4")),
+    "report-array": _report("[1, 2]"),
+    "report-split-size-string": _report(json.dumps(
+        dict(REPORT, split_sizes={"many": "x", "medium": 300, "few": 300}))),
 }
 
 
@@ -370,6 +430,8 @@ BAD_CORPUS_RECORDS = {
     "features-non-numeric": ("features", lambda f: ["x", *f[1:]]),
     "features-wrong-dim": ("features", lambda f: f[:-1]),
     "features-all-nan": ("features", lambda f: [float("nan")] * len(f)),
+    "features-bools": ("features", lambda f: [i % 2 == 0 for i in range(len(f))]),
+    "features-one-bool": ("features", lambda f: [True, *f[1:]]),
     "class-not-string": ("class", lambda v: 7),
     "caption-not-string": ("caption", lambda v: 7),
     "image-ref-not-string": ("image_ref", lambda v: None),
@@ -406,7 +468,10 @@ class TestExitCodes:
         assert run(*argv, "--out", tmp_path / "out") == 3
         assert "data error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("names", [None, '{"0": "cat",', '{"zero": "cat"}'])
+    @pytest.mark.parametrize("names", [
+        None, '{"0": "cat",', '{"zero": "cat"}', '{"0": "cat", "00": "dog"}',
+        '{"0": {"name": "cat"}}', '{"99": "cat"}',
+    ])
     def test_bad_names_file_is_3(self, tmp_path, capsys, names):
         path = tmp_path / "names.json"
         if names is not None:
@@ -425,6 +490,27 @@ class TestExitCodes:
         ))
         assert run(command, "--config", manifest, "--out", tmp_path / "o") == 2
         assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [5, None, [1], "train"])
+    def test_manifest_whose_config_is_no_object_is_2(self, tmp_path, capsys, config):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"command": "train", "version": "0.1.0",
+                                        "config": config}))
+        assert run("train", "--config", manifest, "--data", FIXTURES / "train.jsonl",
+                   "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "config must be an object" in err
+        assert not (tmp_path / "o" / "checkpoint.json").exists()
+
+    def test_allocation_beyond_the_address_space_is_2(self, tmp_path, capsys):
+        # 10 classes of 10**15 test rows of 8 features: 568 PiB, refused at once
+        out = tmp_path / "data"
+        assert run("synth", "--out", out, "--num-classes", "10", "--num-superclasses", "2",
+                   "--feature-dim", "8", "--test-per-class", 10**15) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "allocate" in err
+        assert "Traceback" not in err
+        assert not out.exists() or not list(out.iterdir())
 
     def test_external_service_error_is_4(self, tmp_path, capsys):
         empty = tmp_path / "llm"
@@ -499,6 +585,8 @@ class TestExitCodes:
     # the record rules a corpus is held to
     @pytest.mark.parametrize("key, value", [
         pytest.param("features", ["1.5", "2", 0, 0, 0, 0, 0, 0], id="features-strings"),
+        pytest.param("features", [True, False] * 4, id="features-bools"),
+        pytest.param("features", [1.5, True, 0, 0, 0, 0, 0, 0], id="features-one-bool"),
         pytest.param("label", 1.7, id="label-float"),
         pytest.param("label", True, id="label-bool"),
         pytest.param("id", None, id="id-null"),
@@ -680,6 +768,219 @@ class TestExitCodes:
                    "--out", out) == 0
         log = json.loads((out / "train_log.json").read_text())
         assert log["plan"]["ratio"][0] == 0.0
+
+
+# JSON values of each type, a few of each: a field is given one of a type
+# its kind does not admit
+JSON_VALUES = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-1000, 1000),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "str": st.text(max_size=4),
+    "list": st.lists(st.integers(0, 9), max_size=2),
+    "object": st.dictionaries(st.text(max_size=2), st.integers(0, 9), max_size=2),
+}
+_ABSENT = object()
+
+
+@st.composite
+def _broken(draw, base: dict, fields: list) -> dict:
+    """A copy of ``base`` with one of ``fields`` broken: made absent or
+    null, given another JSON type, its number written as a string, nested,
+    keyed by a non-canonical class id, or put out of range. A field is
+    (key path, what its kind admits, out-of-range values), where it admits
+    JSON types and "absent", or is "id", a key of a class-id map."""
+    obj = json.loads(json.dumps(base))
+    path, admits, out_of_range = draw(st.sampled_from(fields))
+    *parents, last = path
+    owner = obj
+    for key in parents:
+        owner = owner[key]
+    if admits == "id":
+        spelling = draw(st.sampled_from(["0{}", "+{}", " {}", "{}.0", "-{}", "{}٠"]))
+        owner[spelling.format(last)] = owner.pop(last)
+        return obj
+    value = owner[last] if isinstance(owner, list) else owner.get(last)
+    options = [values for kind, values in JSON_VALUES.items() if kind not in admits.split()]
+    options += [st.just([value])] * ("list" not in admits)
+    options += [st.just({"value": value})] * ("object" not in admits)
+    options += [st.just(json.dumps(value))] * (type(value) in (int, float))
+    options += [st.sampled_from(out_of_range)] * bool(out_of_range)
+    options += [st.just(_ABSENT)] * ("absent" not in admits)
+    broken = draw(st.one_of(options))
+    if broken is _ABSENT:  # a list item goes too
+        owner.pop(last) if isinstance(owner, list) else owner.pop(last, None)
+    else:
+        owner[last] = broken
+    return obj
+
+
+def _label_space_fields(space: dict, path: tuple) -> list:
+    """The fields of a label space with auxiliary classes and class names."""
+    aux = next(iter(space["neighbor_of"]))
+    return [
+        (path, "object", ()),
+        (path + ("num_target",), "int", (0, -1, space["num_target"] - 1)),
+        (path + ("num_auxiliary",), "int", (-1, space["num_auxiliary"] + 1)),
+        (path + ("neighbor_of",), "object", ()),
+        (path + ("neighbor_of", aux), "int", (-1, space["num_target"], 2**70)),
+        (path + ("neighbor_of", aux), "id", ()),
+        (path + ("class_names",), "object null absent", ()),
+        (path + ("class_names", "3"), "str absent", ()),
+        (path + ("class_names", "3"), "id", ()),
+    ]
+
+
+def _named(space: dict) -> dict:
+    return dict(space, class_names={str(i): f"c{i}" for i in range(
+        space["num_target"] + space["num_auxiliary"])})
+
+
+def _rejected(capsys, argv: list, out: Path) -> None:
+    """``argv`` exits 2 or 3 with an error line, not a traceback, and
+    leaves no output behind and no child process."""
+    code = run(*argv, "--out", out)
+    err = capsys.readouterr().err
+    assert code in (2, 3), err
+    assert "Traceback" not in err and err.startswith(("config error: ", "data error: "))
+    written = ("checkpoint.json", "aux.jsonl", "report.json", "report.csv", "train.jsonl")
+    assert not [name for name in written if (out / name).exists()]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _copy(small_run: Path, tmp_path: Path, name: str) -> Path:
+    """A fresh copy of one of small_run's manifests, without its cache."""
+    return _dataset_copy(Path(tempfile.mkdtemp(dir=tmp_path)), small_run / "data" / name)
+
+
+TABLE_SETTINGS = settings(max_examples=20, deadline=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestJsonTables:
+    """Each JSON input with one field broken is refused with exit 2 or 3."""
+
+    @TABLE_SETTINGS
+    @given(data=st.data())
+    def test_sidecar(self, tmp_path, capsys, small_run, data):
+        aux = _copy(small_run, tmp_path, "aux.jsonl")
+        sidecar = aux.with_suffix(".meta.json")
+        meta = json.loads(sidecar.read_text())
+        meta["label_space"] = _named(meta["label_space"])
+        fields = [(("feature_dim",), "int", (0, -1, 7, 2**40))]
+        fields += _label_space_fields(meta["label_space"], ("label_space",))
+        sidecar.write_text(json.dumps(data.draw(_broken(meta, fields))))
+        _rejected(capsys, ["train", "--data", small_run / "data" / "train.jsonl", "--aux", aux,
+                           "--ratio", "1:1:3", "--epochs", "1"], aux.parent / "out")
+
+    @TABLE_SETTINGS
+    @given(data=st.data())
+    def test_checkpoint(self, tmp_path, capsys, small_run, data):
+        payload = json.loads((small_run / "run" / "checkpoint.json").read_text())
+        payload["label_space"] = _named(payload["label_space"])
+        fields = [
+            (("format_version",), "int", (0, 2)),
+            (("activation",), "str null absent", ("relu",)),
+            (("hidden",), "object null absent", ()),
+            (("weights",), "list", (payload["weights"][:-1],)),
+            (("weights", 2), "list", (payload["weights"][2][:-1],)),
+            (("weights", 2, 1), "int float", (10**400, float("inf"))),
+            (("bias",), "list", (payload["bias"][1:],)),
+            (("bias", 3), "int float", (float("-inf"),)),
+            *_label_space_fields(payload["label_space"], ("label_space",)),
+        ]
+        out = Path(tempfile.mkdtemp(dir=tmp_path))
+        (out / "ck.json").write_text(json.dumps(data.draw(_broken(payload, fields))))
+        _rejected(capsys, ["eval", "--checkpoint", out / "ck.json",
+                           "--test", small_run / "data" / "test.jsonl"], out / "out")
+
+    @TABLE_SETTINGS
+    @given(data=st.data())
+    def test_config_file(self, tmp_path, capsys, small_run, data):
+        config = {"epochs": 1, "lr": 0.1, "ratio": "1:1:3", "optimizer": "sgd",
+                  "momentum": 0.0, "hidden_dim": None, "aux": None, "cap": 50,
+                  "batch_size": 16, "lambda_s": 0.1, "weight_decay": 0.0, "seed": 3}
+        fields = [
+            (("epochs",), "int absent", (0, -1)),
+            (("lr",), "int float absent", (0, -0.5, float("nan"))),
+            (("ratio",), "str absent", ("1:2", "a:b:c")),
+            (("optimizer",), "str absent", ("adagrad",)),
+            (("momentum",), "int float absent", (1, -0.1)),
+            (("hidden_dim",), "int null absent", (0, -2)),
+            (("aux",), "str null absent", ()),
+            (("cap",), "int absent", (0,)),
+            (("batch_size",), "int absent", (0,)),
+            (("lambda_s",), "int float absent", (-1,)),
+            (("weight_decay",), "int float absent", (-1.5,)),
+            (("seed",), "int absent", ()),
+        ]
+        broken = data.draw(st.one_of(
+            _broken(config, fields),
+            st.just(dict(config, bogus=1)),
+            JSON_VALUES["list"], JSON_VALUES["str"], JSON_VALUES["null"],
+            # a manifest, accepted as a config file, whose config is no object
+            _broken({"command": "train", "config": config}, [(("config",), "object", ())]),
+        ))
+        out = Path(tempfile.mkdtemp(dir=tmp_path))
+        (out / "cfg.json").write_text(json.dumps(broken))
+        _rejected(capsys, ["train", "--config", out / "cfg.json",
+                           "--data", small_run / "data" / "train.jsonl"], out / "out")
+
+    @TABLE_SETTINGS
+    @given(data=st.data())
+    def test_names_file(self, tmp_path, capsys, data):
+        names = {str(i): f"c{i}" for i in range(10)}  # SMALL_SYNTH has 10 classes
+        broken = data.draw(st.one_of(
+            _broken(names, [(("3",), "str absent", ()), (("3",), "id", ()), (("7",), "id", ())]),
+            st.sampled_from([dict(names, **{"10": "c10"}), dict(names, **{"99": "c99"})]),
+            JSON_VALUES["list"], JSON_VALUES["str"], JSON_VALUES["null"],
+        ))
+        out = Path(tempfile.mkdtemp(dir=tmp_path))
+        (out / "names.json").write_text(json.dumps(broken))
+        _rejected(capsys, ["synth", *SMALL_SYNTH, "--names", out / "names.json"], out / "out")
+
+    @TABLE_SETTINGS
+    @given(data=st.data())
+    def test_eval_report(self, tmp_path, capsys, data):
+        fields = [((key,), "int float", ()) for key in (
+            "overall_acc", "balanced_error_sum", "balanced_error_mean")]
+        fields += [((key,), "int float null absent", ()) for key in (
+            "many_acc", "medium_acc", "few_acc", "head_tail_gap")]
+        fields += [(("split_sizes",), "object", ())]
+        fields += [(("split_sizes", key), "int", ()) for key in ("many", "medium", "few")]
+        fields += [(("num_classes",), "int", ()), (("num_samples",), "int", ()),
+                   (("masked",), "bool", ()), (("seed",), "int null absent", ())]
+        out = Path(tempfile.mkdtemp(dir=tmp_path))
+        (out / "report.json").write_text(json.dumps(data.draw(_broken(REPORT, fields))))
+        _rejected(capsys, ["report", out / "report.json"], out / "out")
+
+    @TABLE_SETTINGS
+    @given(data=st.data())
+    def test_train_counts(self, tmp_path, capsys, small_run, data):
+        test = _copy(small_run, tmp_path, "test.jsonl")
+        sidecar = test.with_suffix(".meta.json")
+        meta = json.loads(sidecar.read_text())
+        counts = meta["train_counts"]
+        fields = [(("train_counts",), "list", (counts[:-1], counts + [60])),
+                  (("train_counts", 4), "int", (0, -5, 2**70))]
+        sidecar.write_text(json.dumps(data.draw(_broken(meta, fields))))
+        _rejected(capsys, ["eval", "--checkpoint", small_run / "run" / "checkpoint.json",
+                           "--test", test], test.parent / "out")
+
+    @TABLE_SETTINGS
+    @given(data=st.data())
+    def test_llm_responses(self, tmp_path, capsys, data):
+        responses = json.loads((FIXTURES / "responses.json").read_text())
+        broken = data.draw(st.one_of(
+            _broken(responses, [((name,), "str absent", ()) for name in responses]),
+            JSON_VALUES["list"], JSON_VALUES["str"], JSON_VALUES["null"],
+        ))
+        out = Path(tempfile.mkdtemp(dir=tmp_path))
+        (out / "responses.json").write_text(json.dumps(broken))
+        _rejected(capsys, ["curate", "--data", FIXTURES / "train.jsonl", "--llm-fixture", out,
+                           "--corpus", FIXTURES / "candidates.jsonl"], out / "out")
 
 
 class TestConfigResolution:

@@ -1,4 +1,5 @@
 """Core domain types: RNG derivation, label spaces, stats, datasets, config."""
+import ast
 import io
 import json
 import os
@@ -382,7 +383,7 @@ NOT_STR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan
                    st.lists(st.text(max_size=2), max_size=2))
 NOT_INT = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False),
                     st.text(max_size=3), st.lists(st.integers(), max_size=2))
-FAULTS = ("missing", "field", "strings", "nested", "short", "long", "non-finite",
+FAULTS = ("missing", "field", "strings", "nested", "short", "long", "non-finite", "bools",
           "not-utf8", "non-object", "not-json", "too-deep")
 
 
@@ -409,6 +410,10 @@ def _malformed_line(draw, rec: dict, fields: dict) -> bytes:
         feats += draw(st.lists(st.floats(-9, 9), min_size=1, max_size=3))
     elif fault == "non-finite":
         feats[i] = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    elif fault == "bools":  # json reads them as bools, which numpy takes for numbers
+        flag = draw(st.booleans())
+        rec["features"] = draw(st.sampled_from([[flag] * len(feats),
+                                                feats[:i] + [flag] + feats[i + 1:]]))
     elif fault == "not-utf8":
         rec[draw(st.sampled_from([k for k, kind in fields.items() if kind is str]))] = "@@"
         return json.dumps(rec).encode().replace(b"@@", b"\xff")
@@ -465,6 +470,20 @@ def test_a_malformed_record_names_its_line(tmp_path, force_parts, kind, data):
             os.waitpid(-1, os.WNOHANG)
     assert messages[0].startswith(where.format(line_no))
     assert messages[1] == messages[0]
+
+
+def test_json_is_decoded_only_in_core():
+    """Every JSON input goes through ``core``: no other module of the
+    package calls ``json.loads`` or ``json.load``."""
+    package = Path(core.__file__).parent
+    calls = []
+    for source in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(), filename=str(source))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("loads", "load")
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"):
+                calls.append((source.name, node.lineno))
+    assert calls and {name for name, _ in calls} == {"core.py"}, calls
 
 
 def _square_unless(bad: dict):

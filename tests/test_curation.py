@@ -386,13 +386,16 @@ class TestSplitCorpus:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    payload: dict = {}
+    payload: dict | bytes = {}  # bytes are sent as they are
     status = 200
+    hits = 0  # requests served since the fixture started
 
     def do_POST(self):
+        type(self).hits += 1
         length = int(self.headers.get("Content-Length", 0))
         self.rfile.read(length)
-        body = json.dumps(type(self).payload).encode()
+        payload = type(self).payload
+        body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(type(self).status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -405,6 +408,7 @@ class _Handler(BaseHTTPRequestHandler):
 
 @pytest.fixture()
 def http_endpoint():
+    _Handler.hits = 0
     server = HTTPServer(("127.0.0.1", 0), _Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -434,6 +438,24 @@ class TestHttpLLMClient:
                                backoff=0.01)
         with pytest.raises(ExternalServiceError, match="unreachable"):
             client.complete("prompt")
+
+    @pytest.mark.parametrize("status, payload, sent, message", [
+        pytest.param(401, {"error": "bad key"}, 1, "HTTP 401", id="unauthorized"),
+        pytest.param(404, {"error": "no route"}, 1, "HTTP 404", id="not-found"),
+        pytest.param(200, b"<html>busy</html>", 1, "malformed", id="body-not-json"),
+        pytest.param(200, {"choices": [{"message": {"content": 5}}]}, 1, "malformed",
+                     id="content-not-a-string"),
+        pytest.param(429, {"error": "slow down"}, 3, "unreachable", id="rate-limited"),
+        pytest.param(503, {"error": "overloaded"}, 3, "unreachable", id="unavailable"),
+    ])
+    def test_only_failures_that_may_pass_are_retried(self, http_endpoint, status, payload,
+                                                     sent, message):
+        _Handler.payload = payload
+        _Handler.status = status
+        client = HttpLLMClient(base_url=http_endpoint, transport_retries=2, backoff=0.01)
+        with pytest.raises(ExternalServiceError, match=message):
+            client.complete("prompt")
+        assert _Handler.hits == sent
 
     def test_connection_refused(self):
         client = HttpLLMClient(base_url="http://127.0.0.1:9", timeout=0.2,

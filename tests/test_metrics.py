@@ -24,6 +24,7 @@ from tailext.metrics import (
     count_rank_gap,
     evaluate,
     expansion_targets,
+    read_report,
     reports_to_csv,
     write_report,
 )
@@ -170,9 +171,10 @@ def small_report(**over):
 
 
 class TestReportSerialization:
-    def test_json_roundtrip_preserves_none(self):
+    def test_json_roundtrip_preserves_none(self, tmp_path):
         rep = small_report(few_acc=None, head_tail_gap=None)
-        back = EvalReport.from_json(json.loads(json.dumps(rep.to_json())))
+        write_report(rep, tmp_path / "r.json")
+        back = read_report(tmp_path / "r.json")
         assert back == rep
         assert back.few_acc is None
 
