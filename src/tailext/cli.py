@@ -443,7 +443,6 @@ def cmd_sweep(args) -> int:
         raise ConfigError(
             f"unknown sweep axis {axis!r}; pick one of {sorted(SWEEP_OPTIONS)}"
         )
-    out = _out_dir(args)
     if cfg["values"] is not None:
         if axis == "aux_count" or axis == "per_class_cap":
             values = _parse_list(cfg["values"], int)
@@ -454,6 +453,9 @@ def cmd_sweep(args) -> int:
     else:
         values = SWEEP_OPTIONS[axis]
     seeds = _parse_list(cfg["seeds"], int)
+    if not values or not seeds:
+        raise ConfigError("sweep needs values and seeds")
+    out = _out_dir(args)
 
     base_cfg = BENCH_CONFIG.with_overrides(epochs=cfg["epochs"])
     geometry = {key: cfg[key] for key in _SWEEP_GEOMETRY}
@@ -530,7 +532,8 @@ _HELP = {
     "ratio": "h:m:t attachment counts, or 'derive'",
     "mask_aux": "mask auxiliary rows before predicting",
     "axis": f"one of {', '.join(sorted(SWEEP_OPTIONS))}",
-    "values": "override the built-in option set",
+    "values": "comma-separated values replacing the built-in option set; "
+              "ratio values are separated by '/', as in 1:1:3/1:1:1",
 }
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "RunConfig",
     "build_label_space",
     "check_json",
+    "decode_json",
     "derive_rng",
     "write_dataset",
     "read_dataset",
@@ -128,20 +129,27 @@ def check_json(value, kind, name: str, error: Callable[[str], Exception]):
     return out
 
 
+def decode_json(raw: bytes, kind, error: Callable[[str], Exception]):
+    """The JSON value in ``raw``, checked against ``kind`` (``check_json``);
+    ``error(message)`` when ``raw`` is not JSON or does not hold ``kind``."""
+    try:
+        value = json.loads(raw)
+    # bad UTF-8 too, as json.loads decodes the bytes; and nesting too deep
+    # for its recursion
+    except (ValueError, RecursionError) as exc:
+        raise error(f"not valid JSON: {exc}") from None
+    return check_json(value, kind, "", error)
+
+
 def read_json(path: str | Path, kind, error: Callable[[str], Exception], what: str):
     """The JSON value in the file at ``path``, checked against ``kind``
-    (``check_json``). A file that is missing, is not JSON or does not hold
+    (``decode_json``). A file that is missing, is not JSON or does not hold
     ``kind`` raises ``error`` naming the file as ``what``."""
     path = Path(path)
     if not path.is_file():
         raise error(f"{what} not found: {path}")
-    try:
-        value = json.loads(path.read_bytes())
-    # bad UTF-8 too, as json.loads decodes the bytes; and nesting too deep
-    # for its recursion
-    except (ValueError, RecursionError) as exc:
-        raise error(f"{path}: {what} is not valid JSON: {exc}") from None
-    return check_json(value, kind, "", lambda message: error(f"{path}: bad {what}: {message}"))
+    return decode_json(path.read_bytes(), kind,
+                       lambda message: error(f"{path}: bad {what}: {message}"))
 
 
 def write_json(path: str | Path, value) -> None:
@@ -876,9 +884,7 @@ class RunConfig:
     epochs: int = 30
     batch_size: int = 128
     learning_rate: float = 0.15
-    optimizer: str = "sgd"
     momentum: float = 0.0
-    weight_decay: float = 0.0
     hidden_dim: int | None = None
 
     def __post_init__(self):
@@ -892,15 +898,11 @@ class RunConfig:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not 0 <= self.weight_decay < math.inf:
-            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         width = self.hidden_dim
         if width is not None and (
             isinstance(width, bool) or not isinstance(width, (int, np.integer)) or width < 1
         ):
             raise ConfigError(f"hidden_dim must be None or an integer >= 1, got {width!r}")
-        if self.optimizer not in ("sgd", "adamw"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.aux_ratio is not None:
             ratio = tuple(float(r) for r in self.aux_ratio)
             if len(ratio) != 3 or not all(0 <= r < math.inf for r in ratio):

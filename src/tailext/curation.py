@@ -8,6 +8,7 @@ tests and against HTTP services in production.
 """
 from __future__ import annotations
 
+import json
 import os
 import re
 import time
@@ -25,7 +26,7 @@ from .core import (
     ExternalServiceError,
     FeatureDataset,
     LabelSpace,
-    check_json,
+    decode_json,
     read_json,
     read_records,
 )
@@ -112,45 +113,46 @@ class HttpLLMClient:
         self.backoff = backoff
 
     def complete(self, prompt: str) -> str:
-        import requests
+        # imported on first use: every CLI command imports this module
+        import http.client
+        import urllib.error
+        import urllib.request
 
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        body = {
+        body = json.dumps({
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
-        }
+        }).encode()
         def failed(problem: str) -> ExternalServiceError:
             return ExternalServiceError(f"LLM endpoint {self.base_url}: {problem}")
 
         for attempt in range(self.transport_retries + 1):
             time.sleep(self.backoff * attempt)
             try:
-                resp = requests.post(
-                    f"{self.base_url}/chat/completions",
-                    json=body,
-                    headers=headers,
-                    timeout=self.timeout,
+                request = urllib.request.Request(
+                    f"{self.base_url}/chat/completions", data=body, headers=headers
                 )
-            except (requests.ConnectionError, requests.Timeout) as exc:
-                last = repr(exc)
-                continue
-            except requests.RequestException as exc:
-                raise failed(repr(exc)) from None
-            if resp.status_code != 429 and resp.status_code < 500:
+                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                    raw = resp.read()
                 break
-            last = f"HTTP {resp.status_code}"
+            except urllib.error.HTTPError as exc:  # a status other than 2xx
+                exc.close()
+                if exc.code != 429 and exc.code < 500:
+                    raise failed(f"refused the request: HTTP {exc.code}") from None
+                last = f"HTTP {exc.code}"
+            except (OSError, ValueError, http.client.HTTPException) as exc:
+                # no connection, a timeout or a dropped connection may pass;
+                # a malformed URL or response does not
+                reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
+                if not isinstance(reason, OSError):
+                    raise failed(repr(exc)) from None
+                last = repr(exc)
         else:
             raise failed(f"unreachable after {self.transport_retries + 1} attempts: {last}")
-        if not resp.ok:
-            raise failed(f"refused the request: HTTP {resp.status_code}")
-        try:
-            payload = resp.json()
-        except ValueError as exc:  # the body is not JSON
-            raise failed(f"malformed completion payload: {exc!r}") from None
-        payload = check_json(payload, {"choices": [{"message": {"content": str}}]}, "",
-                             lambda problem: failed(f"malformed completion payload: {problem}"))
+        payload = decode_json(raw, {"choices": [{"message": {"content": str}}]},
+                              lambda problem: failed(f"malformed completion payload: {problem}"))
         if not payload["choices"]:
             raise failed("malformed completion payload: no choices")
         return payload["choices"][0]["message"]["content"]

@@ -15,22 +15,23 @@ described below and the divergence guard (``DIVERGENCE_RATIO``).
 
 Epoch block layout. An epoch's active output rows are the L target rows
 plus the auxiliary rows attached that epoch, ascending (``_epoch_view``). At
-the start of the epoch the output layer's weights, bias and optimizer slots
-for those rows are copied into contiguous blocks; every batch of the epoch
+the start of the epoch the output layer's weights, bias and velocities for
+those rows are copied into contiguous blocks; every batch of the epoch
 runs forward, loss, backward and step on the blocks in place, and the
 blocks are copied back at the end of the epoch. The per-batch buffers (the
 hidden features H, the logits, the output and hidden gradients, dA and
 1 - H^2) are allocated once per epoch; the last, partial batch uses leading
 views of them.
 
+Update rule. Plain SGD steps ``p -= lr * g``; with momentum each parameter
+keeps a velocity, ``v = momentum * v + g``, and steps ``p -= lr * v``.
+
 Idle-row rule. A row outside the epoch's active rows gets a gradient of
-exactly zero. Under plain SGD (momentum 0, no weight decay) a zero gradient
-leaves the row bit for bit unchanged, so idle rows are not touched. Under
-momentum, weight decay or AdamW a zero gradient still moves the row
-(``_Optimizer.moves_idle_rows``), so idle rows are gathered into a block of
-their own and stepped with a zero gradient on every batch. Every optimizer
-update is elementwise, so stepping rows in blocks gives the same bits as
-stepping the full arrays.
+exactly zero. Under plain SGD a zero gradient leaves the row bit for bit
+unchanged, so idle rows are not touched. Under momentum the velocity still
+moves the row, so idle rows are gathered into a block of their own and
+stepped with a zero gradient on every batch. The update is elementwise, so
+stepping rows in blocks gives the same bits as stepping the full arrays.
 """
 from __future__ import annotations
 
@@ -71,8 +72,8 @@ CHECKPOINT_VERSION = 1
 # loss stops training as diverged. The output layer starts at zero, so the
 # first loss is fixed by the class counts and the batch's labels alone. The
 # largest multiple measured on working runs is 39 (crowded, imbalanced pilot
-# cells at the default learning rate); SGD at lr 1e9 and AdamW at lr 1e3
-# pass 6,000 within their first batches.
+# cells at the default learning rate); SGD at lr 1e9, and at lr 1e3 with
+# momentum 0.9, pass 6,000 within their first batches.
 DIVERGENCE_RATIO = 1000.0
 
 # predict_batch scores at most this many rows at a time, in balanced chunks
@@ -195,72 +196,6 @@ class TrainLog:
         return asdict(self)
 
 
-class _Optimizer:
-    """SGD with momentum, or AdamW with the (0.9, 0.95) beta preset.
-
-    ``slots`` holds each parameter's state arrays by parameter name; plain
-    SGD (momentum 0) has none and steps ``p -= lr * g``. A step
-    may be given other parameter and slot arrays, such as row blocks of
-    them: every update is elementwise.
-    """
-
-    ADAM_BETAS = (0.9, 0.95)
-
-    def __init__(self, cfg: RunConfig, params: dict[str, np.ndarray]):
-        self.cfg = cfg
-        self.kind = cfg.optimizer
-        self.step_count = 0
-        if self.kind == "sgd":
-            # plain SGD (momentum 0) keeps no velocity
-            self.slots = {
-                k: {"v": np.zeros_like(p)} if cfg.momentum else {} for k, p in params.items()
-            }
-        else:
-            self.slots = {
-                k: {"m": np.zeros_like(p), "v": np.zeros_like(p)} for k, p in params.items()
-            }
-
-    @property
-    def moves_idle_rows(self) -> bool:
-        """Whether a zero gradient still changes a parameter: under momentum,
-        weight decay or AdamW it does; under plain SGD it does not."""
-        cfg = self.cfg
-        return self.kind == "adamw" or cfg.momentum != 0 or cfg.weight_decay != 0
-
-    def step(
-        self,
-        params: dict[str, np.ndarray],
-        grads: dict[str, np.ndarray],
-        slots: dict[str, dict[str, np.ndarray]] | None = None,
-    ) -> None:
-        """One update of every parameter in ``params``, in place; ``slots``
-        defaults to the optimizer's own."""
-        cfg = self.cfg
-        slots = self.slots if slots is None else slots
-        self.step_count += 1
-        for name, p in params.items():
-            g = grads[name]
-            slot = slots[name]
-            if self.kind == "sgd":
-                if cfg.weight_decay:
-                    g = g + cfg.weight_decay * p
-                if cfg.momentum:
-                    v = slot["v"]
-                    np.multiply(v, cfg.momentum, out=v)
-                    v += g
-                    g = v
-                p -= cfg.learning_rate * g
-            else:
-                b1, b2 = self.ADAM_BETAS
-                if cfg.weight_decay:
-                    p *= 1.0 - cfg.learning_rate * cfg.weight_decay
-                slot["m"][:] = b1 * slot["m"] + (1 - b1) * g
-                slot["v"][:] = b2 * slot["v"] + (1 - b2) * g * g
-                m_hat = slot["m"] / (1 - b1**self.step_count)
-                v_hat = slot["v"] / (1 - b2**self.step_count)
-                p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
-
-
 def _init_state(space: LabelSpace, feature_dim: int, cfg: RunConfig) -> ClassifierState:
     M = space.num_classes
     if cfg.hidden_dim is None:
@@ -361,7 +296,10 @@ def _fit(
     hidden: dict[str, np.ndarray] = {}
     if state.hidden_weights is not None:
         hidden = {"hidden_weights": state.hidden_weights, "hidden_bias": state.hidden_bias}
-    optimizer = _Optimizer(cfg, {**out_layer, **hidden})
+    # one velocity per parameter under momentum; plain SGD keeps none
+    velocity: dict[str, np.ndarray] = {}
+    if cfg.momentum:
+        velocity = {name: np.zeros_like(p) for name, p in {**out_layer, **hidden}.items()}
 
     entries = []
     first_loss = None
@@ -377,25 +315,25 @@ def _fit(
 
         # gather the output layer into row blocks (see the module docstring)
         blocks = {"": rows}
-        if optimizer.moves_idle_rows and rows.size < space.num_classes:
+        if cfg.momentum and rows.size < space.num_classes:
             blocks["idle_"] = np.setdiff1d(np.arange(space.num_classes), rows)
         params = dict(hidden)
-        slots = {name: optimizer.slots[name] for name in hidden}
+        vel = {name: velocity[name] for name in hidden} if cfg.momentum else {}
         for tag, sel in blocks.items():
             for name, full in out_layer.items():
                 params[tag + name] = full[sel]
-                slots[tag + name] = {k: a[sel] for k, a in optimizer.slots[name].items()}
+                if cfg.momentum:
+                    vel[tag + name] = velocity[name][sel]
         W, b = params["weights"], params["bias"]
-        grads = {"weights": np.empty_like(W), "bias": np.empty_like(b)}
-        if "idle_" in blocks:
-            grads["idle_weights"] = np.zeros_like(params["idle_weights"])
-            grads["idle_bias"] = np.zeros_like(params["idle_bias"])
+        # idle rows keep a zero gradient
+        grads = {
+            name: (np.zeros_like if name.startswith("idle_") else np.empty_like)(p)
+            for name, p in params.items()
+        }
         n = labels.size
         width = min(cfg.batch_size, n)
         Z_buf = np.empty((width, rows.size))
         if hidden:
-            grads["hidden_weights"] = np.empty_like(state.hidden_weights)
-            grads["hidden_bias"] = np.empty_like(state.hidden_bias)
             H_buf = np.empty((width, state.hidden_weights.shape[0]))
             dA_buf = np.empty_like(H_buf)
             slope_buf = np.empty_like(H_buf)
@@ -446,15 +384,22 @@ def _fit(
                 dA *= slope
                 np.matmul(dA.T, Xb, out=grads["hidden_weights"])
                 np.sum(dA, axis=0, out=grads["hidden_bias"])
-            optimizer.step(params, grads, slots)
+            for name, p in params.items():
+                g = grads[name]
+                if cfg.momentum:
+                    v = vel[name]
+                    v *= cfg.momentum
+                    v += g
+                    g = v
+                p -= cfg.learning_rate * g
         # the mixed arrays go before the next epoch draws its own
         del feats, labels
 
         for tag, sel in blocks.items():
             for name, full in out_layer.items():
                 full[sel] = params[tag + name]
-                for k, a in optimizer.slots[name].items():
-                    a[sel] = slots[tag + name][k]
+                if cfg.momentum:
+                    velocity[name][sel] = vel[tag + name]
 
         entry = {
             "epoch": epoch,
@@ -558,12 +503,18 @@ def load_checkpoint(path: str | Path) -> ClassifierState:
         raise DataError(f"{path}: unsupported checkpoint version {payload['format_version']!r}")
     if payload["activation"] not in (None, "tanh"):
         raise DataError(f"{path}: unsupported activation {payload['activation']!r}")
+    # sized before the label space is built, which allocates per class
+    sizes = payload["label_space"]
+    num_classes = sizes["num_target"] + (sizes["num_auxiliary"] or 0)
+    if len(payload["weights"]) != num_classes:
+        raise DataError(f"{path}: bad checkpoint: {len(payload['weights'])} weight rows "
+                        f"for a {num_classes}-class label space")
     hidden = payload["hidden"] or {}
     try:
         state = ClassifierState(
             weights=payload["weights"],
             bias=payload["bias"],
-            space=LabelSpace.from_json(payload.get("label_space")),
+            space=LabelSpace.from_json(payload["label_space"]),
             hidden_weights=hidden.get("weights"),
             hidden_bias=hidden.get("bias"),
         )
@@ -582,4 +533,5 @@ _CHECKPOINT_JSON = {
     "weights": [[float]],
     "bias": [float],
     "hidden": ({"weights": [[float]], "bias": [float]}, None),
+    "label_space": {"num_target": int, "num_auxiliary": (int, None)},
 }

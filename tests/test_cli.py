@@ -412,6 +412,8 @@ MALFORMED_JSON_INPUTS = {
     "checkpoint-version-true": _edited_checkpoint(_set("format_version", True)),
     "checkpoint-version-float": _edited_checkpoint(_set("format_version", 1.0)),
     "checkpoint-num-target-float": _edited_checkpoint(_set("label_space", "num_target", 4.9)),
+    # compared with the weight rows before the label space allocates per class
+    "checkpoint-num-target-huge": _edited_checkpoint(_set("label_space", "num_target", 10**12)),
     "sidecar-label-space-null": _edited_sidecar(_set("label_space", None)),
     "sidecar-class-names-list": _edited_sidecar(_set("label_space", "class_names", ["a"])),
     "sidecar-num-target-float": _edited_sidecar(_set("label_space", "num_target", 4.9)),
@@ -482,6 +484,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, key", [
         ("train", "gamma1"), ("train", "gamma2"), ("pilot", "jobs"), ("sweep", "jobs"),
+        ("train", "optimizer"), ("train", "weight_decay"),
     ])
     def test_manifest_with_removed_key_is_2(self, tmp_path, capsys, command, key):
         manifest = tmp_path / "manifest.json"
@@ -489,7 +492,15 @@ class TestExitCodes:
             {"command": command, "version": "0.1.0", "config": {"seed": 0, key: 1}}
         ))
         assert run(command, "--config", manifest, "--out", tmp_path / "o") == 2
-        assert f"'{key}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown config keys" in err and f"'{key}'" in err
+
+    @pytest.mark.parametrize("flags", [["--optimizer", "adamw"], ["--weight-decay", "0.01"]])
+    def test_removed_training_flag_is_2(self, tmp_path, flags):
+        with pytest.raises(SystemExit) as exc:
+            run("train", *flags, "--data", FIXTURES / "train.jsonl", "--out", tmp_path / "o")
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("config", [5, None, [1], "train"])
     def test_manifest_whose_config_is_no_object_is_2(self, tmp_path, capsys, config):
@@ -511,6 +522,13 @@ class TestExitCodes:
         assert err.startswith("config error: ") and "allocate" in err
         assert "Traceback" not in err
         assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("flags", [["--values", "0.1", "--seeds", ""], ["--values", ""]])
+    def test_sweep_over_an_empty_list_is_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "sw"
+        assert run("sweep", "--axis", "lambda_s", *flags, "--out", out) == 2
+        assert "config error: sweep needs values and seeds" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_external_service_error_is_4(self, tmp_path, capsys):
         empty = tmp_path / "llm"
@@ -681,7 +699,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"data error: {ck}: bad checkpoint" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("flags", [["--lr", "1e9"], ["--optimizer", "adamw", "--lr", "1e3"]])
+    @pytest.mark.parametrize("flags", [["--lr", "1e9"], ["--momentum", "0.9", "--lr", "1e3"]])
     def test_diverging_train_is_2_without_checkpoint(self, tmp_path, capsys, small_run, flags):
         data = small_run / "data"
         out = tmp_path / "run"
@@ -697,8 +715,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("flags, field, with_aux", [
         pytest.param(["--hidden-dim", "-1"], "hidden_dim", True, id="hidden-dim-negative"),
         pytest.param(["--hidden-dim", "0"], "hidden_dim", True, id="hidden-dim-zero"),
-        pytest.param(["--weight-decay", "-0.1"], "weight_decay", True, id="weight-decay-negative"),
-        pytest.param(["--weight-decay", "nan"], "weight_decay", True, id="weight-decay-nan"),
         pytest.param(["--momentum", "-0.1"], "momentum", True, id="momentum-negative"),
         pytest.param(["--momentum", "1"], "momentum", True, id="momentum-one"),
         pytest.param(["--momentum", "nan"], "momentum", True, id="momentum-nan"),
@@ -890,6 +906,7 @@ class TestJsonTables:
             (("bias",), "list", (payload["bias"][1:],)),
             (("bias", 3), "int float", (float("-inf"),)),
             *_label_space_fields(payload["label_space"], ("label_space",)),
+            (("label_space", "num_target"), "int", (10**12,)),
         ]
         out = Path(tempfile.mkdtemp(dir=tmp_path))
         (out / "ck.json").write_text(json.dumps(data.draw(_broken(payload, fields))))
@@ -899,21 +916,19 @@ class TestJsonTables:
     @TABLE_SETTINGS
     @given(data=st.data())
     def test_config_file(self, tmp_path, capsys, small_run, data):
-        config = {"epochs": 1, "lr": 0.1, "ratio": "1:1:3", "optimizer": "sgd",
-                  "momentum": 0.0, "hidden_dim": None, "aux": None, "cap": 50,
-                  "batch_size": 16, "lambda_s": 0.1, "weight_decay": 0.0, "seed": 3}
+        config = {"epochs": 1, "lr": 0.1, "ratio": "1:1:3", "momentum": 0.0,
+                  "hidden_dim": None, "aux": None, "cap": 50, "batch_size": 16,
+                  "lambda_s": 0.1, "seed": 3}
         fields = [
             (("epochs",), "int absent", (0, -1)),
             (("lr",), "int float absent", (0, -0.5, float("nan"))),
             (("ratio",), "str absent", ("1:2", "a:b:c")),
-            (("optimizer",), "str absent", ("adagrad",)),
-            (("momentum",), "int float absent", (1, -0.1)),
+            (("momentum",), "int float absent", (1, -0.1, 1.5, float("inf"))),
             (("hidden_dim",), "int null absent", (0, -2)),
             (("aux",), "str null absent", ()),
             (("cap",), "int absent", (0,)),
             (("batch_size",), "int absent", (0,)),
             (("lambda_s",), "int float absent", (-1,)),
-            (("weight_decay",), "int float absent", (-1.5,)),
             (("seed",), "int absent", ()),
         ]
         broken = data.draw(st.one_of(
@@ -1001,7 +1016,7 @@ class TestConfigResolution:
     @pytest.mark.parametrize("file_cfg", [
         {"lr": 1, "momentum": 0, "lambda_s": 1},  # an int stands for a float
         {"hidden_dim": 4, "aux": None},  # an unset setting may be written as null
-        {"epochs": 2, "ratio": "1:1:3", "optimizer": "adamw"},
+        {"epochs": 2, "ratio": "1:1:3", "momentum": 0.9},
     ])
     def test_config_values_of_default_type_accepted(self, tmp_path, file_cfg):
         cfg = tmp_path / "cfg.json"
@@ -1055,8 +1070,7 @@ def flag_values(base: Path) -> dict[str, dict]:
         "train": {
             "data": str(data / "train.jsonl"), "aux": str(data / "aux.jsonl"),
             "seed": 3, "lambda_s": 0.2, "cap": 10, "ratio": "1:1:2", "epochs": 2,
-            "batch_size": 16, "lr": 0.1, "optimizer": "adamw", "momentum": 0.5,
-            "weight_decay": 0.01, "hidden_dim": 4,
+            "batch_size": 16, "lr": 0.1, "momentum": 0.5, "hidden_dim": 4,
         },
         "eval": {
             "checkpoint": str(base / "run" / "checkpoint.json"),

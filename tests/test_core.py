@@ -602,14 +602,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(per_class_cap=0)
         with pytest.raises(ConfigError):
-            RunConfig(optimizer="adagrad")
-        with pytest.raises(ConfigError):
             RunConfig(aux_ratio=(1, -1, 3))
         nan, inf = float("nan"), float("inf")
         for bad in (
             dict(hidden_dim=0), dict(hidden_dim=-1), dict(hidden_dim=2.0),
-            dict(hidden_dim=True), dict(weight_decay=-0.1), dict(weight_decay=nan),
-            dict(weight_decay=inf), dict(momentum=-0.1), dict(momentum=1.0),
+            dict(hidden_dim=True), dict(momentum=-0.1), dict(momentum=1.0),
             dict(momentum=nan), dict(learning_rate=nan), dict(learning_rate=inf),
             dict(lambda_s=nan), dict(lambda_s=inf), dict(aux_ratio=(1, nan, 3)),
             dict(aux_ratio=(1, 1, inf)),

@@ -24,7 +24,6 @@ from tailext.model import (
     TrainLog,
     _epoch_view,
     _init_state,
-    _Optimizer,
     linear_probe_retrain,
     load_checkpoint,
     save_checkpoint,
@@ -160,12 +159,6 @@ class TestTraining:
         s3, _ = train(ds, None, LabelSpace(num_target=3), cfg.with_overrides(seed=43))
         assert not np.array_equal(s1.weights, s3.weights)
 
-    def test_adamw_runs(self):
-        ds = toy_dataset(seed=9)
-        cfg = RunConfig(epochs=5, optimizer="adamw", learning_rate=0.05, weight_decay=0.01)
-        state, _ = train(ds, None, LabelSpace(num_target=3), cfg)
-        assert np.isfinite(state.weights).all()
-
     def test_lambda_irrelevant_without_aux(self):
         ds = toy_dataset(seed=4)
         space = LabelSpace(num_target=3)
@@ -238,6 +231,17 @@ def reference_bal_ce_batch(Z, labels, stats):
     return m + np.log(total) - u[rows, labels], grads
 
 
+def reference_step(params, grads, velocity, cfg):
+    """SGD on whole arrays: p -= lr * g, or with momentum v = momentum * v + g
+    and p -= lr * v, each velocity kept in ``velocity`` by parameter name."""
+    for name, p in params.items():
+        if cfg.momentum:
+            velocity[name] = cfg.momentum * velocity[name] + grads[name]
+            p -= cfg.learning_rate * velocity[name]
+        else:
+            p -= cfg.learning_rate * grads[name]
+
+
 def reference_train(dataset, aux, space, cfg):
     """The dense batch loop that train() replaced: every batch gathers the
     active weight rows, scatters its gradient into zero-filled full arrays
@@ -256,7 +260,7 @@ def reference_train(dataset, aux, space, cfg):
     if state.hidden_weights is not None:
         params["hidden_weights"] = state.hidden_weights
         params["hidden_bias"] = state.hidden_bias
-    optimizer = _Optimizer(cfg, params)
+    velocity = {name: np.zeros_like(p) for name, p in params.items()}
     log = TrainLog(
         seed=cfg.seed, config=cfg.to_json(),
         plan=plan.to_json() if plan is not None else None,
@@ -294,7 +298,7 @@ def reference_train(dataset, aux, space, cfg):
                 dA = (Gm @ W) * (1.0 - H * H)
                 grads["hidden_weights"] = dA.T @ Xb
                 grads["hidden_bias"] = dA.sum(axis=0)
-            optimizer.step(params, grads)
+            reference_step(params, grads, velocity, cfg)
         entry = {"epoch": epoch, "mean_loss": loss_total / n, "mixed_size": int(n)}
         if use_aux:
             active = (np.flatnonzero(eff > 0) + L).tolist()
@@ -322,11 +326,8 @@ def rotating_aux_problem():
 
 
 OPTIMIZERS = {
-    "sgd": dict(optimizer="sgd", momentum=0.0, weight_decay=0.0, learning_rate=0.3),
-    "sgd-momentum-decay": dict(optimizer="sgd", momentum=0.9, weight_decay=0.01,
-                               learning_rate=0.1),
-    "adamw": dict(optimizer="adamw", weight_decay=0.0, learning_rate=0.05),
-    "adamw-decay": dict(optimizer="adamw", weight_decay=0.05, learning_rate=0.05),
+    "sgd": dict(momentum=0.0, learning_rate=0.3),
+    "sgd-momentum": dict(momentum=0.9, learning_rate=0.1),
 }
 
 
@@ -458,46 +459,6 @@ class TestChunkedPrediction:
             state.predict_batch(np.zeros(3))
 
 
-class TestOptimizer:
-    """The update rules written out by hand; train() and reference_train()
-    both call _Optimizer, so only these tests pin its arithmetic."""
-
-    def params(self):
-        rng = derive_rng(22, "opt")
-        return {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=4)}, [
-            {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=4)} for _ in range(3)
-        ]
-
-    @pytest.mark.parametrize("decay", [0.0, 0.01])
-    def test_plain_sgd_keeps_no_slots_and_steps_by_lr_times_gradient(self, decay):
-        params, grads = self.params()
-        cfg = RunConfig(learning_rate=0.3, weight_decay=decay)
-        opt = _Optimizer(cfg, params)
-        assert opt.slots == {"w": {}, "b": {}}
-        want = {k: p.copy() for k, p in params.items()}
-        for g in grads:
-            opt.step(params, g)
-            for k, p in want.items():
-                p -= 0.3 * (g[k] + decay * p if decay else g[k])
-        for k in params:
-            assert np.array_equal(params[k], want[k]), k
-
-    def test_momentum_accumulates_a_velocity(self):
-        params, grads = self.params()
-        cfg = RunConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.01)
-        opt = _Optimizer(cfg, params)
-        assert set(opt.slots["w"]) == {"v"}
-        want = {k: p.copy() for k, p in params.items()}
-        v = {k: np.zeros_like(p) for k, p in params.items()}
-        for g in grads:
-            opt.step(params, g)
-            for k, p in want.items():
-                v[k] = v[k] * 0.9 + (g[k] + 0.01 * p)
-                p -= 0.1 * v[k]
-        for k in params:
-            assert np.array_equal(params[k], want[k]), k
-
-
 def reference_probe(state, dataset, cfg):
     """The probe's own batch loop from before it ran through train()'s loop:
     full-array weights, fresh temporaries every batch. Kept as the
@@ -508,7 +469,7 @@ def reference_probe(state, dataset, cfg):
     weights = np.zeros((L, rep.shape[1]))
     bias = np.zeros(L)
     params = {"weights": weights, "bias": bias}
-    optimizer = _Optimizer(cfg, params)
+    velocity = {name: np.zeros_like(p) for name, p in params.items()}
     n = len(dataset)
     for epoch in range(cfg.epochs):
         perm = derive_rng(cfg.seed, "probe-shuffle", epoch).permutation(n)
@@ -518,12 +479,12 @@ def reference_probe(state, dataset, cfg):
             Z = Hb @ weights.T + bias
             _, G = bal_ce_batch(Z, yb, stats)
             G /= idx.size
-            optimizer.step(params, {"weights": G.T @ Hb, "bias": G.sum(axis=0)})
+            reference_step(params, {"weights": G.T @ Hb, "bias": G.sum(axis=0)}, velocity, cfg)
     return weights, bias
 
 
 class TestProbe:
-    @pytest.mark.parametrize("opt", ["sgd", "sgd-momentum-decay", "adamw-decay"])
+    @pytest.mark.parametrize("opt", sorted(OPTIMIZERS))
     @pytest.mark.parametrize("hidden_dim", [None, 6])
     def test_matches_reference_loop(self, opt, hidden_dim):
         # 28 target samples in batches of 16 leave a partial last batch
