@@ -1,8 +1,8 @@
 """Command-line surface: synth, pilot, curate, train, eval, sweep, report.
 
-Every command resolves its settings as flag > config file > built-in
-default, writes a manifest.json with the exact resolved configuration, and
-produces byte-identical outputs when re-run with the same config and seed.
+``main`` resolves each command's settings as flag > config file > built-in
+default, runs it, and then writes a manifest.json of the resolved settings.
+Re-runs with the same config and seed give byte-identical outputs.
 Exit codes: 0 success, 2 config error (a size that cannot be allocated
 too), 3 data error, 4 external service failure.
 """
@@ -76,12 +76,12 @@ def _parse_list(text: str, kind: type) -> list:
         raise ConfigError(f"expected comma-separated {kind.__name__} values, got {text!r}")
 
 
-def _load_config_file(path: str, command: str | None = None) -> dict:
+def _load_config_file(path: str, command: str) -> dict:
     obj = read_json(path, {}, ConfigError, "config file")
     # a previously written manifest is accepted as a config file, but only
     # by the command that wrote it
     if "config" in obj and "command" in obj:
-        if command is not None and obj["command"] != command:
+        if obj["command"] != command:
             raise ConfigError(
                 f"{path} is a manifest written by '{obj['command']}', "
                 f"not a config for '{command}'"
@@ -102,8 +102,8 @@ def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
     """flag > config file > default, with unknown keys and values of the
     wrong type in the file rejected."""
     cfg = dict(defaults)
-    if getattr(args, "config", None):
-        file_cfg = _load_config_file(args.config, getattr(args, "command", None))
+    if args.config:
+        file_cfg = _load_config_file(args.config, args.command)
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -121,17 +121,6 @@ def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _out_dir(args) -> Path:
-    out = Path(getattr(args, "out", None) or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_manifest(out: Path, command: str, cfg: dict) -> None:
-    manifest = {"command": command, "version": __version__, "config": cfg}
-    write_json(out / "manifest.json", manifest)
-
-
 def _keyword_defaults(fn, *names: str) -> dict:
     """The defaults of ``fn``'s parameters ``names``, in that order."""
     params = inspect.signature(fn).parameters
@@ -141,8 +130,9 @@ def _keyword_defaults(fn, *names: str) -> dict:
 # ---------------------------------------------------------------- commands
 #
 # Each command's settings table is the one declaration of its settings:
-# build_parser gives every key a flag, and _resolve fills the table from
-# flag > config file > default.
+# build_parser gives every key a flag, and main resolves the table. A
+# command makes its output directory only just before its first write, so
+# a bad setting leaves none behind.
 
 
 _SYNTH_DEFAULTS = {
@@ -166,8 +156,7 @@ _SYNTH_DEFAULTS = {
 }
 
 
-def cmd_synth(args) -> int:
-    cfg = _resolve(_SYNTH_DEFAULTS, args)
+def cmd_synth(cfg: dict, out: Path) -> None:
     profile = CountProfile(
         cfg["profile"],
         cfg["num_classes"],
@@ -214,15 +203,12 @@ def cmd_synth(args) -> int:
         },
         "train_counts": counts.counts.tolist(),
     }
-    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
     write_dataset(train_ds, space, out / "train.jsonl", extra_meta=meta)
     write_dataset(test_ds, space, out / "test.jsonl", extra_meta=meta)
     if aux is not None:
         write_dataset(*aux, out / "aux.jsonl", extra_meta=meta)
-
-    _write_manifest(out, "synth", cfg)
     print(f"wrote {len(train_ds)} train / {len(test_ds)} test samples to {out}")
-    return 0
 
 
 # pilot geometry defaults are run_pilot_cell's
@@ -235,9 +221,7 @@ _PILOT_DEFAULTS = {
 }
 
 
-def cmd_pilot(args) -> int:
-    cfg = _resolve(_PILOT_DEFAULTS, args)
-    out = _out_dir(args)
+def cmd_pilot(cfg: dict, out: Path) -> None:
     s_grid = _parse_list(cfg["superclasses"], int)
     b_grid = _parse_list(cfg["imbalances"], float)
     seeds = _parse_list(cfg["seeds"], int)
@@ -259,6 +243,7 @@ def cmd_pilot(args) -> int:
             lines.append(
                 f"{s},{b},{float(np.mean(gaps))},{float(np.std(gaps))},{len(gaps)}"
             )
+    out.mkdir(parents=True, exist_ok=True)
     (out / "pilot.csv").write_text("\n".join(lines) + "\n")
 
     per_run = ["num_superclasses,imbalance,seed,rank_gap,final_loss"]
@@ -268,10 +253,7 @@ def cmd_pilot(args) -> int:
             f"{float(r['rank_gap'])},{float(r['final_loss'])}"
         )
     (out / "pilot_runs.csv").write_text("\n".join(per_run) + "\n")
-
-    _write_manifest(out, "pilot", cfg)
     print((out / "pilot.csv").read_text(), end="")
-    return 0
 
 
 # every curation default comes from CurationConfig
@@ -290,23 +272,10 @@ _CURATE_DEFAULTS = {
 }
 
 
-def cmd_curate(args) -> int:
+def cmd_curate(cfg: dict, out: Path) -> None:
     from .curation import FixtureLLMClient, FixtureRetriever, HttpLLMClient, curate
 
-    cfg = _resolve(_CURATE_DEFAULTS, args)
-    out = _out_dir(args)
-    if not cfg["data"]:
-        raise ConfigError("curate needs --data pointing at a dataset manifest")
-    dataset, space, _meta = read_dataset(cfg["data"])
-
-    if cfg["llm_fixture"]:
-        client = FixtureLLMClient(cfg["llm_fixture"])
-    else:
-        client = HttpLLMClient()  # uses TAILEXT_LLM_URL / TAILEXT_LLM_KEY
-    if not cfg["corpus"]:
-        raise ConfigError("no retriever configured: pass --corpus <candidates.jsonl>")
-    retriever = FixtureRetriever(cfg["corpus"])
-
+    # every setting is checked before the inputs are read
     cur_cfg = CurationConfig(
         k=cfg["k"],
         gamma_low=cfg["gamma1"],
@@ -315,19 +284,29 @@ def cmd_curate(args) -> int:
         retries=cfg["retries"],
         concurrency=cfg["jobs"],
     )
+    if not cfg["data"]:
+        raise ConfigError("curate needs --data pointing at a dataset manifest")
+    if not cfg["corpus"]:
+        raise ConfigError("no retriever configured: pass --corpus <candidates.jsonl>")
+    if cfg["llm_fixture"]:
+        client = FixtureLLMClient(cfg["llm_fixture"])
+    else:
+        client = HttpLLMClient()  # uses TAILEXT_LLM_URL / TAILEXT_LLM_KEY
+    dataset, space, _meta = read_dataset(cfg["data"])
+    retriever = FixtureRetriever(cfg["corpus"])
+
     aux, merged, report = curate(space, dataset, client, retriever, cur_cfg)
     # the aux features are copies: free the corpus before the write
     del dataset, retriever
 
+    out.mkdir(parents=True, exist_ok=True)
     if len(aux):
         write_dataset(aux, merged, out / "aux.jsonl", extra_meta={"curation": report})
     write_json(out / "curation_report.json", report)
-    _write_manifest(out, "curate", cfg)
     print(
         f"kept {len(aux)} samples in {merged.num_auxiliary} auxiliary classes "
         f"({len(report['empty_targets'])} empty targets)"
     )
-    return 0
 
 
 # train flags named differently from the RunConfig field they set
@@ -352,10 +331,8 @@ def _run_config_from(cfg: dict) -> RunConfig:
     return RunConfig(**fields)
 
 
-def cmd_train(args) -> int:
-    cfg = _resolve(_TRAIN_DEFAULTS, args)
+def cmd_train(cfg: dict, out: Path) -> None:
     run_cfg = _run_config_from(cfg)
-    out = _out_dir(args)
     if not cfg["data"]:
         raise ConfigError("train needs --data pointing at a dataset manifest")
     train_ds, space, _ = read_dataset(cfg["data"])
@@ -370,14 +347,13 @@ def cmd_train(args) -> int:
         space = merged
 
     state, log = train(train_ds, aux_ds, space, run_cfg)
+    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(state, out / "checkpoint.json")
     write_json(out / "train_log.json", log.to_json())
-    _write_manifest(out, "train", cfg)
     print(
         f"trained {space.num_target}+{space.num_auxiliary} classes, "
         f"final mean loss {log.epochs[-1]['mean_loss']:.6f}"
     )
-    return 0
 
 
 _EVAL_DEFAULTS = {
@@ -389,9 +365,7 @@ _EVAL_DEFAULTS = {
 }
 
 
-def cmd_eval(args) -> int:
-    cfg = _resolve(_EVAL_DEFAULTS, args)
-    out = _out_dir(args)
+def cmd_eval(cfg: dict, out: Path) -> None:
     if not cfg["checkpoint"] or not cfg["test"]:
         raise ConfigError("eval needs --checkpoint and --test")
     state = load_checkpoint(cfg["checkpoint"])
@@ -417,10 +391,9 @@ def cmd_eval(args) -> int:
     report = evaluate(
         state, test_ds, splits, mask=cfg["mask_aux"], seed=cfg["seed"]
     )
+    out.mkdir(parents=True, exist_ok=True)
     write_report(report, out / "report.json")
-    _write_manifest(out, "eval", cfg)
     print(report.to_text())
-    return 0
 
 
 # sweep geometry defaults are build_benchmark's
@@ -436,57 +409,59 @@ _SWEEP_DEFAULTS = {
 }
 
 
-def cmd_sweep(args) -> int:
-    cfg = _resolve(_SWEEP_DEFAULTS, args)
+def cmd_sweep(cfg: dict, out: Path) -> None:
     axis = cfg["axis"]
     if axis not in SWEEP_OPTIONS:
         raise ConfigError(
             f"unknown sweep axis {axis!r}; pick one of {sorted(SWEEP_OPTIONS)}"
         )
-    if cfg["values"] is not None:
-        if axis == "aux_count" or axis == "per_class_cap":
-            values = _parse_list(cfg["values"], int)
-        elif axis == "lambda_s":
-            values = _parse_list(cfg["values"], float)
-        else:
-            values = [v for v in cfg["values"].split("/") if v]
-    else:
+    if cfg["values"] is None:
         values = SWEEP_OPTIONS[axis]
+    elif axis == "ratio":
+        values = [v for v in cfg["values"].split("/") if v]
+    else:  # of the type of the built-in options
+        values = _parse_list(cfg["values"], type(SWEEP_OPTIONS[axis][0]))
     seeds = _parse_list(cfg["seeds"], int)
     if not values or not seeds:
         raise ConfigError("sweep needs values and seeds")
-    out = _out_dir(args)
 
+    # each value's RunConfig settings; aux_count sets the benchmark instead
+    if axis == "ratio":
+        try:
+            settings = [{"aux_ratio": _parse_ratio(v)} for v in values]
+        except ConfigError as exc:
+            raise ConfigError(
+                f"{exc}; sweep ratio values are separated by '/', as in 1:1:3/1:1:1"
+            ) from None
+    elif axis == "aux_count" and min(values) < 1:
+        raise ConfigError(f"aux_count values must be >= 1, got {min(values)}")
+    else:
+        settings = [{} if axis == "aux_count" else {axis: v} for v in values]
     base_cfg = BENCH_CONFIG.with_overrides(epochs=cfg["epochs"])
+    # every run's config is built, and so checked, before the first run
+    points = [
+        (value, base_cfg.with_overrides(seed=seed, **setting))
+        for value, setting in zip(values, settings)
+        for seed in seeds
+    ]
     geometry = {key: cfg[key] for key in _SWEEP_GEOMETRY}
 
-    def run_point(value, seed) -> tuple[dict, EvalReport]:
-        run_cfg = base_cfg.with_overrides(seed=seed)
-        per_target = 5
-        if axis == "aux_count":
-            per_target = int(value)
-        elif axis == "per_class_cap":
-            run_cfg = run_cfg.with_overrides(per_class_cap=int(value))
-        elif axis == "ratio":
-            run_cfg = run_cfg.with_overrides(aux_ratio=_parse_ratio(value))
-        elif axis == "lambda_s":
-            run_cfg = run_cfg.with_overrides(lambda_s=float(value))
-        tr, te, aux, merged = build_benchmark(seed, per_target=per_target, **geometry)
+    def run_point(point) -> tuple[dict, EvalReport]:
+        value, run_cfg = point
+        per_target = value if axis == "aux_count" else 5
+        tr, te, aux, merged = build_benchmark(run_cfg.seed, per_target=per_target, **geometry)
         splits = assign_splits(ClassStats(tr.class_counts(merged.num_target)))
         state, _ = train(tr, aux, merged, run_cfg)
-        rep = evaluate(state, te, splits, mask=True, seed=seed)
+        rep = evaluate(state, te, splits, mask=True, seed=run_cfg.seed)
         return {"axis": axis, "value": value}, rep
 
-    points = [(v, s) for v in values for s in seeds]
-    rows = _map_runs(lambda point: run_point(*point), points)
-
+    rows = _map_runs(run_point, points)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.csv").write_text(reports_to_csv(rows, ("axis", "value")))
-    _write_manifest(out, "sweep", cfg)
     print(f"swept {axis} over {values} x {len(seeds)} seeds -> {out / 'sweep.csv'}")
-    return 0
 
 
-def cmd_report(args) -> int:
+def cmd_report(args: argparse.Namespace) -> None:
     inputs = [Path(p) for p in args.inputs]
     if not inputs:
         raise ConfigError("report needs at least one input file")
@@ -502,17 +477,17 @@ def cmd_report(args) -> int:
         rows.append(({"source": str(path)}, report))
         print(f"== {path} ==")
         print(report.to_text())
-    if rows and getattr(args, "out", None):
-        out = _out_dir(args)
+    if rows and args.out:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         (out / "report.csv").write_text(reports_to_csv(rows, ("source",)))
         print(f"wrote {out / 'report.csv'}")
-    return 0
 
 
 # ---------------------------------------------------------------- parsing
 
 
-# name -> (handler, settings table, help)
+# name -> (handler(cfg, out), settings table, help)
 _COMMANDS = {
     "synth": (cmd_synth, _SYNTH_DEFAULTS, "generate a synthetic long-tail dataset"),
     "pilot": (cmd_pilot, _PILOT_DEFAULTS, "granularity-vs-imbalance pilot grid"),
@@ -534,6 +509,7 @@ _HELP = {
     "axis": f"one of {', '.join(sorted(SWEEP_OPTIONS))}",
     "values": "comma-separated values replacing the built-in option set; "
               "ratio values are separated by '/', as in 1:1:3/1:1:1",
+    "jobs": "LLM requests in flight at once",
 }
 
 
@@ -558,21 +534,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tailext {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, (func, defaults, help_text) in _COMMANDS.items():
+    for name, (_, defaults, help_text) in _COMMANDS.items():
         # no prefix matching: `--seed` must not pass for `--seeds`
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file (flags override it)")
         p.add_argument("--out", help="output directory (default: current)")
         for key, default in defaults.items():
             _add_setting(p, key, default)
-        p.set_defaults(func=func)
 
     p = sub.add_parser(
         "report", help="summarize eval reports and sweep CSVs", allow_abbrev=False
     )
     p.add_argument("inputs", nargs="*")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_report)
 
     return parser
 
@@ -581,7 +555,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "report":  # no settings and no manifest
+            cmd_report(args)
+            return 0
+        command, defaults, _ = _COMMANDS[args.command]
+        cfg = _resolve(defaults, args)
+        out = Path(args.out or ".")
+        command(cfg, out)
+        # written last, so only a command that finished leaves one
+        write_json(out / "manifest.json",
+                   {"command": args.command, "version": __version__, "config": cfg})
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

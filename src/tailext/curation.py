@@ -1,6 +1,7 @@
 """Auxiliary-category curation: ask a language model for fine-grained
 neighbor names, drop label leaks, retrieve candidate records, and keep the
-ones that pass the caption and prototype-similarity rules.
+ones that pass the caption and prototype-similarity rules. Only the queries,
+which wait on the model, run on threads; the rest runs in the caller.
 
 The heavy lifting (embeddings, image search) lives behind two small
 interfaces, so the whole pipeline runs offline against fixture files in
@@ -337,6 +338,9 @@ class FixtureRetriever:
 
 @dataclass(frozen=True)
 class CurationConfig:
+    """Settings of ``curate``; ``concurrency`` bounds the LLM queries in
+    flight at once, and nothing else runs on its threads."""
+
     k: int = 5
     gamma_low: float = 0.7
     gamma_high: float = 0.98
@@ -369,11 +373,13 @@ def curate(
 ) -> tuple[FeatureDataset, LabelSpace, dict]:
     """Run the full pipeline for every class in the expansion splits.
 
-    Per target: prompt -> query -> leak filter -> retrieve -> caption and
-    similarity filters. Returns the curated auxiliary dataset, the label
-    space grown by one auxiliary class per surviving neighbor name, and a
-    report with per-stage counts. Targets whose candidates all get filtered
-    are recorded in the report, not fatal.
+    Two stages: first every target's prompt -> query, on at most
+    ``cfg.concurrency`` threads; then, in the calling thread and in target
+    order, leak filter -> retrieve -> caption and similarity filters. So a
+    failed query stops the run before any retrieval. Returns the curated
+    auxiliary dataset, the label space grown by one auxiliary class per
+    surviving neighbor name, and a report with per-stage counts. Targets
+    whose candidates all get filtered are recorded in the report, not fatal.
     """
     cfg = cfg or CurationConfig()
     if space.num_auxiliary:
@@ -388,39 +394,14 @@ def curate(
     targets = expansion_targets(ClassStats(dataset.class_counts(space.num_target)), cfg.expand)
     all_names = [space.class_names[c] for c in range(space.num_target)]
 
-    def stage_one(tid: int):
-        # one LLM query, then per surviving name one retrieval, filtered at
-        # once, so only the candidates of the targets in flight are alive
-        proposed = query_neighbors(client, space.class_names[tid], cfg.k, cfg.retries)
-        survivors = filter_leaks(proposed, all_names)
-        proto = {tid: compute_prototype(dataset, tid)}
-        rejected = {"caption": 0, "similarity-low": 0, "similarity-high": 0}
-        retrieved = 0
-        kept_by_name = []
-        for name in survivors:
-            cands = retriever.retrieve(name, tid)
-            retrieved += len(cands)
-            kept, dropped = filter_candidates(cands, proto, cfg.gamma_low, cfg.gamma_high)
-            for _, reason in dropped:
-                rejected[reason] += 1
-            if kept:
-                kept_by_name.append(
-                    (name, [c.feature for c in kept], [c.image_ref for c in kept])
-                )
-        counts = {
-            "class_name": space.class_names[tid],
-            "proposed": len(proposed),
-            "after_leak_filter": len(survivors),
-            "retrieved": retrieved,
-            "kept": sum(len(refs) for _, _, refs in kept_by_name),
-            "rejected": rejected,
-        }
-        return tid, counts, kept_by_name
-
-    # map hands back the targets in order, and at the first failure cancels
+    # only the LLM queries wait on anything, so only they share the pool;
+    # map hands them back in target order, and at the first failure cancels
     # the ones no worker has started
     with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
-        stage = list(pool.map(stage_one, targets))
+        proposals = list(pool.map(
+            lambda tid: query_neighbors(client, space.class_names[tid], cfg.k, cfg.retries),
+            targets,
+        ))
 
     # auxiliary ids are given in target-id order, the order of ``targets``
     feats: list[np.ndarray] = []
@@ -429,23 +410,37 @@ def curate(
     pairs: list[tuple[int, int]] = []
     aux_names: dict[int, str] = {}
     per_target: dict[str, dict] = {}
-    empty: list[int] = []
-    warnings_: list[str] = []
 
-    for tid, counts, kept_by_name in stage:
-        for name, kept_feats, kept_ids in kept_by_name:
-            aux_id = space.num_target + len(pairs)
-            pairs.append((aux_id, tid))
-            aux_names[aux_id] = name
-            feats.extend(kept_feats)
-            labels.extend([aux_id] * len(kept_ids))
-            ids.extend(kept_ids)
-        per_target[str(tid)] = counts
-        if counts["kept"] == 0:
-            empty.append(tid)
+    for tid, proposed in zip(targets, proposals):
+        # each name's candidates are filtered as they are retrieved, so only
+        # one name's are alive at a time
+        survivors = filter_leaks(proposed, all_names)
+        proto = {tid: compute_prototype(dataset, tid)}
+        rejected = {"caption": 0, "similarity-low": 0, "similarity-high": 0}
+        retrieved = kept_here = 0
+        for name in survivors:
+            cands = retriever.retrieve(name, tid)
+            retrieved += len(cands)
+            kept, dropped = filter_candidates(cands, proto, cfg.gamma_low, cfg.gamma_high)
+            for _, reason in dropped:
+                rejected[reason] += 1
+            if kept:
+                aux_id = space.num_target + len(pairs)
+                pairs.append((aux_id, tid))
+                aux_names[aux_id] = name
+                feats.extend(c.feature for c in kept)
+                labels.extend([aux_id] * len(kept))
+                ids.extend(c.image_ref for c in kept)
+                kept_here += len(kept)
+        per_target[str(tid)] = {
+            "class_name": space.class_names[tid],
+            "proposed": len(proposed),
+            "after_leak_filter": len(survivors),
+            "retrieved": retrieved,
+            "kept": kept_here,
+            "rejected": rejected,
+        }
 
-    if not feats:
-        warnings_.append("no candidates survived curation; auxiliary set is empty")
     # every kept feature passed the cosine check against a (D,) prototype
     aux = FeatureDataset(
         features=np.array(feats).reshape(-1, dataset.feature_dim),
@@ -464,9 +459,9 @@ def curate(
         "config": cfg.to_json(),
         "expanded_targets": targets,
         "per_target": per_target,
-        "empty_targets": empty,
+        "empty_targets": [t for t in targets if per_target[str(t)]["kept"] == 0],
         "num_aux_classes": merged.num_auxiliary,
         "total_kept_samples": len(aux),
-        "warnings": warnings_,
+        "warnings": [] if feats else ["no candidates survived curation; auxiliary set is empty"],
     }
     return aux, merged, report

@@ -754,6 +754,33 @@ class TestExitCodes:
         assert "unknown split names ['bogus']" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["pilot", "--seeds", ""], "pilot grid needs", id="pilot"),
+        pytest.param(["train"], "train needs --data", id="train"),
+        pytest.param(["curate"], "curate needs --data", id="curate"),
+        pytest.param(["eval"], "eval needs --checkpoint", id="eval"),
+        pytest.param(["sweep", "--axis", "ratio", "--values", "1:1:3,1:1:1"],
+                     "got '1:1:3,1:1:1'; sweep ratio values are separated by '/'",
+                     id="sweep-ratio-commas"),
+        # no seed is trained at 1:1:3 before the bad value is found
+        pytest.param(["sweep", "--axis", "ratio", "--values", "1:1:3/bad"], "got 'bad'",
+                     id="sweep-ratio-bad"),
+        pytest.param(["sweep", "--axis", "aux_count", "--values", "3,0"],
+                     "aux_count values must be >= 1, got 0", id="sweep-aux-count"),
+        # the settings are checked before --data is read
+        pytest.param(["curate", "--data", "absent.jsonl", "--llm-fixture", FIXTURES],
+                     "no retriever configured", id="curate-no-corpus"),
+        pytest.param(["curate", "--data", "absent.jsonl", "--corpus", "absent.jsonl"],
+                     "no LLM endpoint", id="curate-no-llm"),
+    ])
+    def test_config_error_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch, argv,
+                                            message):
+        monkeypatch.delenv("TAILEXT_LLM_URL", raising=False)
+        out = tmp_path / "o"
+        assert run(*argv, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_curate_without_retriever_is_2(self, tmp_path):
         assert run("curate", "--data", FIXTURES / "train.jsonl",
                    "--llm-fixture", FIXTURES, "--out", tmp_path / "o") == 2

@@ -486,6 +486,30 @@ def test_json_is_decoded_only_in_core():
     assert calls and {name for name, _ in calls} == {"core.py"}, calls
 
 
+def test_concurrency_has_two_owners():
+    """Only ``core._map_runs`` forks, and only ``curation.curate`` makes a
+    thread pool: every call of ``fork`` or ``ThreadPoolExecutor`` in the
+    package, by the top-level function or method it is in."""
+    package = Path(core.__file__).parent
+    made = []
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text(), filename=str(source))
+        owners = []  # (name, node) of each top-level statement, methods apart
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef):
+                owners += [(f"{stmt.name}.{getattr(s, 'name', '')}", s) for s in stmt.body]
+            else:
+                owners.append((getattr(stmt, "name", "<module>"), stmt))
+        for owner, stmt in owners:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if callee in ("fork", "ThreadPoolExecutor"):
+                        made.append((callee, f"{source.stem}.{owner}"))
+    assert sorted(made) == [("ThreadPoolExecutor", "curation.curate"),
+                            ("fork", "core._map_runs")], made
+
+
 def _square_unless(bad: dict):
     """x * x, or raises bad[x] for the runs named in ``bad``."""
 

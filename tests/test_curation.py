@@ -547,6 +547,18 @@ class ShapedRetriever:
                      feature=np.ones(self.shape))]
 
 
+class RecordingRetriever:
+    """Serves ``inner``'s candidates; records the thread of every call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.threads: list[int] = []
+
+    def retrieve(self, class_name, source_target):
+        self.threads.append(threading.get_ident())
+        return self.inner.retrieve(class_name, source_target)
+
+
 class FailingClient:
     """Replays ``inner`` but fails the query for ``fail``; records the class
     of every query, in the order they came."""
@@ -613,14 +625,27 @@ class TestCurateEdges:
 
     def test_first_failure_stops_the_queries_at_one_job(self):
         space, dataset = self.space_and_data()
-        client = FailingClient(FixtureLLMClient(FIXTURES), fail="ragdoll")
-        cfg = CurationConfig(concurrency=1)
-        with pytest.raises(ExternalServiceError, match="ragdoll"):
-            curate(space, dataset, client, FixtureRetriever(FIXTURES / "candidates.jsonl"), cfg)
-        # ragdoll is the first of the three expanded targets; at most the
-        # next one was started before the failure cancelled the rest
-        assert client.queried[0] == "ragdoll"
-        assert len(client.queried) <= 2
+        targets = ["ragdoll", "terrier", "falcon"]  # the expanded ones, in order
+        for i in (0, 2):
+            client = FailingClient(FixtureLLMClient(FIXTURES), fail=targets[i])
+            retriever = RecordingRetriever(FixtureRetriever(FIXTURES / "candidates.jsonl"))
+            with pytest.raises(ExternalServiceError, match=targets[i]):
+                curate(space, dataset, client, retriever, CurationConfig(concurrency=1))
+            # the queries ran in target order, and at most the next one was
+            # started before the failure cancelled the rest
+            assert client.queried[:i + 1] == targets[:i + 1]
+            assert len(client.queried) <= i + 2
+            # retrieval waits for every query, so a failed one stops it all
+            assert retriever.threads == []
+
+    @pytest.mark.parametrize("jobs", [1, 8])
+    def test_retrieval_runs_on_the_calling_thread(self, jobs):
+        space, dataset = self.space_and_data()
+        retriever = RecordingRetriever(FixtureRetriever(FIXTURES / "candidates.jsonl"))
+        curate(space, dataset, FixtureLLMClient(FIXTURES), retriever,
+               CurationConfig(concurrency=jobs))
+        assert retriever.threads
+        assert set(retriever.threads) == {threading.get_ident()}
 
     @pytest.mark.parametrize("shape", [(8, 1), (7,)])
     def test_feature_not_a_flat_vector_of_the_dim(self, shape):
