@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from .core import (
     ExternalServiceError,
     LabelSpace,
     RunConfig,
+    _existing_file,
     _map_runs,
     _sidecar_path,
     check_json,
@@ -34,6 +36,7 @@ from .core import (
 from .curation import CurationConfig
 from .experiments import BENCH_CONFIG, build_benchmark, run_pilot_cell, run_pilot_grid
 from .metrics import (
+    DEFAULT_EXPANSION,
     EvalReport,
     assign_splits,
     evaluate,
@@ -135,46 +138,32 @@ def _keyword_defaults(fn, *names: str) -> dict:
 # a bad setting leaves none behind.
 
 
+# synth at its defaults writes the benchmark's target data: the geometry
+# defaults are build_benchmark's, the spreads HierarchySpec's and the offset
+# make_auxiliary's
 _SYNTH_DEFAULTS = {
-    "num_classes": 100,
-    "num_superclasses": 10,
-    "feature_dim": 64,
+    **_keyword_defaults(build_benchmark, "num_classes", "num_superclasses", "feature_dim"),
     "profile": "exponential",
-    "imbalance": 0.01,
+    **_keyword_defaults(build_benchmark, "imbalance"),
     "alpha": 6.0,
-    "max_count": 300,
-    "test_per_class": 100,
-    "sigma_super": 10.0,
-    "sigma_fine": 2.5,
-    "sigma_sample": 1.0,
+    **_keyword_defaults(build_benchmark, "max_count", "test_per_class"),
+    **{key: getattr(HierarchySpec, key) for key in ("sigma_super", "sigma_fine", "sigma_sample")},
     "aux_per_target": 0,
-    "samples_per_aux": 120,
-    "aux_offset": 3.0,
-    "expand": "medium,few",
+    **_keyword_defaults(build_benchmark, "samples_per_aux"),
+    "aux_offset": _keyword_defaults(make_auxiliary, "offset")["offset"],
+    "expand": ",".join(DEFAULT_EXPANSION),
     "names": None,
     "seed": 0,
 }
 
 
 def cmd_synth(cfg: dict, out: Path) -> None:
-    profile = CountProfile(
-        cfg["profile"],
-        cfg["num_classes"],
-        cfg["max_count"],
-        imbalance=cfg["imbalance"],
-        alpha=cfg["alpha"],
-    )
+    profile = CountProfile(cfg["profile"], cfg["num_classes"], cfg["max_count"],
+                           imbalance=cfg["imbalance"], alpha=cfg["alpha"])
     counts = make_counts(profile, cfg["seed"])
     # checked even when no auxiliary data is made
     targets = expansion_targets(counts, cfg["expand"])
-    spec = HierarchySpec(
-        num_superclasses=cfg["num_superclasses"],
-        num_classes=cfg["num_classes"],
-        feature_dim=cfg["feature_dim"],
-        sigma_super=cfg["sigma_super"],
-        sigma_fine=cfg["sigma_fine"],
-        sigma_sample=cfg["sigma_sample"],
-    )
+    spec = HierarchySpec(**{field.name: cfg[field.name] for field in fields(HierarchySpec)})
     train_ds, test_ds = make_hierarchy(spec, counts, cfg["seed"], cfg["test_per_class"])
 
     names = read_json(cfg["names"], {int: str}, DataError, "names file") if cfg["names"] else None
@@ -185,24 +174,11 @@ def cmd_synth(cfg: dict, out: Path) -> None:
     # made before any file is written, so that its checks leave none behind
     aux = None
     if cfg["aux_per_target"] > 0:
-        aux = make_auxiliary(
-            train_ds,
-            space,
-            per_target=cfg["aux_per_target"],
-            samples_per_aux=cfg["samples_per_aux"],
-            seed=cfg["seed"],
-            targets=targets,
-            offset=cfg["aux_offset"],
-        )
+        aux = make_auxiliary(train_ds, space, cfg["aux_per_target"], cfg["samples_per_aux"],
+                             cfg["seed"], targets, cfg["aux_offset"])
 
-    meta = {
-        "generator": {
-            "profile": profile.to_json(),
-            "hierarchy": spec.to_json(),
-            "seed": cfg["seed"],
-        },
-        "train_counts": counts.counts.tolist(),
-    }
+    generator = {"profile": profile.to_json(), "hierarchy": spec.to_json(), "seed": cfg["seed"]}
+    meta = {"generator": generator, "train_counts": counts.counts.tolist()}
     out.mkdir(parents=True, exist_ok=True)
     write_dataset(train_ds, space, out / "train.jsonl", extra_meta=meta)
     write_dataset(test_ds, space, out / "test.jsonl", extra_meta=meta)
@@ -256,18 +232,17 @@ def cmd_pilot(cfg: dict, out: Path) -> None:
     print((out / "pilot.csv").read_text(), end="")
 
 
-# every curation default comes from CurationConfig
-_CURATION = CurationConfig()
+# curate flags named differently from the CurationConfig field they set
+_CURATE_FLAGS = {"gamma_low": "gamma1", "gamma_high": "gamma2", "concurrency": "jobs"}
+
+# every curation default comes from CurationConfig; expand is written as
+# comma-separated split names
 _CURATE_DEFAULTS = {
     "data": None,
     "llm_fixture": None,
     "corpus": None,
-    "k": _CURATION.k,
-    "gamma1": _CURATION.gamma_low,
-    "gamma2": _CURATION.gamma_high,
-    "expand": ",".join(_CURATION.expand),
-    "retries": _CURATION.retries,
-    "jobs": _CURATION.concurrency,
+    **{_CURATE_FLAGS.get(k, k): v for k, v in CurationConfig().to_json().items()},
+    "expand": ",".join(DEFAULT_EXPANSION),
     "seed": 0,
 }
 
@@ -276,14 +251,8 @@ def cmd_curate(cfg: dict, out: Path) -> None:
     from .curation import FixtureLLMClient, FixtureRetriever, HttpLLMClient, curate
 
     # every setting is checked before the inputs are read
-    cur_cfg = CurationConfig(
-        k=cfg["k"],
-        gamma_low=cfg["gamma1"],
-        gamma_high=cfg["gamma2"],
-        expand=cfg["expand"],
-        retries=cfg["retries"],
-        concurrency=cfg["jobs"],
-    )
+    cur_cfg = CurationConfig(**{f.name: cfg[_CURATE_FLAGS.get(f.name, f.name)]
+                                for f in fields(CurationConfig)})
     if not cfg["data"]:
         raise ConfigError("curate needs --data pointing at a dataset manifest")
     if not cfg["corpus"]:
@@ -292,8 +261,10 @@ def cmd_curate(cfg: dict, out: Path) -> None:
         client = FixtureLLMClient(cfg["llm_fixture"])
     else:
         client = HttpLLMClient()  # uses TAILEXT_LLM_URL / TAILEXT_LLM_KEY
+    # a missing corpus is found before the manifest is read
+    corpus = _existing_file(cfg["corpus"], "candidate corpus", DataError)
     dataset, space, _meta = read_dataset(cfg["data"])
-    retriever = FixtureRetriever(cfg["corpus"])
+    retriever = FixtureRetriever(corpus)
 
     aux, merged, report = curate(space, dataset, client, retriever, cur_cfg)
     # the aux features are copies: free the corpus before the write
@@ -448,8 +419,8 @@ def cmd_sweep(cfg: dict, out: Path) -> None:
 
     def run_point(point) -> tuple[dict, EvalReport]:
         value, run_cfg = point
-        per_target = value if axis == "aux_count" else 5
-        tr, te, aux, merged = build_benchmark(run_cfg.seed, per_target=per_target, **geometry)
+        aux_count = {"per_target": value} if axis == "aux_count" else {}
+        tr, te, aux, merged = build_benchmark(run_cfg.seed, **aux_count, **geometry)
         splits = assign_splits(ClassStats(tr.class_counts(merged.num_target)))
         state, _ = train(tr, aux, merged, run_cfg)
         rep = evaluate(state, te, splits, mask=True, seed=run_cfg.seed)

@@ -141,13 +141,19 @@ def decode_json(raw: bytes, kind, error: Callable[[str], Exception]):
     return check_json(value, kind, "", error)
 
 
+def _existing_file(path: str | Path, what: str, error: Callable[[str], Exception]) -> Path:
+    """``path`` as a Path; ``error`` naming it as ``what`` unless a file is there."""
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"{what} not found: {path}")
+    return path
+
+
 def read_json(path: str | Path, kind, error: Callable[[str], Exception], what: str):
     """The JSON value in the file at ``path``, checked against ``kind``
     (``decode_json``). A file that is missing, is not JSON or does not hold
     ``kind`` raises ``error`` naming the file as ``what``."""
-    path = Path(path)
-    if not path.is_file():
-        raise error(f"{what} not found: {path}")
+    path = _existing_file(path, what, error)
     return decode_json(path.read_bytes(), kind,
                        lambda message: error(f"{path}: bad {what}: {message}"))
 
@@ -179,6 +185,11 @@ def derive_rng(seed: int, *path: int | str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+# The most classes, L + K, of a label space (8 MB of query_target): a file's
+# counts size it before anything compares them with the data.
+MAX_CLASSES = 2**20
+
+
 @dataclass(frozen=True)
 class LabelSpace:
     """Partition of contiguous class ids into L target and K auxiliary classes.
@@ -187,7 +198,7 @@ class LabelSpace:
     maps each auxiliary id to the target id it was queried from. K = 0 is the
     plain closed-set baseline. ``query_target`` is the same relation as a
     read-only (L+K,) array, built once: the target each auxiliary id was
-    queried from, and -1 at every target id.
+    queried from, and -1 at every target id. L + K is at most MAX_CLASSES.
     """
 
     num_target: int
@@ -202,6 +213,8 @@ class LabelSpace:
             raise ConfigError(f"need at least one target class, got {L}")
         if K < 0:
             raise ConfigError(f"negative auxiliary count {K}")
+        if L + K > MAX_CLASSES:
+            raise ConfigError(f"a label space holds at most {MAX_CLASSES} classes, got {L + K}")
         expected = set(range(L, L + K))
         if set(self.neighbor_of) != expected:
             raise ConfigError(
@@ -804,10 +817,8 @@ def read_dataset(path: str | Path) -> tuple[FeatureDataset, LabelSpace, dict]:
     only while both files match their recorded sha256; otherwise the JSONL is
     parsed. A missing, stale or damaged cache is never an error by itself.
     """
-    path = Path(path)
+    path = _existing_file(path, "manifest", DataError)
     sidecar = _sidecar_path(path)
-    if not path.exists():
-        raise DataError(f"manifest not found: {path}")
     meta = read_json(sidecar, {"feature_dim": int}, DataError, "header sidecar")
     dim = meta["feature_dim"]
     try:
@@ -858,6 +869,21 @@ def check_lambda_s(lambda_s: float, error: type[ValueError]) -> None:
         )
 
 
+def check_cap_and_ratio(per_class_cap: int, ratio, ratio_name: str):
+    """The attachment ratio as three floats, or None (derive it) as given;
+    ConfigError unless the cap is >= 1 and every ratio entry finite and >= 0.
+    Both boundaries that take them call this, naming the ratio as they do:
+    ``RunConfig`` (aux_ratio) and ``sampling.AuxSamplingPlan`` (ratio)."""
+    if per_class_cap < 1:
+        raise ConfigError(f"per_class_cap must be >= 1, got {per_class_cap}")
+    if ratio is None:
+        return None
+    ratio = tuple(float(r) for r in ratio)
+    if len(ratio) != 3 or not all(0 <= r < math.inf for r in ratio):
+        raise ConfigError(f"{ratio_name} must be 3 finite numbers >= 0, got {ratio}")
+    return ratio
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Hyper-parameters of one training run, and the only place their
@@ -889,8 +915,8 @@ class RunConfig:
 
     def __post_init__(self):
         check_lambda_s(self.lambda_s, ConfigError)
-        if self.per_class_cap < 1:
-            raise ConfigError(f"per_class_cap must be >= 1, got {self.per_class_cap}")
+        object.__setattr__(self, "aux_ratio",
+                           check_cap_and_ratio(self.per_class_cap, self.aux_ratio, "aux_ratio"))
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
         # written so that NaN fails every bound
@@ -903,11 +929,6 @@ class RunConfig:
             isinstance(width, bool) or not isinstance(width, (int, np.integer)) or width < 1
         ):
             raise ConfigError(f"hidden_dim must be None or an integer >= 1, got {width!r}")
-        if self.aux_ratio is not None:
-            ratio = tuple(float(r) for r in self.aux_ratio)
-            if len(ratio) != 3 or not all(0 <= r < math.inf for r in ratio):
-                raise ConfigError(f"aux_ratio must be 3 finite numbers >= 0, got {ratio}")
-            object.__setattr__(self, "aux_ratio", ratio)
 
     def with_overrides(self, **kwargs) -> "RunConfig":
         return replace(self, **kwargs)

@@ -27,11 +27,12 @@ from .core import (
     ExternalServiceError,
     FeatureDataset,
     LabelSpace,
+    _existing_file,
     decode_json,
     read_json,
     read_records,
 )
-from .metrics import expand_splits, expansion_targets
+from .metrics import DEFAULT_EXPANSION, expand_splits, expansion_targets
 
 __all__ = [
     "Candidate",
@@ -58,7 +59,41 @@ def normalize_name(name: str) -> str:
     return _WS.sub(" ", name.strip().casefold())
 
 
-def build_prompt(class_name: str, k: int = 5) -> str:
+def check_keep_band(gamma_low: float, gamma_high: float) -> None:
+    """ConfigError unless 0 <= gamma_low < gamma_high <= 1. Both boundaries
+    that take the prototype keep band call this: ``CurationConfig`` and
+    ``filter_candidates``."""
+    if not 0.0 <= gamma_low < gamma_high <= 1.0:
+        raise ConfigError(
+            f"need 0 <= gamma_low < gamma_high <= 1, got ({gamma_low}, {gamma_high})"
+        )
+
+
+@dataclass(frozen=True)
+class CurationConfig:
+    """Settings of ``curate``; ``concurrency`` bounds the LLM queries in
+    flight at once, and nothing else runs on its threads."""
+
+    k: int = 5
+    gamma_low: float = 0.7
+    gamma_high: float = 0.98
+    expand: tuple[str, ...] = DEFAULT_EXPANSION
+    retries: int = 2
+    concurrency: int = 8
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ConfigError(f"k must be >= 1, got {self.k}")
+        check_keep_band(self.gamma_low, self.gamma_high)
+        object.__setattr__(self, "expand", expand_splits(self.expand))
+        if self.retries < 0 or self.concurrency < 1:
+            raise ConfigError("retries must be >= 0 and concurrency >= 1")
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+
+def build_prompt(class_name: str, k: int) -> str:
     """The structural in-context prompt, with the requested list size and
     the class to expand substituted in."""
     if not class_name or not class_name.strip():
@@ -187,7 +222,7 @@ class FixtureLLMClient:
 
 
 def query_neighbors(
-    client: LLMClient, class_name: str, k: int = 5, retries: int = 2
+    client: LLMClient, class_name: str, k: int, retries: int = CurationConfig.retries
 ) -> list[str]:
     """Ask for k fine-grained neighbors and parse the comma-separated reply.
 
@@ -255,8 +290,8 @@ def _cosine(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:
 def filter_candidates(
     cands: Sequence[Candidate],
     protos: Mapping[int, np.ndarray],
-    gamma_low: float = 0.7,
-    gamma_high: float = 0.98,
+    gamma_low: float,
+    gamma_high: float,
 ) -> tuple[list[Candidate], list[tuple[Candidate, str]]]:
     """Apply the caption rule, then the prototype keep band.
 
@@ -266,10 +301,7 @@ def filter_candidates(
     Rejections carry the first rule that fired: "caption", "similarity-low",
     or "similarity-high".
     """
-    if not 0.0 <= gamma_low < gamma_high <= 1.0:
-        raise ConfigError(
-            f"need 0 <= gamma_low < gamma_high <= 1, got ({gamma_low}, {gamma_high})"
-        )
+    check_keep_band(gamma_low, gamma_high)
     kept: list[Candidate] = []
     rejected: list[tuple[Candidate, str]] = []
     # each prototype with its norm, and each proposed name, once per call
@@ -310,11 +342,9 @@ class FixtureRetriever:
     FIELDS = {"class": str, "image_ref": str, "caption": str}
 
     def __init__(self, corpus_path: str | Path):
-        path = Path(corpus_path)
-        if not path.exists():
-            raise DataError(f"candidate corpus not found: {path}")
         self._features, records = read_records(
-            path, None, self.FIELDS, lambda line_no: f"bad corpus record at line {line_no}"
+            _existing_file(corpus_path, "candidate corpus", DataError), None, self.FIELDS,
+            lambda line_no: f"bad corpus record at line {line_no}",
         )
         names = {name: normalize_name(name) for name in {name for name, _, _ in records}}
         # normalized name -> (image_ref, caption, row) of its records, in file order
@@ -334,34 +364,6 @@ class FixtureRetriever:
             )
             for image_ref, caption, row in self._records.get(key, ())
         ]
-
-
-@dataclass(frozen=True)
-class CurationConfig:
-    """Settings of ``curate``; ``concurrency`` bounds the LLM queries in
-    flight at once, and nothing else runs on its threads."""
-
-    k: int = 5
-    gamma_low: float = 0.7
-    gamma_high: float = 0.98
-    expand: tuple[str, ...] = ("medium", "few")
-    retries: int = 2
-    concurrency: int = 8
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if not 0.0 <= self.gamma_low < self.gamma_high <= 1.0:
-            raise ConfigError(
-                f"need 0 <= gamma_low < gamma_high <= 1, got "
-                f"({self.gamma_low}, {self.gamma_high})"
-            )
-        object.__setattr__(self, "expand", expand_splits(self.expand))
-        if self.retries < 0 or self.concurrency < 1:
-            raise ConfigError("retries must be >= 0 and concurrency >= 1")
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def curate(

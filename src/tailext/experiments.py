@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import ClassStats, LabelSpace, RunConfig, _map_runs
-from .metrics import assign_splits, count_rank_gap, evaluate, expansion_targets
+from .core import ClassStats, FeatureDataset, LabelSpace, RunConfig, _map_runs
+from .metrics import DEFAULT_EXPANSION, assign_splits, count_rank_gap, evaluate, expansion_targets
 from .model import linear_probe_retrain, train
 from .synth import CountProfile, HierarchySpec, make_auxiliary, make_counts, make_hierarchy
 
@@ -34,7 +34,20 @@ BENCH_CONFIG = RunConfig(aux_ratio=(1, 1, 3))
 # Representation-learning variant: one tanh layer. Silencing strength only
 # matters once a shared feature layer exists for the auxiliary classes to
 # distort, so the lambda ablation runs on this config.
-MLP_CONFIG = RunConfig(learning_rate=0.05, aux_ratio=(1, 1, 3), hidden_dim=128)
+MLP_CONFIG = BENCH_CONFIG.with_overrides(learning_rate=0.05, hidden_dim=128)
+
+
+def _target_data(
+    seed: int, num_classes: int, num_superclasses: int, feature_dim: int, max_count: int,
+    imbalance: float, test_per_class: int, sigma_fine: float,
+) -> tuple[ClassStats, FeatureDataset, FeatureDataset]:
+    """The drivers' one recipe for target data, (train counts, train, test):
+    exponential counts, then the hierarchy at the default spreads but
+    ``sigma_fine``."""
+    profile = CountProfile("exponential", num_classes, max_count, imbalance=imbalance)
+    counts = make_counts(profile, seed)
+    spec = HierarchySpec(num_superclasses, num_classes, feature_dim, sigma_fine=sigma_fine)
+    return (counts, *make_hierarchy(spec, counts, seed, test_per_class))
 
 
 def run_pilot_cell(
@@ -45,31 +58,21 @@ def run_pilot_cell(
     feature_dim: int = 64,
     max_count: int = 300,
     test_per_class: int = 100,
-    sigma_fine: float = 2.5,
+    sigma_fine: float = HierarchySpec.sigma_fine,
     cfg: RunConfig | None = None,
 ) -> dict:
     """One granularity-pilot run: train balanced CE on a hierarchy with the
     given superclass count and imbalance ratio, report the head-tail gap.
 
     The gap uses count-rank terciles so it stays defined at imbalance 1.0.
-    The slightly widened ring (sigma_fine 2.5) keeps the balanced arms of
-    the sweep centered on zero gap; the granularity contrast is insensitive
-    to it.
+    The slightly widened ring (``HierarchySpec``'s default sigma_fine, 2.5)
+    keeps the balanced arms of the sweep centered on zero gap; the
+    granularity contrast is insensitive to it.
     """
-    profile = CountProfile(
-        "exponential", num_classes, max_count, imbalance=imbalance
-    )
-    counts = make_counts(profile, seed)
-    spec = HierarchySpec(
-        num_superclasses=num_superclasses,
-        num_classes=num_classes,
-        feature_dim=feature_dim,
-        sigma_fine=sigma_fine,
-    )
-    train_ds, test_ds = make_hierarchy(spec, counts, seed, test_per_class)
+    stats, train_ds, test_ds = _target_data(seed, num_classes, num_superclasses, feature_dim,
+                                            max_count, imbalance, test_per_class, sigma_fine)
     run_cfg = (cfg or RunConfig()).with_overrides(seed=seed)
     state, log = train(train_ds, None, LabelSpace(num_target=num_classes), run_cfg)
-    stats = ClassStats(train_ds.class_counts(num_classes))
     # one prediction pass serves the report and the rank gap
     preds = state.masked().predict_batch(test_ds.features)
     report = evaluate(
@@ -108,30 +111,16 @@ def build_benchmark(
     per_target: int = 5,
     samples_per_aux: int = 120,
 ):
-    """Long-tail target data plus synthetic neighbor categories.
-
-    The hierarchy's ring is widened as in the pilot (sigma_fine 2.5), and the
-    medium and few classes are expanded, mirroring the curation default of
-    leaving head classes alone. Returns (train, test, aux, merged space).
+    """Long-tail target data at the default spreads, plus synthetic neighbor
+    categories of the classes in the default expansion splits, as curation
+    would expand. Returns (train, test, aux, merged space).
     """
-    counts = make_counts(
-        CountProfile("exponential", num_classes, max_count, imbalance=imbalance), seed
-    )
-    spec = HierarchySpec(
-        num_superclasses=num_superclasses,
-        num_classes=num_classes,
-        feature_dim=feature_dim,
-        sigma_fine=2.5,
-    )
-    train_ds, test_ds = make_hierarchy(spec, counts, seed, test_per_class)
-    aux_ds, merged = make_auxiliary(
-        train_ds,
-        LabelSpace(num_target=num_classes),
-        per_target=per_target,
-        samples_per_aux=samples_per_aux,
-        seed=seed,
-        targets=expansion_targets(counts, ("medium", "few")),
-    )
+    counts, train_ds, test_ds = _target_data(seed, num_classes, num_superclasses, feature_dim,
+                                             max_count, imbalance, test_per_class,
+                                             HierarchySpec.sigma_fine)
+    targets = expansion_targets(counts, DEFAULT_EXPANSION)
+    aux_ds, merged = make_auxiliary(train_ds, LabelSpace(num_target=num_classes), per_target,
+                                    samples_per_aux, seed, targets)
     return train_ds, test_ds, aux_ds, merged
 
 

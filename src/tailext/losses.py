@@ -129,6 +129,20 @@ class SilenceWeights:
         )
 
 
+def _batch_inputs(Z, labels, stats: ClassStats) -> tuple[np.ndarray, np.ndarray]:
+    """Both batch losses' inputs: (B, M) finite float64 logits for the M
+    classes of ``stats``, and int64 labels in [0, M)."""
+    Z = np.asarray(Z, dtype=np.float64)
+    if Z.ndim != 2 or Z.shape[1] != len(stats):
+        raise DataError(f"logits shape {Z.shape} != (B, {len(stats)})")
+    if not np.isfinite(Z).all():
+        raise DataError("non-finite logits")
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= len(stats):
+        raise DataError("labels out of range")
+    return Z, labels
+
+
 def ns_ce_batch(
     Z: np.ndarray,
     labels: np.ndarray,
@@ -147,14 +161,7 @@ def ns_ce_batch(
     terms are dropped before the shift, so a dominant silenced logit can
     neither push the reference above every surviving term nor overflow.
     """
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.ndim != 2 or Z.shape[1] != len(stats):
-        raise DataError(f"logits shape {Z.shape} != (B, {len(stats)})")
-    if not np.isfinite(Z).all():
-        raise DataError("non-finite logits")
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= len(stats):
-        raise DataError("labels out of range")
+    Z, labels = _batch_inputs(Z, labels, stats)
     if len(stats) != space.num_classes:
         raise DataError(
             f"stats cover {len(stats)} classes but label space has {space.num_classes}"
@@ -203,14 +210,7 @@ def bal_ce_batch(
     Z: np.ndarray, labels: np.ndarray, stats: ClassStats
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`bal_ce`; returns (losses (B,), gradients (B, M))."""
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.ndim != 2 or Z.shape[1] != len(stats):
-        raise DataError(f"logits shape {Z.shape} != (B, {len(stats)})")
-    if not np.isfinite(Z).all():
-        raise DataError("non-finite logits")
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= len(stats):
-        raise DataError("labels out of range")
+    Z, labels = _batch_inputs(Z, labels, stats)
     rows = np.arange(Z.shape[0])
     # one (B, M) work array goes u -> shifted -> exp -> gradient
     work = Z + stats.log_counts()[None, :]

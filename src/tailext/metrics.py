@@ -22,6 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 __all__ = [
     "SPLIT_NAMES",
+    "DEFAULT_EXPANSION",
     "SplitAssignment",
     "EvalReport",
     "assign_splits",
@@ -34,6 +35,8 @@ __all__ = [
 ]
 
 SPLIT_NAMES = ("many", "medium", "few")
+# the splits expanded by default: head classes are left alone
+DEFAULT_EXPANSION = ("medium", "few")
 
 EVAL_CSV_COLUMNS = (
     "seed",

@@ -22,7 +22,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import ConfigError, DataError, FeatureDataset, LabelSpace, derive_rng
+from .core import (
+    ConfigError, DataError, FeatureDataset, LabelSpace, check_cap_and_ratio, derive_rng
+)
 from .metrics import SPLIT_NAMES, SplitAssignment, check_splits
 
 __all__ = ["AuxSamplingPlan", "derive_ratio", "build_plan", "sample_epoch"]
@@ -51,17 +53,13 @@ class AuxSamplingPlan:
     how many of the target's auxiliary categories are attached per epoch.
     """
 
-    per_class_cap: int = 50
-    ratio: tuple[float, float, float] = (1.0, 1.0, 3.0)
+    per_class_cap: int
+    ratio: tuple[float, float, float]
     expanded_targets: Mapping[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.per_class_cap < 1:
-            raise ConfigError(f"per_class_cap must be >= 1, got {self.per_class_cap}")
-        ratio = tuple(float(r) for r in self.ratio)
-        if len(ratio) != 3 or not all(0 <= r < math.inf for r in ratio):
-            raise ConfigError(f"ratio must be 3 finite entries >= 0, got {self.ratio}")
-        object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "ratio",
+                           check_cap_and_ratio(self.per_class_cap, self.ratio, "ratio"))
         tags = dict(self.expanded_targets)
         check_splits(tags.values(), ConfigError)
         object.__setattr__(self, "expanded_targets", tags)
@@ -89,11 +87,7 @@ def build_plan(
     if ratio is None:
         totals = SplitAssignment(tuple(split_tags)).totals(target_counts)
         ratio = derive_ratio(tuple(totals[name] for name in SPLIT_NAMES))
-    return AuxSamplingPlan(
-        per_class_cap=per_class_cap,
-        ratio=tuple(float(r) for r in ratio),
-        expanded_targets={int(t): split_tags[int(t)] for t in expanded},
-    )
+    return AuxSamplingPlan(per_class_cap, ratio, {int(t): split_tags[int(t)] for t in expanded})
 
 
 def sample_epoch(

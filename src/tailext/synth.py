@@ -105,13 +105,16 @@ class HierarchySpec:
     jittered equal angles on a ring of radius sigma_fine*sqrt(2), so every
     class faces the same crowding as its siblings and per-class difficulty
     is set by how many classes share the superclass, not by collision luck.
+    The default spreads are the ones every driver and ``tailext synth`` use:
+    sigma_fine 2.5 is a slightly widened ring, which keeps the balanced arms
+    of the granularity pilot centered on zero gap.
     """
 
     num_superclasses: int
     num_classes: int
     feature_dim: int = 64
     sigma_super: float = 10.0
-    sigma_fine: float = 2.0
+    sigma_fine: float = 2.5
     sigma_sample: float = 1.0
 
     def __post_init__(self):

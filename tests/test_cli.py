@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from tailext import cli, experiments
 from tailext.cli import build_parser, main
-from tailext.core import DataError, DivergenceError, read_dataset
+from tailext.core import MAX_CLASSES, DataError, DivergenceError, read_dataset
 from tailext.model import ClassifierState, load_checkpoint, save_checkpoint
 
 FIXTURES = Path(__file__).parent / "fixtures" / "curation"
@@ -93,6 +93,16 @@ class TestSynthTrainEval:
         rep = json.loads((raw / "report.json").read_text())
         assert rep["masked"] is False
         assert rep["num_classes"] == 10 + merged.num_auxiliary
+
+
+def test_synth_defaults_are_the_benchmarks(tmp_path):
+    """``synth`` at its defaults writes ``build_benchmark``'s target data."""
+    assert run("synth", "--seed", "3", "--out", tmp_path) == 0
+    want = experiments.build_benchmark(3)
+    for name, expected in zip(("train.jsonl", "test.jsonl"), want):
+        got, _, _ = read_dataset(tmp_path / name)
+        np.testing.assert_array_equal(got.features, expected.features)
+        np.testing.assert_array_equal(got.labels, expected.labels)
 
 
 class TestDeterminism:
@@ -418,6 +428,8 @@ MALFORMED_JSON_INPUTS = {
     "sidecar-class-names-list": _edited_sidecar(_set("label_space", "class_names", ["a"])),
     "sidecar-num-target-float": _edited_sidecar(_set("label_space", "num_target", 4.9)),
     "sidecar-num-target-string": _edited_sidecar(_set("label_space", "num_target", "4")),
+    # refused by the class ceiling before the label space allocates per class
+    "sidecar-num-target-huge": _edited_sidecar(_set("label_space", "num_target", 10**12)),
     "report-array": _report("[1, 2]"),
     "report-split-size-string": _report(json.dumps(
         dict(REPORT, split_sizes={"many": "x", "medium": 300, "few": 300}))),
@@ -781,6 +793,18 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("corpus", ["absent.jsonl", "."], ids=["absent", "directory"])
+    def test_missing_corpus_is_3_before_the_data_is_read(self, tmp_path, capsys, monkeypatch,
+                                                          corpus):
+        read = []
+        monkeypatch.setattr(cli, "read_dataset", lambda path: read.append(path))
+        assert run("curate", "--data", FIXTURES / "train.jsonl", "--llm-fixture", FIXTURES,
+                   "--corpus", tmp_path / corpus, "--out", tmp_path / "o") == 3
+        assert f"data error: candidate corpus not found: {tmp_path / corpus}" in (
+            capsys.readouterr().err)
+        assert read == []
+        assert not (tmp_path / "o").exists()
+
     def test_curate_without_retriever_is_2(self, tmp_path):
         assert run("curate", "--data", FIXTURES / "train.jsonl",
                    "--llm-fixture", FIXTURES, "--out", tmp_path / "o") == 2
@@ -912,7 +936,8 @@ class TestJsonTables:
         sidecar = aux.with_suffix(".meta.json")
         meta = json.loads(sidecar.read_text())
         meta["label_space"] = _named(meta["label_space"])
-        fields = [(("feature_dim",), "int", (0, -1, 7, 2**40))]
+        fields = [(("feature_dim",), "int", (0, -1, 7, 2**40)),
+                  (("label_space", "num_target"), "int", (MAX_CLASSES + 1, 10**12))]
         fields += _label_space_fields(meta["label_space"], ("label_space",))
         sidecar.write_text(json.dumps(data.draw(_broken(meta, fields))))
         _rejected(capsys, ["train", "--data", small_run / "data" / "train.jsonl", "--aux", aux,

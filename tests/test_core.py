@@ -86,6 +86,15 @@ class TestLabelSpace:
         again = LabelSpace.from_json(space.to_json())
         assert again == space
 
+    def test_class_ceiling_checked_before_allocating(self):
+        # 10**12 classes would be 7.28 TiB of query_target
+        with pytest.raises(ConfigError, match=f"at most {core.MAX_CLASSES} classes, got"):
+            LabelSpace(num_target=10**12)
+        top = core.MAX_CLASSES
+        with pytest.raises(ConfigError, match=f"got {top + 1}"):
+            LabelSpace(num_target=top, num_auxiliary=1, neighbor_of={top: 0})
+        assert LabelSpace(num_target=top).query_target.size == top
+
     def test_build_label_space_rejects_duplicates(self):
         with pytest.raises(ConfigError):
             build_label_space(2, [(2, 0), (2, 1)])
@@ -486,10 +495,9 @@ def test_json_is_decoded_only_in_core():
     assert calls and {name for name, _ in calls} == {"core.py"}, calls
 
 
-def test_concurrency_has_two_owners():
-    """Only ``core._map_runs`` forks, and only ``curation.curate`` makes a
-    thread pool: every call of ``fork`` or ``ThreadPoolExecutor`` in the
-    package, by the top-level function or method it is in."""
+def _calls_of(*callees: str) -> list[tuple[str, str]]:
+    """Every call of one of ``callees`` in the package, as (callee, owner)
+    pairs sorted, the owner being the top-level function or method it is in."""
     package = Path(core.__file__).parent
     made = []
     for source in sorted(package.glob("*.py")):
@@ -504,10 +512,39 @@ def test_concurrency_has_two_owners():
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Call):
                     callee = getattr(node.func, "attr", getattr(node.func, "id", None))
-                    if callee in ("fork", "ThreadPoolExecutor"):
+                    if callee in callees:
                         made.append((callee, f"{source.stem}.{owner}"))
-    assert sorted(made) == [("ThreadPoolExecutor", "curation.curate"),
-                            ("fork", "core._map_runs")], made
+    return sorted(made)
+
+
+def test_concurrency_has_two_owners():
+    """Only ``core._map_runs`` forks, and only ``curation.curate`` makes a
+    thread pool."""
+    made = _calls_of("fork", "ThreadPoolExecutor")
+    assert made == [("ThreadPoolExecutor", "curation.curate"), ("fork", "core._map_runs")], made
+
+
+def test_synthetic_targets_have_one_recipe():
+    """The drivers build target data only through ``experiments._target_data``;
+    ``tailext synth`` keeps its own composition, for its Pareto profile and
+    spread settings."""
+    made = _calls_of("make_counts", "make_hierarchy")
+    assert made == [("make_counts", "cli.cmd_synth"), ("make_counts", "experiments._target_data"),
+                    ("make_hierarchy", "cli.cmd_synth"),
+                    ("make_hierarchy", "experiments._target_data")], made
+
+
+def test_experiments_import_no_curation():
+    """The experiment drivers take the default expansion from ``metrics``,
+    so loading them leaves the curation module, and what it imports, out."""
+    script = "import sys, tailext.experiments; print('tailext.curation' in sys.modules)"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def _square_unless(bad: dict):

@@ -54,7 +54,7 @@ class TestNames:
 
     def test_prompt_validation(self):
         with pytest.raises(ConfigError):
-            build_prompt("   ")
+            build_prompt("   ", k=5)
         with pytest.raises(ConfigError):
             build_prompt("cat", k=0)
 
@@ -132,7 +132,7 @@ class TestPrototypesAndCosine:
         # a dim mismatch, a zero-norm prototype, a zero-norm feature
         for proto, feature in (((1.0, 0.0, 0.0), unit), (zero, unit), (unit, zero)):
             with pytest.raises(DataError, match="cosine"):
-                filter_candidates([cand(feature=feature)], {0: np.asarray(proto)})
+                filter_candidates([cand(feature=feature)], {0: np.asarray(proto)}, 0.7, 0.98)
 
 
 def cand(name="hawk", caption="a hawk in flight", feature=(1.0, 0.0),
@@ -196,13 +196,13 @@ class TestFixtureBackends:
             json.dumps({"Sports   Car": "sedan, coupe"})
         )
         client = FixtureLLMClient(tmp_path)
-        assert client.complete(build_prompt("sports car")) == "sedan, coupe"
+        assert client.complete(build_prompt("sports car", k=5)) == "sedan, coupe"
 
     def test_llm_fixture_missing_query(self, tmp_path):
         (tmp_path / "responses.json").write_text("{}")
         client = FixtureLLMClient(tmp_path)
         with pytest.raises(ExternalServiceError):
-            client.complete(build_prompt("sphynx"))
+            client.complete(build_prompt("sphynx", k=5))
         with pytest.raises(ExternalServiceError):
             client.complete("no query lines here")
 

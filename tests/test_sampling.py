@@ -46,20 +46,20 @@ class TestDeriveRatio:
 
 class TestPlan:
     def test_categories_for_ceils_fractional_entries(self):
-        plan = AuxSamplingPlan(ratio=(1, 0.5, 2.2), expanded_targets={0: "few"})
+        plan = AuxSamplingPlan(per_class_cap=50, ratio=(1, 0.5, 2.2), expanded_targets={0: "few"})
         assert plan.categories_for("many") == 1
         assert plan.categories_for("medium") == 1
         assert plan.categories_for("few") == 3
 
     def test_validation(self):
+        with pytest.raises(ConfigError, match="per_class_cap"):
+            AuxSamplingPlan(per_class_cap=0, ratio=(1, 1, 3))
+        with pytest.raises(ConfigError, match="^ratio must be"):
+            AuxSamplingPlan(per_class_cap=50, ratio=(1, -1, 3))
+        with pytest.raises(ConfigError, match="^ratio must be"):
+            AuxSamplingPlan(per_class_cap=50, ratio=(1, float("nan"), 3))
         with pytest.raises(ConfigError):
-            AuxSamplingPlan(per_class_cap=0)
-        with pytest.raises(ConfigError):
-            AuxSamplingPlan(ratio=(1, -1, 3))
-        with pytest.raises(ConfigError):
-            AuxSamplingPlan(ratio=(1, float("nan"), 3))
-        with pytest.raises(ConfigError):
-            AuxSamplingPlan(expanded_targets={0: "huge"})
+            AuxSamplingPlan(per_class_cap=50, ratio=(1, 1, 3), expanded_targets={0: "huge"})
 
     def test_build_plan_derives_when_ratio_none(self):
         counts = np.array([150, 150, 40, 9, 9])
