@@ -46,7 +46,14 @@ from .metrics import (
     write_report,
 )
 from .model import load_checkpoint, save_checkpoint, train
-from .synth import CountProfile, HierarchySpec, make_auxiliary, make_counts, make_hierarchy
+from .synth import (
+    CountProfile,
+    HierarchySpec,
+    check_per_target,
+    make_auxiliary,
+    make_counts,
+    make_hierarchy,
+)
 
 __all__ = ["main"]
 
@@ -404,9 +411,9 @@ def cmd_sweep(cfg: dict, out: Path) -> None:
             raise ConfigError(
                 f"{exc}; sweep ratio values are separated by '/', as in 1:1:3/1:1:1"
             ) from None
-    elif axis == "aux_count" and min(values) < 1:
-        raise ConfigError(f"aux_count values must be >= 1, got {min(values)}")
     else:
+        if axis == "aux_count":
+            check_per_target(min(values), "aux_count values")
         settings = [{} if axis == "aux_count" else {axis: v} for v in values]
     base_cfg = BENCH_CONFIG.with_overrides(epochs=cfg["epochs"])
     # every run's config is built, and so checked, before the first run

@@ -514,7 +514,9 @@ def _row_problem(features, dim: int, owner: str) -> str | None:
     """Why one record's features are unusable, or None."""
     try:
         check_json(features, [float], "features", ValueError)
-        if not 0 < len(features) == dim:
+        if not features:
+            return "features list is empty"
+        if len(features) != dim:
             return f"features have {len(features)} values, the {owner} has {dim}"
         finite = np.isfinite(np.array(features, dtype=np.float64)).all()
     except (ValueError, OverflowError) as exc:  # an int past the largest float too
@@ -546,11 +548,12 @@ def read_records(
     dim: int | None,
     fields: Mapping[str, type],
     where: Callable[[int], str],
-) -> tuple[np.ndarray, list[tuple]]:
-    """(features, records) of a JSONL file of records with a ``features``
-    list: record i is the tuple of its ``fields`` values, in their order,
-    and row i of the read-only (N, dim) float64 array its features, both
-    in file order. Blank lines are skipped.
+) -> tuple[np.ndarray, list[list]]:
+    """(features, columns) of a JSONL file of records with a ``features``
+    list: one column per name in ``fields``, in their order, the list of
+    that field's values, and the read-only (N, dim) float64 array of the
+    features, where item i of every column and row i of the array belong
+    to record i in file order. Blank lines are skipped.
 
     Every record must be a JSON object with the keys of ``fields``, each
     holding its kind (``check_json``), and ``features``, a flat list of
@@ -562,7 +565,8 @@ def read_records(
     The file is parsed in byte ranges that start at line boundaries, one
     per process (``_process_count``): this process parses the first and
     forked children the others, each into its own rows of one array in
-    memory shared with them. Only the field values come back from a child.
+    memory shared with them. Only the field columns come back from a
+    child, equal values in them held, and sent, once.
     The result and the error do not depend on the number of ranges.
     """
     owner = "corpus" if dim is None else "sidecar"
@@ -622,8 +626,10 @@ def read_records(
             out = np.array(lists, dtype=np.float64)
         return out.astype(np.float64, copy=False)
 
-    def load(part: int) -> list[tuple]:
-        records: list[tuple] = []
+    def load(part: int) -> tuple[int, list[list]]:
+        """The count of part's records and their field columns."""
+        columns: list[list] = [[] for _ in fields]
+        appends = [column.append for column in columns]
         # equal field values, such as a corpus's class names, are held, and
         # sent back, once
         seen: dict = {}
@@ -650,7 +656,8 @@ def read_records(
                 except ValueError as exc:
                     block(pending)  # an earlier bad line is reported first
                     raise DataError(f"{where(line_no)}: {exc}") from None
-                records.append(values)
+                for append, value in zip(appends, values):
+                    append(value)
                 pending.append((line_no, features))
                 row += 1
                 if len(pending) == _CORPUS_BLOCK_ROWS:
@@ -658,18 +665,21 @@ def read_records(
                     pending.clear()
         if pending:
             feats[row - len(pending):row] = block(pending)
-        return records
+        return row - (first_lines[part] - 1), columns
 
-    records: list[tuple] = []
-    for part, loaded in enumerate(_map_runs(load, range(parts))):
+    count = 0
+    columns: list[list] = [[] for _ in fields]
+    for part, (loaded, part_columns) in enumerate(_map_runs(load, range(parts))):
         # close the rows that blank lines left empty, so record i is row i
         start = first_lines[part] - 1
-        if start != len(records):
-            shared.move(len(records) * row_bytes, start * row_bytes, len(loaded) * row_bytes)
-        records.extend(loaded)
-    feats = feats[: len(records)]
+        if start != count:
+            shared.move(count * row_bytes, start * row_bytes, loaded * row_bytes)
+        count += loaded
+        for column, part_column in zip(columns, part_columns):
+            column.extend(part_column)
+    feats = feats[:count]
     feats.setflags(write=False)
-    return feats, records
+    return feats, columns
 
 
 class _HashingWriter:
@@ -829,11 +839,9 @@ def read_dataset(path: str | Path) -> tuple[FeatureDataset, LabelSpace, dict]:
         raise DataError(f"{sidecar}: bad header sidecar: {exc}") from None
     cached = _read_cache(path, meta, dim)
     if cached is None:
-        feats, records = read_records(
+        feats, (ids, labels) = read_records(
             path, dim, {"id": str, "label": int}, lambda line_no: f"{path}:{line_no}"
         )
-        ids = [record_id for record_id, _ in records]
-        labels = [label for _, label in records]
     else:
         feats, labels, ids = cached
         # json writes NaN and Infinity, which must not reach training or

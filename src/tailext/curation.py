@@ -69,6 +69,14 @@ def check_keep_band(gamma_low: float, gamma_high: float) -> None:
         )
 
 
+def check_k(k: int) -> None:
+    """ConfigError unless k, the neighbor names asked for per class, is >= 1.
+    Both boundaries that take k call this: ``CurationConfig`` and
+    ``build_prompt``."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+
+
 @dataclass(frozen=True)
 class CurationConfig:
     """Settings of ``curate``; ``concurrency`` bounds the LLM queries in
@@ -82,8 +90,7 @@ class CurationConfig:
     concurrency: int = 8
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
+        check_k(self.k)
         check_keep_band(self.gamma_low, self.gamma_high)
         object.__setattr__(self, "expand", expand_splits(self.expand))
         if self.retries < 0 or self.concurrency < 1:
@@ -98,8 +105,7 @@ def build_prompt(class_name: str, k: int) -> str:
     the class to expand substituted in."""
     if not class_name or not class_name.strip():
         raise ConfigError("class name for prompting must be non-empty")
-    if k < 1:
-        raise ConfigError(f"must request at least one neighbor, got k={k}")
+    check_k(k)
     return (
         "Task: Given a category name, please list out "
         f"{k} classes that are fine-grained categories related to the "
@@ -336,33 +342,39 @@ class FixtureRetriever:
     present, class, image_ref and caption strings, and the features a flat
     list of finite numbers as long as the first record's. The features are
     kept as one read-only float64 array, and candidates carry views of its
-    rows.
+    rows. The rest is held as columns: the image_ref and caption lists, and
+    for each normalized class name the ascending int64 array of its rows.
     """
 
     FIELDS = {"class": str, "image_ref": str, "caption": str}
 
     def __init__(self, corpus_path: str | Path):
-        self._features, records = read_records(
+        self._features, (names, self._image_refs, self._captions) = read_records(
             _existing_file(corpus_path, "candidate corpus", DataError), None, self.FIELDS,
             lambda line_no: f"bad corpus record at line {line_no}",
         )
-        names = {name: normalize_name(name) for name in {name for name, _, _ in records}}
-        # normalized name -> (image_ref, caption, row) of its records, in file order
-        self._records: dict[str, list[tuple[str, str, int]]] = {}
-        for row, (name, image_ref, caption) in enumerate(records):
-            self._records.setdefault(names[name], []).append((image_ref, caption, row))
+        # each distinct name -> the number of its normalized form, numbered
+        # in order of first appearance
+        keys: dict[str, int] = {}
+        number = {name: keys.setdefault(normalize_name(name), len(keys))
+                  for name in dict.fromkeys(names)}
+        codes = np.fromiter(map(number.__getitem__, names), dtype=np.int64, count=len(names))
+        # a stable sort keeps each name's rows in file order
+        rows = np.argsort(codes, kind="stable")
+        ends = np.cumsum(np.bincount(codes, minlength=len(keys)))
+        self._rows: dict[str, np.ndarray] = dict(zip(keys, np.split(rows, ends[:-1])))
 
     def retrieve(self, class_name: str, source_target: int) -> list[Candidate]:
-        key = normalize_name(class_name)
+        rows = self._rows.get(normalize_name(class_name))
         return [
             Candidate(
-                image_ref=image_ref,
-                caption=caption,
+                image_ref=self._image_refs[row],
+                caption=self._captions[row],
                 feature=self._features[row],
                 proposed_class=class_name,
                 source_target=source_target,
             )
-            for image_ref, caption, row in self._records.get(key, ())
+            for row in ([] if rows is None else rows.tolist())
         ]
 
 

@@ -36,6 +36,12 @@ BENCH_CONFIG = RunConfig(aux_ratio=(1, 1, 3))
 # distort, so the lambda ablation runs on this config.
 MLP_CONFIG = BENCH_CONFIG.with_overrides(learning_rate=0.05, hidden_dim=128)
 
+# The desk-scale geometry both drivers default to; the feature dim and the
+# spreads are HierarchySpec's.
+_NUM_CLASSES = 100
+_MAX_COUNT = 300
+_TEST_PER_CLASS = 100
+
 
 def _target_data(
     seed: int, num_classes: int, num_superclasses: int, feature_dim: int, max_count: int,
@@ -54,10 +60,10 @@ def run_pilot_cell(
     num_superclasses: int,
     imbalance: float,
     seed: int,
-    num_classes: int = 100,
-    feature_dim: int = 64,
-    max_count: int = 300,
-    test_per_class: int = 100,
+    num_classes: int = _NUM_CLASSES,
+    feature_dim: int = HierarchySpec.feature_dim,
+    max_count: int = _MAX_COUNT,
+    test_per_class: int = _TEST_PER_CLASS,
     sigma_fine: float = HierarchySpec.sigma_fine,
     cfg: RunConfig | None = None,
 ) -> dict:
@@ -102,12 +108,12 @@ def run_pilot_grid(
 
 def build_benchmark(
     seed: int,
-    num_classes: int = 100,
+    num_classes: int = _NUM_CLASSES,
     num_superclasses: int = 10,
-    feature_dim: int = 64,
-    max_count: int = 300,
+    feature_dim: int = HierarchySpec.feature_dim,
+    max_count: int = _MAX_COUNT,
     imbalance: float = 0.01,
-    test_per_class: int = 100,
+    test_per_class: int = _TEST_PER_CLASS,
     per_target: int = 5,
     samples_per_aux: int = 120,
 ):

@@ -212,6 +212,15 @@ def make_hierarchy(
     return train_ds, test_ds
 
 
+def check_per_target(per_target: int, name: str) -> None:
+    """ConfigError unless ``per_target``, the neighbor categories made per
+    target class, is >= 1. Both boundaries that take it call this, naming
+    it as they do: ``make_auxiliary`` (per_target) and ``tailext sweep``
+    (aux_count values)."""
+    if per_target < 1:
+        raise ConfigError(f"{name} must be >= 1, got {per_target}")
+
+
 def make_auxiliary(
     base: FeatureDataset,
     space: LabelSpace,
@@ -229,8 +238,7 @@ def make_auxiliary(
     neighbors between the fine-class spread and the superclass spread, close
     enough to compete with their target but not identical to it.
     """
-    if per_target < 1:
-        raise ConfigError(f"per_target must be >= 1, got {per_target}")
+    check_per_target(per_target, "per_target")
     if samples_per_aux < 1:
         raise ConfigError(f"samples_per_aux must be >= 1, got {samples_per_aux}")
     if not math.isfinite(offset):

@@ -823,6 +823,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error" in err and "bad corpus record at line 3" in err
 
+    def test_first_corpus_record_without_features_is_3(self, tmp_path, capsys):
+        # the first record sets the corpus's dim, so the message must not
+        # read as a dim mismatch
+        lines = (FIXTURES / "candidates.jsonl").read_text().splitlines()
+        record = json.loads(lines[0])
+        record["features"] = []
+        lines[0] = json.dumps(record)
+        corpus = tmp_path / "candidates.jsonl"
+        corpus.write_text("\n".join(lines) + "\n")
+        assert run("curate", "--data", FIXTURES / "train.jsonl", "--llm-fixture",
+                   FIXTURES, "--corpus", corpus, "--out", tmp_path / "o") == 3
+        assert ("data error: bad corpus record at line 1: features list is empty"
+                in capsys.readouterr().err)
+
     def test_default_ratio_with_an_empty_split(self, tmp_path):
         # max count 60 leaves the many split (> 100 samples) empty
         data = tmp_path / "data"

@@ -436,6 +436,26 @@ def _malformed_line(draw, rec: dict, fields: dict) -> bytes:
     return json.dumps(rec).encode()
 
 
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_record_columns_follow_fields_and_line_up_with_rows(tmp_path, force_parts, parts):
+    """One column per field, in the order of ``fields`` and not of the keys
+    in a line, and item i of each belongs to feature row i, at any part
+    count and across a blank line."""
+    recs = [{"id": f"r{i}", "note": ("a", "b")[i % 2], "label": i,
+             "features": [float(i), -0.5 * i]} for i in range(12)]
+    lines = [json.dumps(r) for r in recs]
+    lines.insert(5, "")
+    path = tmp_path / "records.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    force_parts(parts)
+    feats, columns = core.read_records(path, 2, {"label": int, "note": str, "id": str},
+                                       lambda line_no: f"line {line_no}")
+    assert columns == [[r["label"] for r in recs], [r["note"] for r in recs],
+                       [r["id"] for r in recs]]
+    assert feats.tolist() == [r["features"] for r in recs]
+    assert not feats.flags.writeable
+
+
 _RECORDS = {
     "manifest": ({"id": "r", "label": 1, "features": [0.5, -1.25, 2.0]},
                  {"id": str, "label": int}),

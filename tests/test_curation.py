@@ -1,9 +1,11 @@
 """Curation pipeline: prompting, leak filtering, the keep band, end-to-end
 runs against the frozen fixture corpus, and the HTTP client."""
+import gc
 import importlib.util
 import json
 import os
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -57,6 +59,17 @@ class TestNames:
             build_prompt("   ", k=5)
         with pytest.raises(ConfigError):
             build_prompt("cat", k=0)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_one_k_rule(self, k):
+        """``CurationConfig`` and ``build_prompt`` refuse the same k with the
+        same message."""
+        messages = []
+        for boundary in (lambda: CurationConfig(k=k), lambda: build_prompt("cat", k)):
+            with pytest.raises(ConfigError) as exc:
+                boundary()
+            messages.append(str(exc.value))
+        assert messages == [f"k must be >= 1, got {k}"] * 2
 
 
 class ScriptedClient:
@@ -268,6 +281,35 @@ class TestFixtureBackends:
         p.write_text("".join(json.dumps(r) + "\n" for r in recs))
         with pytest.raises(DataError, match="line 7: non-finite"):
             FixtureRetriever(p)
+
+
+class TestHeldAsColumns:
+    """A loaded corpus holds, besides its feature array, the image_ref and
+    caption columns and one int64 row number per record. With image_refs of
+    the size perfbench's corpus uses (18 characters, 67 bytes as a str) that
+    is about 95 bytes per record; a 3-tuple and a boxed row number per
+    record made it about 170."""
+
+    RECORDS = 6000
+
+    def test_bytes_held_per_record(self, tmp_path, force_parts):
+        p = tmp_path / "corpus.jsonl"
+        p.write_text("".join(
+            json.dumps({"class": f"Class {i % 60}", "image_ref": f"cand-0000-{i:08d}",
+                        "caption": f"a picture of class {i % 60}",
+                        "features": [0.25 * (i % 7), 1.0]}) + "\n"
+            for i in range(self.RECORDS)))
+        force_parts(1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            retriever = FixtureRetriever(p)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(retriever.retrieve("class 7", 0)) == self.RECORDS // 60
+        assert held / self.RECORDS <= 120
 
 
 def _corpus_lines(count=30, features=(0.25, 0.75)):
