@@ -185,8 +185,9 @@ def derive_rng(seed: int, *path: int | str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-# The most classes, L + K, of a label space (8 MB of query_target): a file's
-# counts size it before anything compares them with the data.
+# The most classes, L + K, of a label space (up to about 24 MB of derived
+# arrays: query_target, aux_by_target and aux_start): a file's counts size it
+# before anything compares them with the data.
 MAX_CLASSES = 2**20
 
 
@@ -196,9 +197,12 @@ class LabelSpace:
 
     Ids 0..L-1 are target classes; L..L+K-1 are auxiliary. ``neighbor_of``
     maps each auxiliary id to the target id it was queried from. K = 0 is the
-    plain closed-set baseline. ``query_target`` is the same relation as a
-    read-only (L+K,) array, built once: the target each auxiliary id was
-    queried from, and -1 at every target id. L + K is at most MAX_CLASSES.
+    plain closed-set baseline. Two read-only forms of the same relation are
+    built once: ``query_target``, the (L+K,) target each auxiliary id was
+    queried from (-1 at every target id), and the auxiliary ids grouped by
+    target, class c's ascending in
+    ``aux_by_target[aux_start[c]:aux_start[c + 1]]`` (empty for an auxiliary
+    class). L + K is at most MAX_CLASSES.
     """
 
     num_target: int
@@ -206,6 +210,8 @@ class LabelSpace:
     neighbor_of: Mapping[int, int] = field(default_factory=dict)
     class_names: Mapping[int, str] | None = None
     query_target: np.ndarray = field(init=False, repr=False, compare=False)
+    aux_by_target: np.ndarray = field(init=False, repr=False, compare=False)
+    aux_start: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         L, K = self.num_target, self.num_auxiliary
@@ -230,8 +236,13 @@ class LabelSpace:
         query_target = np.full(L + K, -1, dtype=np.int64)
         for aux, tgt in self.neighbor_of.items():
             query_target[aux] = tgt
-        query_target.setflags(write=False)
-        object.__setattr__(self, "query_target", query_target)
+        aux_by_target = L + np.argsort(query_target[L:], kind="stable")
+        aux_start = np.zeros(L + K + 1, dtype=np.int64)
+        np.cumsum(np.bincount(query_target[L:], minlength=L + K), out=aux_start[1:])
+        for name, arr in (("query_target", query_target), ("aux_by_target", aux_by_target),
+                          ("aux_start", aux_start)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def num_classes(self) -> int:
@@ -861,20 +872,13 @@ def read_dataset(path: str | Path) -> tuple[FeatureDataset, LabelSpace, dict]:
 
 
 def check_lambda_s(lambda_s: float, error: type[ValueError]) -> None:
-    """Reject a negative or non-finite silencing strength with ``error`` and
-    warn above 1.
+    """Reject a negative or non-finite silencing strength with ``error``.
 
     Both boundaries that take lambda_s call this: ``RunConfig`` with
     ConfigError, the silencing loss with DataError.
     """
     if not (math.isfinite(lambda_s) and lambda_s >= 0):
         raise error(f"lambda_s must be a finite number >= 0, got {lambda_s}")
-    if lambda_s > 1:
-        warnings.warn(
-            f"lambda_s={lambda_s} > 1 amplifies neighbor competition "
-            "instead of silencing it",
-            stacklevel=3,
-        )
 
 
 def check_cap_and_ratio(per_class_cap: int, ratio, ratio_name: str):
@@ -923,6 +927,10 @@ class RunConfig:
 
     def __post_init__(self):
         check_lambda_s(self.lambda_s, ConfigError)
+        if self.lambda_s > 1:
+            # 3 names the line that built the config, past __init__
+            warnings.warn(f"lambda_s={self.lambda_s} > 1 amplifies neighbor competition "
+                          "instead of silencing it", stacklevel=3)
         object.__setattr__(self, "aux_ratio",
                            check_cap_and_ratio(self.per_class_cap, self.aux_ratio, "aux_ratio"))
         if self.epochs < 1 or self.batch_size < 1:

@@ -18,7 +18,6 @@ from .core import ClassStats, DataError, LabelSpace, check_lambda_s
 
 __all__ = [
     "BalancedError",
-    "SilenceWeights",
     "balanced_error",
     "bal_ce",
     "bal_ce_batch",
@@ -82,51 +81,31 @@ def bal_ce_merged(
     return bal_ce(z, true_class, stats)
 
 
-class SilenceWeights:
-    """Pair weights for the neighbor-silencing loss, evaluated on demand.
+def _silenced(space: LabelSpace, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) indices of the (len(labels), M) pair weights that hold
+    lambda_s in the neighbor-silencing loss; every entry not named here is 1.
+    No index pair appears twice. ``labels`` are int64 ids of ``space``.
 
     lambda_ij = lambda_s when one of the pair is auxiliary and is the queried
     neighbor of the other, else 1. The relation holds only between a target
     and its own auxiliary classes: two auxiliaries queried from the same
     target do not silence each other, and target-target pairs always weigh 1.
     The relation is sparse (one entry per auxiliary class), so the dense
-    pairwise matrix is never built: a batch's silenced entries are read off
-    the label space's ``query_target`` array as index pairs.
+    pairwise matrix is never built: a target label's row reads its group of
+    the label space's ``aux_by_target``, and an auxiliary label's row its one
+    ``query_target``.
     """
-
-    def __init__(self, space: LabelSpace, lambda_s: float):
-        check_lambda_s(lambda_s, DataError)
-        self.space = space
-        self.lambda_s = float(lambda_s)
-
-    def pairs(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(row, column) indices of the (len(labels), M) pair weights that
-        hold lambda_s: row b holds lambda_{labels[b], j}, and every entry not
-        named here is 1. No index pair appears twice.
-
-        A target label silences the auxiliary columns queried from it; an
-        auxiliary label silences the one target it was queried from.
-        """
-        query_target = self.space.query_target
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.min(initial=0) < 0 or labels.max(initial=0) >= query_target.size:
-            raise DataError("labels out of range")
-        # auxiliary ids grouped by the target they were queried from; target
-        # t's group is by_target[first[t] : first[t] + n_aux[t]]
-        aux = np.flatnonzero(query_target >= 0)
-        by_target = aux[np.argsort(query_target[aux], kind="stable")]
-        n_aux = np.bincount(query_target[aux], minlength=query_target.size)
-        first = np.cumsum(n_aux) - n_aux
-        counts = n_aux[labels]
-        starts = np.cumsum(counts) - counts
-        target_rows = np.repeat(np.arange(labels.size), counts)
-        pos = np.repeat(first[labels] - starts, counts) + np.arange(target_rows.size)
-        partner = query_target[labels]
-        aux_rows = np.flatnonzero(partner >= 0)
-        return (
-            np.concatenate([target_rows, aux_rows]),
-            np.concatenate([by_target[pos], partner[aux_rows]]),
-        )
+    start = space.aux_start
+    counts = start[labels + 1] - start[labels]
+    first = np.cumsum(counts) - counts
+    target_rows = np.repeat(np.arange(labels.size), counts)
+    pos = np.repeat(start[labels] - first, counts) + np.arange(target_rows.size)
+    partner = space.query_target[labels]
+    aux_rows = np.flatnonzero(partner >= 0)
+    return (
+        np.concatenate([target_rows, aux_rows]),
+        np.concatenate([space.aux_by_target[pos], partner[aux_rows]]),
+    )
 
 
 def _batch_inputs(Z, labels, stats: ClassStats) -> tuple[np.ndarray, np.ndarray]:
@@ -166,21 +145,21 @@ def ns_ce_batch(
         raise DataError(
             f"stats cover {len(stats)} classes but label space has {space.num_classes}"
         )
-    weights = SilenceWeights(space, lambda_s)
+    check_lambda_s(lambda_s, DataError)
     rows = np.arange(Z.shape[0])
     # one (B, M) work array goes u -> t -> shifted -> exp -> scaled -> gradient
     work = Z + stats.log_counts()[None, :]
     work -= work[rows, labels][:, None]
     # every weight other than the silenced pairs' lambda_s is 1
-    silenced = weights.pairs(labels)
-    if weights.lambda_s == 0:
+    silenced = _silenced(space, labels)
+    if lambda_s == 0:
         # silenced terms leave the shift and the sum: their exponent becomes
         # exp(-inf) = 0, where 0 * exp(t - m) would overflow to 0 * inf = nan
         work[silenced] = -np.inf
     m = work.max(axis=1)
     work -= m[:, None]
     np.exp(work, out=work)
-    work[silenced] *= weights.lambda_s
+    work[silenced] *= lambda_s
     total = work.sum(axis=1)
     losses = m + np.log(total)
     work /= total[:, None]

@@ -16,22 +16,21 @@ described below and the divergence guard (``DIVERGENCE_RATIO``).
 Epoch block layout. An epoch's active output rows are the L target rows
 plus the auxiliary rows attached that epoch, ascending (``_epoch_view``). At
 the start of the epoch the output layer's weights, bias and velocities for
-those rows are copied into contiguous blocks; every batch of the epoch
-runs forward, loss, backward and step on the blocks in place, and the
-blocks are copied back at the end of the epoch. The per-batch buffers (the
-hidden features H, the logits, the output and hidden gradients, dA and
-1 - H^2) are allocated once per epoch; the last, partial batch uses leading
-views of them.
+those rows are copied into one contiguous block; every batch of the epoch
+runs forward, loss, backward and step on the block in place, and the block
+is copied back at the end of the epoch. The per-batch buffers (the hidden
+features H, the logits, the output and hidden gradients, dA and 1 - H^2)
+are allocated once per epoch; the last, partial batch uses leading views of
+them.
 
 Update rule. Plain SGD steps ``p -= lr * g``; with momentum each parameter
 keeps a velocity, ``v = momentum * v + g``, and steps ``p -= lr * v``.
 
-Idle-row rule. A row outside the epoch's active rows gets a gradient of
-exactly zero. Under plain SGD a zero gradient leaves the row bit for bit
-unchanged, so idle rows are not touched. Under momentum the velocity still
-moves the row, so idle rows are gathered into a block of their own and
-stepped with a zero gradient on every batch. The update is elementwise, so
-stepping rows in blocks gives the same bits as stepping the full arrays.
+Idle-row rule. A row outside the epoch's active rows has a zero gradient,
+which leaves it unchanged under plain SGD. Under momentum its velocity still
+moves it, so the block holds the idle rows after the active ones, and their
+gradient stays zero. The update is elementwise, so stepping a block gives
+the same bits as stepping the full arrays.
 """
 from __future__ import annotations
 
@@ -313,23 +312,15 @@ def _fit(
         )
         del subset  # its rows now live in feats
 
-        # gather the output layer into row blocks (see the module docstring)
-        blocks = {"": rows}
+        # gather the output layer into one row block (see the module docstring)
+        block = rows
         if cfg.momentum and rows.size < space.num_classes:
-            blocks["idle_"] = np.setdiff1d(np.arange(space.num_classes), rows)
-        params = dict(hidden)
-        vel = {name: velocity[name] for name in hidden} if cfg.momentum else {}
-        for tag, sel in blocks.items():
-            for name, full in out_layer.items():
-                params[tag + name] = full[sel]
-                if cfg.momentum:
-                    vel[tag + name] = velocity[name][sel]
-        W, b = params["weights"], params["bias"]
-        # idle rows keep a zero gradient
-        grads = {
-            name: (np.zeros_like if name.startswith("idle_") else np.empty_like)(p)
-            for name, p in params.items()
-        }
+            block = np.concatenate([rows, np.setdiff1d(np.arange(space.num_classes), rows)])
+        params = {**hidden, **{name: full[block] for name, full in out_layer.items()}}
+        vel = {name: v[block] if name in out_layer else v for name, v in velocity.items()}
+        grads = {name: np.zeros_like(p) for name, p in params.items()}
+        W, b = params["weights"][: rows.size], params["bias"][: rows.size]
+        grad_W, grad_b = grads["weights"][: rows.size], grads["bias"][: rows.size]
         n = labels.size
         width = min(cfg.batch_size, n)
         Z_buf = np.empty((width, rows.size))
@@ -373,8 +364,8 @@ def _fit(
                 )
 
             G /= B
-            np.matmul(G.T, H, out=grads["weights"])
-            np.sum(G, axis=0, out=grads["bias"])
+            np.matmul(G.T, H, out=grad_W)
+            np.sum(G, axis=0, out=grad_b)
             if hidden:
                 dA = dA_buf[:B]
                 slope = slope_buf[:B]
@@ -395,11 +386,10 @@ def _fit(
         # the mixed arrays go before the next epoch draws its own
         del feats, labels
 
-        for tag, sel in blocks.items():
-            for name, full in out_layer.items():
-                full[sel] = params[tag + name]
-                if cfg.momentum:
-                    velocity[name][sel] = vel[tag + name]
+        for name, full in out_layer.items():
+            full[block] = params[name]
+            if cfg.momentum:
+                velocity[name][block] = vel[name]
 
         entry = {
             "epoch": epoch,
@@ -426,14 +416,19 @@ def train(
     an epoch and plain balanced CE otherwise (K = 0 degenerates to the BalCE
     baseline regardless of lambda_s). Every random decision draws from a
     stream derived from (cfg.seed, purpose, epoch, ...), so identical inputs
-    reproduce the TrainLog bit for bit. Raises DivergenceError as ``_fit``
-    describes.
+    reproduce the TrainLog bit for bit. Raises DataError when an auxiliary
+    row carries a target id, which the sampler would never draw, or an id
+    outside the label space, and DivergenceError as ``_fit`` describes.
     """
     target_counts = _target_counts(dataset, space.num_target)
-    if aux is not None and len(aux) and aux.feature_dim != dataset.feature_dim:
-        raise DataError(
-            f"auxiliary feature dim {aux.feature_dim} != target {dataset.feature_dim}"
-        )
+    if aux is not None and len(aux):
+        if aux.feature_dim != dataset.feature_dim:
+            raise DataError(
+                f"auxiliary feature dim {aux.feature_dim} != target {dataset.feature_dim}"
+            )
+        if aux.labels.min() < space.num_target or aux.labels.max() >= space.num_classes:
+            raise DataError(f"auxiliary labels must be auxiliary ids in "
+                            f"[{space.num_target}, {space.num_classes})")
     plan: AuxSamplingPlan | None = None
     if aux is not None and len(aux) > 0 and space.num_auxiliary > 0:
         tags = assign_splits(ClassStats(target_counts)).tags

@@ -112,20 +112,22 @@ def sample_epoch(
         return aux.subset(np.empty(0, dtype=np.int64)), eff
 
     aux.validate_against(space)
+    if any(not 0 <= t < L for t in plan.expanded_targets):
+        raise DataError(f"plan expands {sorted(plan.expanded_targets)}, not all target ids "
+                        f"of the label space [0, {L})")
     # a stable sort keeps each class's sample indices in ascending order, so
     # class c's pool is the slice by_label[start[c]:end[c]]
     by_label = np.argsort(aux.labels, kind="stable")
     counts = np.bincount(aux.labels, minlength=space.num_classes)
     end = np.cumsum(counts)
     start = end - counts
-    # auxiliary ids with samples, ascending, and the target each was queried from
-    sampled = np.flatnonzero((space.query_target >= 0) & (counts > 0))
-    sampled_target = space.query_target[sampled]
 
     chosen: list[np.ndarray] = []
     for target in sorted(plan.expanded_targets):
         tag = plan.expanded_targets[target]
-        categories = sampled[sampled_target == target]
+        # the target's auxiliary ids with samples, ascending
+        group = space.aux_by_target[space.aux_start[target] : space.aux_start[target + 1]]
+        categories = group[counts[group] > 0]
         if not categories.size:
             continue
         n_attach = min(categories.size, plan.categories_for(tag))

@@ -4,11 +4,13 @@ Everything drives main() in process with argv lists; no subprocesses needed.
 """
 import csv
 import json
+import linecache
 import os
 import re
 import shlex
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -711,6 +713,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"data error: {ck}: bad checkpoint" in err and "Traceback" not in err
 
+    def test_target_labelled_auxiliary_data_is_3(self, tmp_path, capsys, small_run):
+        data = small_run / "data"
+        out = tmp_path / "run"
+        assert run("train", "--data", data / "train.jsonl", "--aux", data / "train.jsonl",
+                   "--epochs", "1", "--out", out) == 3
+        assert "data error: auxiliary labels must be auxiliary ids in [10, 10)" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--lr", "1e9"], ["--momentum", "0.9", "--lr", "1e3"]])
     def test_diverging_train_is_2_without_checkpoint(self, tmp_path, capsys, small_run, flags):
         data = small_run / "data"
@@ -1062,6 +1073,20 @@ class TestJsonTables:
         (out / "responses.json").write_text(json.dumps(broken))
         _rejected(capsys, ["curate", "--data", FIXTURES / "train.jsonl", "--llm-fixture", out,
                            "--corpus", FIXTURES / "candidates.jsonl"], out / "out")
+
+
+def test_lambda_above_one_warns_once_naming_the_config_line(tmp_path, small_run):
+    data = small_run / "data"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("train", "--data", data / "train.jsonl", "--aux", data / "aux.jsonl",
+                   "--epochs", "2", "--lambda-s", "1.5", "--out", tmp_path / "run") == 0
+    assert len(caught) == 1, [str(w.message) for w in caught]
+    (w,) = caught
+    assert "lambda_s=1.5 > 1" in str(w.message)
+    # the line of cli.py that built the RunConfig
+    assert Path(w.filename) == Path(cli.__file__)
+    assert "RunConfig(" in linecache.getline(w.filename, w.lineno)
 
 
 class TestConfigResolution:

@@ -95,6 +95,22 @@ class TestLabelSpace:
             LabelSpace(num_target=top, num_auxiliary=1, neighbor_of={top: 0})
         assert LabelSpace(num_target=top).query_target.size == top
 
+    @given(L=st.integers(1, 6), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_groups_match_neighbor_of(self, L, data):
+        """Class c's group is the auxiliary ids ``neighbor_of`` maps to c,
+        ascending, whatever order the owners come in; a target without
+        auxiliaries, and every auxiliary class, has an empty one."""
+        owners = data.draw(st.lists(st.integers(0, L - 1), max_size=12), label="owners")
+        space = build_label_space(L, [(L + k, t) for k, t in enumerate(owners)])
+        start, by_target = space.aux_start, space.aux_by_target
+        got = [by_target[start[c]:start[c + 1]].tolist() for c in range(space.num_classes)]
+        want = [sorted(a for a, t in space.neighbor_of.items() if t == c)
+                for c in range(space.num_classes)]
+        assert got == want
+        assert start.size == space.num_classes + 1 and start[-1] == len(owners)
+        assert not (start.flags.writeable or by_target.flags.writeable)
+
     def test_build_label_space_rejects_duplicates(self):
         with pytest.raises(ConfigError):
             build_label_space(2, [(2, 0), (2, 1)])
@@ -515,9 +531,11 @@ def test_json_is_decoded_only_in_core():
     assert calls and {name for name, _ in calls} == {"core.py"}, calls
 
 
-def _calls_of(*callees: str) -> list[tuple[str, str]]:
+def _calls_of(*callees: str, reading: tuple[str, ...] = ()) -> list[tuple[str, str]]:
     """Every call of one of ``callees`` in the package, as (callee, owner)
-    pairs sorted, the owner being the top-level function or method it is in."""
+    pairs sorted, the owner being the top-level function or method it is in.
+    With ``reading``, only the calls whose arguments name one of those
+    variables or attributes count."""
     package = Path(core.__file__).parent
     made = []
     for source in sorted(package.glob("*.py")):
@@ -532,9 +550,27 @@ def _calls_of(*callees: str) -> list[tuple[str, str]]:
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Call):
                     callee = getattr(node.func, "attr", getattr(node.func, "id", None))
-                    if callee in callees:
+                    if callee in callees and (not reading or _names_any(node, reading)):
                         made.append((callee, f"{source.stem}.{owner}"))
     return sorted(made)
+
+
+def _names_any(call: ast.Call, names: tuple[str, ...]) -> bool:
+    """Whether an argument of ``call`` mentions a variable or attribute named
+    in ``names``."""
+    return any(getattr(node, "id", getattr(node, "attr", None)) in names
+               for arg in [*call.args, *(k.value for k in call.keywords)]
+               for node in ast.walk(arg))
+
+
+def test_auxiliaries_are_grouped_by_target_only_in_the_label_space():
+    """Only ``LabelSpace`` sorts, counts or selects auxiliary ids by the
+    target they were queried from; the loss and the sampler read its
+    ``aux_by_target`` groups."""
+    made = _calls_of("argsort", "sort", "lexsort", "bincount", "flatnonzero", "nonzero",
+                     "unique", "where", reading=("query_target", "neighbor_of"))
+    assert made == [("argsort", "core.LabelSpace.__post_init__"),
+                    ("bincount", "core.LabelSpace.__post_init__")], made
 
 
 def test_concurrency_has_two_owners():

@@ -3,15 +3,20 @@
 Closed-form values below were worked out by hand from the definitions (state
 noted next to each) rather than by running the implementation.
 """
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from tailext.core import ClassStats, DataError, LabelSpace, build_label_space, derive_rng
+from tailext.core import (
+    ClassStats, ConfigError, DataError, LabelSpace, RunConfig, build_label_space, derive_rng
+)
 from tailext.losses import (
-    SilenceWeights,
+    _silenced,
     bal_ce,
     bal_ce_batch,
     bal_ce_merged,
@@ -221,14 +226,16 @@ class TestBatchForms:
 
 
 class TestSilenceWeights:
+    """The silenced pairs ``_silenced`` reads off the label space's groups,
+    and the lambda_s checks of the loss and of ``RunConfig``."""
+
     def test_pair_rules(self):
         # targets 0..2, aux 3 and 4 both queried from target 1
         space = build_label_space(3, [(3, 1), (4, 1)])
-        w = SilenceWeights(space, 0.2)
 
         def pair_weight(i, j):
-            _, cols = w.pairs(np.array([i]))
-            return w.lambda_s if j in cols.tolist() else 1.0
+            _, cols = _silenced(space, np.array([i]))
+            return 0.2 if j in cols.tolist() else 1.0
 
         assert pair_weight(1, 3) == 0.2
         assert pair_weight(3, 1) == 0.2
@@ -241,9 +248,9 @@ class TestSilenceWeights:
     def test_silenced_indices(self):
         # targets 0..2, aux 3 and 4 both queried from target 1
         space = build_label_space(3, [(3, 1), (4, 1)])
-        w = SilenceWeights(space, 0.2)
+
         def silenced(labels):
-            rows, cols = w.pairs(np.array(labels))
+            rows, cols = _silenced(space, np.array(labels))
             return [sorted(cols[rows == b].tolist()) for b in range(len(labels))]
 
         # target 0 is not the querying target; an auxiliary silences only its
@@ -252,12 +259,23 @@ class TestSilenceWeights:
         assert silenced([1, 3, 0]) == [[3, 4], [1], []]
 
     def test_negative_lambda_rejected_and_gt_one_warns(self):
+        """Both boundaries reject a bad lambda_s; only ``RunConfig`` warns
+        above 1, once, naming the line that built it."""
         space = build_label_space(1, [(1, 0)])
+        stats = ClassStats(np.array([3, 2]))
+        Z, labels = np.zeros((2, 2)), np.array([0, 1])
         for bad in (-0.5, float("nan"), float("inf")):
-            with pytest.raises(DataError):
-                SilenceWeights(space, bad)
-        with pytest.warns(UserWarning):
-            SilenceWeights(space, 1.2)
+            with pytest.raises(DataError, match="lambda_s must be"):
+                ns_ce_batch(Z, labels, stats, space, bad)
+            with pytest.raises(ConfigError, match="lambda_s must be"):
+                RunConfig(lambda_s=bad)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = sys._getframe().f_lineno + 1
+            RunConfig(lambda_s=1.2)
+            ns_ce_batch(Z, labels, stats, space, 1.2)
+        assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
+        assert "lambda_s=1.2 > 1" in str(caught[0].message)
 
 
 def space_with_bare_targets(rng):
@@ -289,7 +307,7 @@ class TestArrayForms:
         M = space.num_classes
         want = brute_pair_weights(space, lam)
         labels = np.concatenate([np.arange(M), rng.integers(0, M, size=5)])
-        rows, cols = SilenceWeights(space, lam).pairs(labels)
+        rows, cols = _silenced(space, labels)
         assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size  # no repeats
         got = np.ones((labels.size, M))
         got[rows, cols] = lam

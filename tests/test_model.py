@@ -14,7 +14,7 @@ from tailext.core import (
     build_label_space,
     derive_rng,
 )
-from tailext.losses import SilenceWeights, bal_ce, bal_ce_batch, ns_ce_batch
+from tailext.losses import bal_ce, bal_ce_batch, ns_ce_batch
 from tailext.metrics import assign_splits
 from tailext.model import (
     CHECKPOINT_VERSION,
@@ -199,17 +199,34 @@ class TestTraining:
         with pytest.raises(DataError):
             train(gap, None, LabelSpace(num_target=3), cfg)  # class 1 unseen
 
+    def test_auxiliary_rows_must_carry_auxiliary_ids(self):
+        """A target-labelled auxiliary row would never be drawn, and over a
+        K = 0 space the whole set would train as the baseline: both are
+        refused, as is an id beyond the label space."""
+        ds, aux, space = rotating_aux_problem()
+        cfg = RunConfig(epochs=1, per_class_cap=4, aux_ratio=(1, 1, 1))
+        four_target_rows = aux.labels.copy()
+        four_target_rows[:4] = 1
+        bare = LabelSpace(num_target=4)
+        for labels, where in ((four_target_rows, space), (aux.labels - 4, bare),
+                              (aux.labels, bare)):
+            with pytest.raises(DataError, match=r"auxiliary labels must be auxiliary ids"):
+                train(ds, FeatureDataset(aux.features, labels), where, cfg)
+
 
 def reference_ns_ce_batch(Z, labels, stats, space, lambda_s):
     """The silencing loss as it was written before it reused one work
-    array: a fresh temporary for every step."""
-    weights = SilenceWeights(space, lambda_s)
+    array: a fresh temporary for every step, and each pair weight taken
+    from its definition over ``neighbor_of``."""
+    nb = space.neighbor_of
     rows = np.arange(Z.shape[0])
     u = Z + stats.log_counts()[None, :]
     t = u - u[rows, labels][:, None]
-    w = np.ones_like(t)
-    w[weights.pairs(labels)] = weights.lambda_s
-    if weights.lambda_s == 0:
+    w = np.array([
+        [lambda_s if nb.get(j) == y or nb.get(y) == j else 1.0 for j in range(space.num_classes)]
+        for y in labels.tolist()
+    ])
+    if lambda_s == 0:
         t = np.where(w > 0, t, -np.inf)
     m = t.max(axis=1)
     scaled = w * np.exp(t - m[:, None])

@@ -158,6 +158,14 @@ class TestSampleEpoch:
         _, eff = sample_epoch(self.aux, self.space, self.plan, seed=2, epoch=0)
         assert eff[7 - 3] == 10  # pool below cap comes back in full
 
+    # -7 would read target 2's auxiliary group from the end, 8 past the end
+    @pytest.mark.parametrize("target", [-1, -7, 3, 8])
+    def test_plan_target_outside_the_targets_rejected(self, target):
+        plan = AuxSamplingPlan(per_class_cap=50, ratio=(1, 1, 3),
+                               expanded_targets={target: "few"})
+        with pytest.raises(DataError, match="not all target ids of the label space"):
+            sample_epoch(self.aux, self.space, plan, seed=0, epoch=0)
+
 
 def reference_sample_epoch(aux, space, plan, seed, epoch):
     """sample_epoch written out per class: a flatnonzero pool per label and a
