@@ -350,7 +350,10 @@ def cmd_eval(cfg: dict, out: Path) -> None:
     test_ds, _space, test_meta = read_dataset(cfg["test"])
 
     if cfg["data"]:
-        train_ds, _, _ = read_dataset(cfg["data"])
+        train_ds, train_space, _ = read_dataset(cfg["data"])
+        if train_space.num_target != state.space.num_target:
+            raise DataError(f"{cfg['data']} has {train_space.num_target} target classes "
+                            f"but checkpoint {cfg['checkpoint']} has {state.space.num_target}")
         counts = train_ds.class_counts(state.space.num_target)
     elif "train_counts" in test_meta:
         n = state.space.num_target

@@ -318,12 +318,15 @@ class ClassStats:
             raise DataError(f"classes {bad.tolist()} have count < 1")
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
+        logs = np.log(arr.astype(np.float64))
+        logs.setflags(write=False)
+        object.__setattr__(self, "_log_counts", logs)
 
     def __len__(self) -> int:
         return int(self.counts.size)
 
     def log_counts(self) -> np.ndarray:
-        return np.log(self.counts.astype(np.float64))
+        return self._log_counts
 
 
 @dataclass(frozen=True)
@@ -928,9 +931,13 @@ class RunConfig:
     def __post_init__(self):
         check_lambda_s(self.lambda_s, ConfigError)
         if self.lambda_s > 1:
-            # 3 names the line that built the config, past __init__
+            # name the caller's line: past this module's frames, the generated
+            # __init__ (run in these globals) and with_overrides' replace
+            frame, level = sys._getframe(), 1
+            while frame.f_back and frame.f_globals["__name__"] in (__name__, "dataclasses"):
+                frame, level = frame.f_back, level + 1
             warnings.warn(f"lambda_s={self.lambda_s} > 1 amplifies neighbor competition "
-                          "instead of silencing it", stacklevel=3)
+                          "instead of silencing it", stacklevel=level)
         object.__setattr__(self, "aux_ratio",
                            check_cap_and_ratio(self.per_class_cap, self.aux_ratio, "aux_ratio"))
         if self.epochs < 1 or self.batch_size < 1:

@@ -122,6 +122,24 @@ def _batch_inputs(Z, labels, stats: ClassStats) -> tuple[np.ndarray, np.ndarray]
     return Z, labels
 
 
+def _softmax_tail(
+    work: np.ndarray, labels: np.ndarray, silenced: tuple | None = None, lambda_s: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both batch losses' end, in place on the (B, M) exponents ``work``:
+    shift by the row maximum m, exp, scale ``silenced`` entries by lambda_s,
+    and return (m + log(row total), work / total minus the one-hot)."""
+    m = work.max(axis=1)
+    work -= m[:, None]
+    np.exp(work, out=work)
+    if silenced is not None:
+        work[silenced] *= lambda_s
+    total = work.sum(axis=1)
+    log_total = m + np.log(total)
+    work /= total[:, None]
+    work[np.arange(labels.size), labels] -= 1.0
+    return log_total, work
+
+
 def ns_ce_batch(
     Z: np.ndarray,
     labels: np.ndarray,
@@ -146,25 +164,16 @@ def ns_ce_batch(
             f"stats cover {len(stats)} classes but label space has {space.num_classes}"
         )
     check_lambda_s(lambda_s, DataError)
-    rows = np.arange(Z.shape[0])
-    # one (B, M) work array goes u -> t -> shifted -> exp -> scaled -> gradient
+    # one (B, M) work array goes u -> t -> the tail's shift, exp and gradient
     work = Z + stats.log_counts()[None, :]
-    work -= work[rows, labels][:, None]
+    work -= work[np.arange(Z.shape[0]), labels][:, None]
     # every weight other than the silenced pairs' lambda_s is 1
     silenced = _silenced(space, labels)
     if lambda_s == 0:
         # silenced terms leave the shift and the sum: their exponent becomes
         # exp(-inf) = 0, where 0 * exp(t - m) would overflow to 0 * inf = nan
         work[silenced] = -np.inf
-    m = work.max(axis=1)
-    work -= m[:, None]
-    np.exp(work, out=work)
-    work[silenced] *= lambda_s
-    total = work.sum(axis=1)
-    losses = m + np.log(total)
-    work /= total[:, None]
-    work[rows, labels] -= 1.0
-    return losses, work
+    return _softmax_tail(work, labels, silenced, lambda_s)
 
 
 def ns_ce(
@@ -190,15 +199,8 @@ def bal_ce_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`bal_ce`; returns (losses (B,), gradients (B, M))."""
     Z, labels = _batch_inputs(Z, labels, stats)
-    rows = np.arange(Z.shape[0])
-    # one (B, M) work array goes u -> shifted -> exp -> gradient
+    # one (B, M) work array goes u -> the tail's shift, exp and gradient
     work = Z + stats.log_counts()[None, :]
-    m = work.max(axis=1)
-    u_true = work[rows, labels]
-    work -= m[:, None]
-    np.exp(work, out=work)
-    total = work.sum(axis=1)
-    losses = m + np.log(total) - u_true
-    work /= total[:, None]
-    work[rows, labels] -= 1.0
-    return losses, work
+    u_true = work[np.arange(Z.shape[0]), labels]
+    log_total, grads = _softmax_tail(work, labels)
+    return log_total - u_true, grads

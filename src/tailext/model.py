@@ -1,12 +1,15 @@
 """Linear (optionally one-hidden-layer) classifier over feature vectors,
-trained with mini-batch gradient descent on the mixed target + auxiliary set.
+trained with mini-batch gradient descent on the mixed target + auxiliary set
+and masked back to the target rows at inference. Masking restricts a view
+and never mutates trained weights.
 
-Class counts used inside the loss are the post-cap per-epoch counts of the
-mixed dataset, recomputed each epoch: the auxiliary sampler changes effective
-counts, and auxiliary categories left unattached in an epoch are excluded from
-that epoch's denominator entirely (their count is zero). At inference the
-classifier is masked back to the target rows; masking restricts a view and
-never mutates trained weights.
+The epoch. Each epoch has its own class set, counts and loss, all built by
+``_epoch``. Under an auxiliary sampling plan it mixes the epoch's draw
+(``sample_epoch``) after the target data; the auxiliary classes attached
+take the ids after L with their post-cap counts, and those left out drop
+out of the denominator entirely. The batch loss is bound once per epoch to
+those counts: neighbor silencing if an auxiliary class is attached, else
+balanced CE.
 
 One mini-batch loop (``_fit``) serves both ``train`` and
 ``linear_probe_retrain``: the probe hands it the frozen hidden layer's
@@ -14,7 +17,7 @@ features as a linear, target-only dataset, so it shares the epoch buffers
 described below and the divergence guard (``DIVERGENCE_RATIO``).
 
 Epoch block layout. An epoch's active output rows are the L target rows
-plus the auxiliary rows attached that epoch, ascending (``_epoch_view``). At
+plus the auxiliary rows attached that epoch, ascending (``_epoch``). At
 the start of the epoch the output layer's weights, bias and velocities for
 those rows are copied into one contiguous block; every batch of the epoch
 runs forward, loss, backward and step on the block in place, and the block
@@ -38,7 +41,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -212,45 +215,45 @@ def _init_state(space: LabelSpace, feature_dim: int, cfg: RunConfig) -> Classifi
     )
 
 
-def _epoch_view(
+def _epoch(
     dataset: FeatureDataset,
     target_counts: np.ndarray,
-    aux_subset: FeatureDataset | None,
-    eff_counts: np.ndarray | None,
     space: LabelSpace,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, ClassStats, LabelSpace]:
-    """Mix target data with this epoch's auxiliary draw.
+    cfg: RunConfig,
+    aux: FeatureDataset | None,
+    plan: AuxSamplingPlan | None,
+    epoch: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable, dict]:
+    """One epoch's mixed data, active output rows and batch loss.
 
-    Auxiliary classes with zero effective count this epoch are dropped from
-    the active class set; the survivors are re-indexed contiguously after L so
-    the loss sees a valid label space with all counts >= 1. Returns
-    (features, labels-in-active-ids, active row indices, stats, space view).
+    With a ``plan``, the epoch's auxiliary draw follows the target data and
+    the classes it attached take the ids after L; those left out have no
+    row, so every count the loss sees is >= 1. Returns (features, labels,
+    rows, loss, log fields). ``loss(Z, labels)`` is the silencing loss at
+    cfg.lambda_s when an auxiliary class is attached, balanced CE otherwise.
+    Only a plan gives log fields: ``aux_active``, ``aux_effective_counts``.
     """
     L = space.num_target
-    if aux_subset is None or eff_counts is None or not (eff_counts > 0).any():
-        return (
-            dataset.features,
-            dataset.labels,
-            np.arange(L),
-            ClassStats(target_counts),
-            LabelSpace(num_target=L),
-        )
-    active_aux = np.flatnonzero(eff_counts > 0) + L
-    view_ids = L + np.arange(active_aux.size)
-    remap = np.full(space.num_classes, -1, dtype=np.int64)
-    remap[active_aux] = view_ids
-    view_space = LabelSpace(
-        num_target=L,
-        num_auxiliary=active_aux.size,
-        neighbor_of=dict(
-            zip(view_ids.tolist(), space.query_target[active_aux].tolist())
-        ),
+    feats, labels, rows, counts, fields = (
+        dataset.features, dataset.labels, np.arange(L), target_counts, {}
     )
-    stats = ClassStats(np.concatenate([target_counts, eff_counts[active_aux - L]]))
-    feats = np.concatenate([dataset.features, aux_subset.features])
-    labels = np.concatenate([dataset.labels, remap[aux_subset.labels]])
-    rows = np.concatenate([np.arange(L), active_aux])
-    return feats, labels, rows, stats, view_space
+    if plan is not None:
+        subset, eff = sample_epoch(aux, space, plan, cfg.seed, epoch)
+        active = np.flatnonzero(eff > 0) + L
+        fields = {"aux_active": active.tolist(),
+                  "aux_effective_counts": {str(c): int(eff[c - L]) for c in active.tolist()}}
+        remap = np.full(space.num_classes, -1, dtype=np.int64)
+        remap[active] = np.arange(L, L + active.size)
+        feats = np.concatenate([feats, subset.features])
+        labels = np.concatenate([labels, remap[subset.labels]])
+        rows = np.concatenate([rows, active])
+        counts = np.concatenate([counts, eff[active - L]])
+    stats = ClassStats(counts)
+    if rows.size == L:
+        return feats, labels, rows, lambda Z, y: bal_ce_batch(Z, y, stats), fields
+    view = LabelSpace(num_target=L, num_auxiliary=rows.size - L, neighbor_of=dict(zip(
+        range(L, rows.size), space.query_target[rows[L:]].tolist())))
+    return feats, labels, rows, lambda Z, y: ns_ce_batch(Z, y, stats, view, cfg.lambda_s), fields
 
 
 def _diverged(epoch: int, batch: int, reason: str) -> DivergenceError:
@@ -283,14 +286,13 @@ def _fit(
     """The mini-batch loop: train ``state`` in place for cfg.epochs epochs
     and return the per-epoch log entries.
 
-    Each epoch mixes in an auxiliary draw when a ``plan`` is given, and
-    shuffles from the stream (cfg.seed, ``stream``, epoch). Raises
-    DivergenceError, naming the epoch and batch, when a logit or batch loss
-    turns non-finite or a batch loss exceeds DIVERGENCE_RATIO times the
-    first batch's.
+    ``_epoch`` builds each epoch's data and loss, with an auxiliary draw
+    under a ``plan``; the epoch shuffles from the stream (cfg.seed,
+    ``stream``, epoch). Raises DivergenceError, naming the epoch and batch,
+    when a logit or batch loss turns non-finite or a batch loss exceeds
+    DIVERGENCE_RATIO times the first batch's.
     """
     space = state.space
-    L = space.num_target
     out_layer = {"weights": state.weights, "bias": state.bias}
     hidden: dict[str, np.ndarray] = {}
     if state.hidden_weights is not None:
@@ -303,14 +305,8 @@ def _fit(
     entries = []
     first_loss = None
     for epoch in range(cfg.epochs):
-        if plan is not None:
-            subset, eff = sample_epoch(aux, space, plan, cfg.seed, epoch)
-        else:
-            subset, eff = None, None
-        feats, labels, rows, ep_stats, ep_space = _epoch_view(
-            dataset, target_counts, subset, eff, space
-        )
-        del subset  # its rows now live in feats
+        feats, labels, rows, loss, log_fields = _epoch(dataset, target_counts, space, cfg,
+                                                       aux, plan, epoch)
 
         # gather the output layer into one row block (see the module docstring)
         block = rows
@@ -340,10 +336,7 @@ def _fit(
             np.matmul(H, W.T, out=Z)
             Z += b
             try:
-                if ep_space.num_auxiliary > 0:
-                    losses, G = ns_ce_batch(Z, yb, ep_stats, ep_space, cfg.lambda_s)
-                else:
-                    losses, G = bal_ce_batch(Z, yb, ep_stats)
+                losses, G = loss(Z, yb)
             except DataError:
                 if np.isfinite(Z).all():
                     raise
@@ -391,16 +384,9 @@ def _fit(
             if cfg.momentum:
                 velocity[name][block] = vel[name]
 
-        entry = {
-            "epoch": epoch,
-            "mean_loss": loss_total / n,
-            "mixed_size": int(n),
-        }
-        if plan is not None:
-            active = (np.flatnonzero(eff > 0) + L).tolist()
-            entry["aux_active"] = active
-            entry["aux_effective_counts"] = {str(c): int(eff[c - L]) for c in active}
-        entries.append(entry)
+        entries.append(
+            {"epoch": epoch, "mean_loss": loss_total / n, "mixed_size": int(n), **log_fields}
+        )
     return entries
 
 
@@ -412,25 +398,24 @@ def train(
 ) -> tuple[ClassifierState, TrainLog]:
     """Train on the mixed target + auxiliary data.
 
-    Uses the neighbor-silencing loss whenever auxiliary classes are active in
-    an epoch and plain balanced CE otherwise (K = 0 degenerates to the BalCE
-    baseline regardless of lambda_s). Every random decision draws from a
+    Each epoch trains on ``_epoch``'s loss, so K = 0 gives the BalCE
+    baseline regardless of lambda_s. Every random decision draws from a
     stream derived from (cfg.seed, purpose, epoch, ...), so identical inputs
     reproduce the TrainLog bit for bit. Raises DataError when an auxiliary
     row carries a target id, which the sampler would never draw, or an id
     outside the label space, and DivergenceError as ``_fit`` describes.
     """
     target_counts = _target_counts(dataset, space.num_target)
+    plan: AuxSamplingPlan | None = None
     if aux is not None and len(aux):
         if aux.feature_dim != dataset.feature_dim:
             raise DataError(
                 f"auxiliary feature dim {aux.feature_dim} != target {dataset.feature_dim}"
             )
+        # which rules out K = 0 as well
         if aux.labels.min() < space.num_target or aux.labels.max() >= space.num_classes:
             raise DataError(f"auxiliary labels must be auxiliary ids in "
                             f"[{space.num_target}, {space.num_classes})")
-    plan: AuxSamplingPlan | None = None
-    if aux is not None and len(aux) > 0 and space.num_auxiliary > 0:
         tags = assign_splits(ClassStats(target_counts)).tags
         expanded = sorted({t for t in space.neighbor_of.values()})
         plan = build_plan(target_counts, tags, expanded, cfg.per_class_cap, cfg.aux_ratio)

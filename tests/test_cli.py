@@ -635,6 +635,19 @@ class TestExitCodes:
         assert f"data error: {data}:4: " in err and "Traceback" not in err
         assert not (tmp_path / "t" / "checkpoint.json").exists()
 
+    def test_eval_data_with_other_target_count_is_3(self, tmp_path, capsys, small_run):
+        """Counts of a 20-class --data would be cut to the checkpoint's 10
+        and give wrong splits."""
+        other = tmp_path / "other"
+        assert run("synth", "--out", other, *SMALL_SYNTH[2:], "--num-classes", "20") == 0
+        checkpoint = small_run / "run" / "checkpoint.json"
+        out = tmp_path / "scores"
+        assert run("eval", "--checkpoint", checkpoint, "--test", small_run / "data" / "test.jsonl",
+                   "--data", other / "train.jsonl", "--out", out) == 3
+        assert (f"data error: {other / 'train.jsonl'} has 20 target classes but checkpoint "
+                f"{checkpoint} has 10") in capsys.readouterr().err
+        assert not out.exists()
+
     # small_run's checkpoint has 10 target classes
     @pytest.mark.parametrize("counts", [
         "60", {"0": 60}, None, [60] * 5, [60] * 15, [60.0] * 10, [True] * 10,

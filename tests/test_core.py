@@ -127,8 +127,12 @@ class TestClassStats:
             ClassStats(np.array([3, 0, 2]))
 
     def test_log_counts(self):
+        """One read-only array, computed at construction: every batch of an
+        epoch shares its stats, so the log runs once per epoch."""
         stats = ClassStats(np.array([1, 10, 100]))
-        np.testing.assert_allclose(stats.log_counts(), np.log([1, 10, 100]))
+        logs = stats.log_counts()
+        np.testing.assert_allclose(logs, np.log([1, 10, 100]))
+        assert logs is stats.log_counts() and not logs.flags.writeable
 
 
 class TestFeatureDataset:
@@ -571,6 +575,15 @@ def test_auxiliaries_are_grouped_by_target_only_in_the_label_space():
                      "unique", "where", reading=("query_target", "neighbor_of"))
     assert made == [("argsort", "core.LabelSpace.__post_init__"),
                     ("bincount", "core.LabelSpace.__post_init__")], made
+
+
+def test_each_epoch_is_built_only_in_epoch():
+    """In ``model`` only ``_epoch`` draws an epoch's auxiliaries and binds
+    its batch loss; the batch loop calls the loss it returns."""
+    made = [c for c in _calls_of("sample_epoch", "ns_ce_batch", "bal_ce_batch")
+            if c[1].startswith("model.")]
+    assert made == [("bal_ce_batch", "model._epoch"), ("ns_ce_batch", "model._epoch"),
+                    ("sample_epoch", "model._epoch")], made
 
 
 def test_concurrency_has_two_owners():

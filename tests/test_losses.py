@@ -277,6 +277,16 @@ class TestSilenceWeights:
         assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
         assert "lambda_s=1.2 > 1" in str(caught[0].message)
 
+    def test_gt_one_through_with_overrides_names_the_caller(self):
+        """``with_overrides`` builds through ``dataclasses.replace``, the
+        path of ``sweep --axis lambda_s`` and ``run_ablation_cell``; its
+        warning names the caller's line too."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = sys._getframe().f_lineno + 1
+            RunConfig().with_overrides(lambda_s=1.5)
+        assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
+
 
 def space_with_bare_targets(rng):
     """Random label space with 0-2 auxiliaries per target; at least one

@@ -22,7 +22,6 @@ from tailext.model import (
     PREDICT_ROWS,
     ClassifierState,
     TrainLog,
-    _epoch_view,
     _init_state,
     linear_probe_retrain,
     load_checkpoint,
@@ -283,13 +282,19 @@ def reference_train(dataset, aux, space, cfg):
         plan=plan.to_json() if plan is not None else None,
     )
     for epoch in range(cfg.epochs):
+        # the epoch's view: the auxiliaries drawn this epoch, ascending, take
+        # the ids after L; those left out have no row, count or neighbor
+        feats, labels, attached = dataset.features, dataset.labels, []
         if use_aux:
             subset, eff = sample_epoch(aux, space, plan, cfg.seed, epoch)
-        else:
-            subset, eff = None, None
-        feats, labels, rows, ep_stats, ep_space = _epoch_view(
-            dataset, target_counts, subset, eff, space
-        )
+            attached = [c for c in range(L, space.num_classes) if eff[c - L] > 0]
+            view_id = {c: L + i for i, c in enumerate(attached)}
+            feats = np.concatenate([feats, subset.features])
+            labels = np.array([*labels.tolist(), *(view_id[c] for c in subset.labels.tolist())])
+        rows = [*range(L), *attached]
+        ep_stats = ClassStats(np.array([*target_counts.tolist(), *(eff[c - L] for c in attached)]))
+        neighbor_of = {L + i: space.neighbor_of[c] for i, c in enumerate(attached)}
+        ep_space = LabelSpace(num_target=L, num_auxiliary=len(attached), neighbor_of=neighbor_of)
         n = labels.size
         perm = derive_rng(cfg.seed, "shuffle", epoch).permutation(n)
         loss_total = 0.0
