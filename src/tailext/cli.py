@@ -532,16 +532,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_dir(text: str | None) -> Path:
+    """``--out``, or the current directory; a command makes it only at its
+    first write, so its nearest existing path must be a directory at once."""
+    out = Path(text or ".")
+    nearest = next((p for p in (out, *out.parents) if p.exists() or p.is_symlink()), out)
+    if not nearest.is_dir():
+        raise ConfigError(f"--out {out}: {nearest} is not a directory")
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        out = _out_dir(args.out)
         if args.command == "report":  # no settings and no manifest
             cmd_report(args)
             return 0
         command, defaults, _ = _COMMANDS[args.command]
         cfg = _resolve(defaults, args)
-        out = Path(args.out or ".")
         command(cfg, out)
         # written last, so only a command that finished leaves one
         write_json(out / "manifest.json",

@@ -408,9 +408,6 @@ _CHUNK = 1 << 20
 # Floats of JSON text one part must format or parse before it is worth a
 # fork: about 50 ms of json.dumps at ~1.25 us per float on one core.
 _PART_MIN_FLOATS = 40_000
-# Record rows converted into one float64 block at a time: bounds the Python
-# float lists held at once while a file of records loads.
-_CORPUS_BLOCK_ROWS = 512
 
 
 # Threads this process runs besides its Python threads, such as the pool
@@ -579,8 +576,11 @@ def read_records(
     The file is parsed in byte ranges that start at line boundaries, one
     per process (``_process_count``): this process parses the first and
     forked children the others, each into its own rows of one array in
-    memory shared with them. Only the field columns come back from a
-    child, equal values in them held, and sent, once.
+    memory shared with them. A part checks its records one at a time and
+    writes each one's features into its row at once, so its first bad
+    line is the first one it reaches; across parts, ``_map_runs`` raises
+    the error of the first part that failed. Only the field columns come
+    back from a child, equal values in them held, and sent, once.
     The result and the error do not depend on the number of ranges.
     """
     owner = "corpus" if dim is None else "sidecar"
@@ -621,25 +621,6 @@ def read_records(
         raise DataError(f"{path}: no room for {rows} rows of {dim} features: {exc}") from None
     feats = np.frombuffer(shared, count=rows * dim).reshape(rows, dim)
 
-    def block(pending: list[tuple[int, list]]) -> np.ndarray:
-        """The (n, dim) float64 block of the pending features, in file
-        order; names the first bad line if a record's are unusable."""
-        lists = [features for _, features in pending]
-        try:
-            out = np.array(lists)
-        except ValueError:
-            out = None
-        if out is None or out.dtype.kind not in "iuf" or out.ndim != 2 or not (
-            np.isfinite(out).all()
-        ):
-            for line_no, features in pending:
-                problem = _row_problem(features, dim, owner)
-                if problem:
-                    raise DataError(f"{where(line_no)}: {problem}")
-            # every row is numeric on its own, so together they convert to float64
-            out = np.array(lists, dtype=np.float64)
-        return out.astype(np.float64, copy=False)
-
     def load(part: int) -> tuple[int, list[list]]:
         """The count of part's records and their field columns."""
         columns: list[list] = [[] for _ in fields]
@@ -647,7 +628,6 @@ def read_records(
         # equal field values, such as a corpus's class names, are held, and
         # sent back, once
         seen: dict = {}
-        pending: list[tuple[int, list]] = []
         row = first_lines[part] - 1
         with path.open("rb") as fh:
             fh.seek(bounds[part])
@@ -661,24 +641,27 @@ def read_records(
                     continue
                 try:
                     values, features = _parse_record(line, fields, seen)
-                    # json reads true and false as bools, which numpy takes
-                    # for numbers: only a line that spells one is searched
-                    if not (isinstance(features, list) and 0 < len(features) == dim) or (
+                    # checked before numpy's row assignment, which takes "1.5",
+                    # None and bools: the sum raises on a non-number or an int past
+                    # the float range and is not finite after a NaN or an infinity;
+                    # json reads bools only where a line spells true or false
+                    try:
+                        usable = (isinstance(features, list) and 0 < len(features) == dim
+                                  and math.isfinite(sum(features)))
+                    except (TypeError, OverflowError):
+                        usable = False
+                    if not usable or (
                         (b"true" in line or b"false" in line) and bool in map(type, features)
                     ):
-                        raise ValueError(_row_problem(features, dim, owner))
+                        problem = _row_problem(features, dim, owner)
+                        if problem:  # None if only the sum overflowed
+                            raise ValueError(problem)
                 except ValueError as exc:
-                    block(pending)  # an earlier bad line is reported first
                     raise DataError(f"{where(line_no)}: {exc}") from None
                 for append, value in zip(appends, values):
                     append(value)
-                pending.append((line_no, features))
+                feats[row] = features
                 row += 1
-                if len(pending) == _CORPUS_BLOCK_ROWS:
-                    feats[row - len(pending):row] = block(pending)
-                    pending.clear()
-        if pending:
-            feats[row - len(pending):row] = block(pending)
         return row - (first_lines[part] - 1), columns
 
     count = 0
@@ -723,7 +706,8 @@ def write_dataset(
 ) -> None:
     """Write a JSONL manifest, its binary cache and its header sidecar.
 
-    One record per line: ``{"id": str, "label": int, "features": [float...]}``.
+    One record per line: ``{"id": str, "label": int, "features": [float...]}``;
+    an id that is not a string raises DataError before any file is made.
     The sidecar records C, L, K, the neighbor relation, and any provenance
     metadata the caller supplies (generator spec, seed). ``<stem>.cache.npy``
     holds the same features, labels and ids as three arrays back to back; the
@@ -737,8 +721,11 @@ def write_dataset(
     of ranges.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     ids = dataset.sample_ids()
+    # the JSONL reader takes only string ids, so no manifest holds another
+    if any(not isinstance(bad := sample_id, str) for sample_id in ids):
+        raise DataError(f"{path}: ids must be strings, got {reprlib.repr(bad)}")
+    path.parent.mkdir(parents=True, exist_ok=True)
     parts = _process_count(dataset.features.size)
     bounds = [len(dataset) * k // parts for k in range(parts + 1)]
     part_files = {k: path.with_name(f"{path.name}.part{k}") for k in range(1, parts)}
@@ -801,8 +788,9 @@ def write_dataset(
 
 def _read_cache(path: Path, meta: Mapping, dim: int):
     """(features, labels, ids) from the manifest's binary cache, or None
-    unless the cache and the JSONL both match the hashes in the sidecar and
-    the arrays agree in dtype and shape with each other and with ``dim``."""
+    unless the cache and the JSONL both match the hashes in the sidecar,
+    the arrays agree in dtype and shape with each other and with ``dim``,
+    and every id is a string, as the JSONL reader requires."""
     entry = meta.get(_CACHE_KEY)
     if not isinstance(entry, dict) or not isinstance(entry.get("file"), str):
         return None
@@ -824,14 +812,14 @@ def _read_cache(path: Path, meta: Mapping, dim: int):
     except (OSError, ValueError):
         return None
     if not (
-        isinstance(ids, list)
+        isinstance(ids, list) and all(isinstance(sample_id, str) for sample_id in ids)
         and labels.dtype == np.int64
         and labels.shape == (len(ids),)
         and feats.dtype == np.float64
         and feats.shape == (len(ids), dim)
     ):
         return None
-    return feats, labels, [str(i) for i in ids]
+    return feats, labels, ids
 
 
 def read_dataset(path: str | Path) -> tuple[FeatureDataset, LabelSpace, dict]:

@@ -438,19 +438,40 @@ MALFORMED_JSON_INPUTS = {
 }
 
 
-# (key, edit) pairs: each edit turns one corpus record's value of key into
-# one that curate must reject at load
+class _RawJson(str):
+    """JSON text written into a record as it is, not as a string."""
+
+
+# (key, edit, problem) triples: each edit turns one corpus record's value of
+# key into one that curate must reject at load with that problem
 BAD_CORPUS_RECORDS = {
-    "features-text": ("features", lambda f: "abc"),
-    "features-nested": ("features", lambda f: [[v] for v in f]),
-    "features-non-numeric": ("features", lambda f: ["x", *f[1:]]),
-    "features-wrong-dim": ("features", lambda f: f[:-1]),
-    "features-all-nan": ("features", lambda f: [float("nan")] * len(f)),
-    "features-bools": ("features", lambda f: [i % 2 == 0 for i in range(len(f))]),
-    "features-one-bool": ("features", lambda f: [True, *f[1:]]),
-    "class-not-string": ("class", lambda v: 7),
-    "caption-not-string": ("caption", lambda v: 7),
-    "image-ref-not-string": ("image_ref", lambda v: None),
+    "features-text": ("features", lambda f: "abc", "features must be a list, got 'abc'"),
+    "features-nested": ("features", lambda f: [[v] for v in f],
+                        "features[0] must be a number, got [0.0]"),
+    "features-non-numeric": ("features", lambda f: ["x", *f[1:]],
+                             "features[0] must be a number, got 'x'"),
+    "features-numeric-string": ("features", lambda f: ["1.5", *f[1:]],
+                                "features[0] must be a number, got '1.5'"),
+    "features-null-item": ("features", lambda f: [None, *f[1:]],
+                           "features[0] must be a number, got None"),
+    "features-object-item": ("features", lambda f: [{"a": 1}, *f[1:]],
+                             "features[0] must be a number, got {'a': 1}"),
+    "features-int-past-float": ("features", lambda f: [10**400, *f[1:]],
+                                "int too large to convert to float"),
+    "features-float-text-overflows": (
+        "features", lambda f: _RawJson("[1e400, " + json.dumps(f[1:])[1:]),
+        "non-finite feature value"),
+    "features-wrong-dim": ("features", lambda f: f[:-1],
+                           "features have 7 values, the corpus has 8"),
+    "features-all-nan": ("features", lambda f: [float("nan")] * len(f), "non-finite feature value"),
+    "features-bools": ("features", lambda f: [i % 2 == 0 for i in range(len(f))],
+                       "features[0] must be a number, got True"),
+    "features-one-bool": ("features", lambda f: [True, *f[1:]],
+                          "features[0] must be a number, got True"),
+    "class-not-string": ("class", lambda v: 7, "record.class must be a string, got 7"),
+    "caption-not-string": ("caption", lambda v: 7, "record.caption must be a string, got 7"),
+    "image-ref-not-string": ("image_ref", lambda v: None,
+                             "record.image_ref must be a string, got None"),
 }
 
 
@@ -817,6 +838,36 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    # each command's argv, valid and small, given the small_run directory
+    @pytest.mark.parametrize("argv", [
+        pytest.param(lambda base: ["synth", *SMALL_SYNTH], id="synth"),
+        pytest.param(lambda base: ["pilot", "--superclasses", "3", "--imbalances", "1.0",
+                                   "--seeds", "0", "--num-classes", "15", "--feature-dim", "8",
+                                   "--max-count", "50", "--test-per-class", "5"], id="pilot"),
+        pytest.param(lambda base: ["curate", "--data", FIXTURES / "train.jsonl", "--llm-fixture",
+                                   FIXTURES, "--corpus", FIXTURES / "candidates.jsonl"],
+                     id="curate"),
+        pytest.param(lambda base: ["train", "--data", base / "data" / "train.jsonl",
+                                   "--epochs", "1"], id="train"),
+        pytest.param(lambda base: ["eval", "--checkpoint", base / "run" / "checkpoint.json",
+                                   "--test", base / "data" / "test.jsonl"], id="eval"),
+        pytest.param(lambda base: ["sweep", "--axis", "lambda_s", "--values", "0.0", "--seeds",
+                                   "0", *SMALL_SYNTH[:-2], "--epochs", "1"], id="sweep"),
+        pytest.param(lambda base: ["report", base / "report.json"], id="report"),
+    ])
+    def test_out_that_is_no_directory_is_2_before_the_command(self, tmp_path, capsys,
+                                                              small_run, argv):
+        (small_run / "report.json").write_text(json.dumps(REPORT))
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        for out in (afile, afile / "sub"):
+            assert run(*argv(small_run), "--out", out) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"config error: --out {out}: {afile} is not a directory\n"
+            assert captured.out == ""
+            assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+            assert afile.read_text() == "kept"
+
     @pytest.mark.parametrize("corpus", ["absent.jsonl", "."], ids=["absent", "directory"])
     def test_missing_corpus_is_3_before_the_data_is_read(self, tmp_path, capsys, monkeypatch,
                                                           corpus):
@@ -835,17 +886,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", sorted(BAD_CORPUS_RECORDS))
     def test_bad_corpus_record_is_3(self, tmp_path, capsys, case):
-        key, edit = BAD_CORPUS_RECORDS[case]
+        key, edit, problem = BAD_CORPUS_RECORDS[case]
         lines = (FIXTURES / "candidates.jsonl").read_text().splitlines()
         record = json.loads(lines[2])
-        record[key] = edit(record[key])
+        value = record[key] = edit(record[key])
         lines[2] = json.dumps(record)
+        if isinstance(value, _RawJson):
+            lines[2] = lines[2].replace(json.dumps(value), value)
         corpus = tmp_path / "candidates.jsonl"
         corpus.write_text("\n".join(lines) + "\n")
         assert run("curate", "--data", FIXTURES / "train.jsonl", "--llm-fixture",
                    FIXTURES, "--corpus", corpus, "--out", tmp_path / "o") == 3
         err = capsys.readouterr().err
-        assert "data error" in err and "bad corpus record at line 3" in err
+        assert f"data error: bad corpus record at line 3: {problem}\n" in err
 
     def test_first_corpus_record_without_features_is_3(self, tmp_path, capsys):
         # the first record sets the corpus's dim, so the message must not

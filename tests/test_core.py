@@ -1,11 +1,13 @@
 """Core domain types: RNG derivation, label spaces, stats, datasets, config."""
 import ast
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -382,19 +384,53 @@ class TestSplitWrite:
         assert lines[3] == json.dumps({"id": ds.ids[3], "label": 0,
                                        "features": ds.features[3].tolist()})
 
-    def test_error_in_a_worker_range_leaves_no_parts(self, tmp_path, force_parts):
+    def test_error_in_a_worker_range_leaves_no_parts(self, tmp_path, force_parts,
+                                                     monkeypatch):
         ds = _awkward_dataset()
-        # bytes are not JSON: the last range fails to format
-        bad = FeatureDataset(ds.features, ds.labels, ids=ds.ids[:-1] + (b"raw",))
+
+        def dumps(record):  # the last range fails to format
+            if record["id"] == ds.ids[-1]:
+                raise TypeError(f"cannot format {record['id']}")
+            return json.dumps(record)
+
+        monkeypatch.setattr(core, "json", SimpleNamespace(dumps=dumps))
         messages = []
         for parts in (1, 3):
             force_parts(parts)
             out = tmp_path / str(parts)
             with pytest.raises(TypeError) as exc:
-                write_dataset(bad, LabelSpace(num_target=3), out / "d.jsonl")
+                write_dataset(ds, LabelSpace(num_target=3), out / "d.jsonl")
             messages.append(str(exc.value))
             assert [p.name for p in out.iterdir()] == ["d.jsonl"]
         assert messages[0] == messages[1]
+
+    def test_ids_are_strings_on_both_paths(self, tmp_path):
+        ds = FeatureDataset(np.ones((3, 2)), np.array([0, 1, 0]), ids=(7, 8, 9))
+        with pytest.raises(DataError, match="ids must be strings, got 7$"):
+            write_dataset(ds, LabelSpace(num_target=2), tmp_path / "out" / "d.jsonl")
+        assert not (tmp_path / "out").exists()
+        # a manifest that holds them all the same, in its JSONL and its cache
+        # alike: the cache does not turn them into strings the JSONL refuses
+        path = tmp_path / "d.jsonl"
+        write_dataset(FeatureDataset(ds.features, ds.labels, ids=("7", "8", "9")),
+                      LabelSpace(num_target=2), path)
+        path.write_text(path.read_text().replace('"id": "7"', '"id": 7'))
+        cache = path.with_suffix(".cache.npy")
+        with cache.open("rb") as fh:
+            arrays = [np.lib.format.read_array(fh) for _ in range(3)]
+        arrays[2] = np.frombuffer(json.dumps([7, "8", "9"]).encode(), dtype=np.uint8)
+        data = io.BytesIO()
+        for array in arrays:
+            np.lib.format.write_array(data, array)
+        cache.write_bytes(data.getvalue())
+        _edit_sidecar(path, lambda m: m["binary_cache"].update(
+            jsonl_sha256=hashlib.sha256(path.read_bytes()).hexdigest(),
+            cache_sha256=hashlib.sha256(data.getvalue()).hexdigest()))
+        for _ in ("via the cache", "without it"):
+            with pytest.raises(DataError) as exc:
+                read_dataset(path)
+            assert str(exc.value) == f"{path}:1: record.id must be a string, got 7"
+            cache.unlink(missing_ok=True)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_cache_holds_the_bytes_of_write_array(self, tmp_path, order):

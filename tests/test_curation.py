@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailext import core, curation
+from tailext import curation
 from tailext.core import (
     ConfigError,
     DataError,
@@ -22,6 +22,7 @@ from tailext.core import (
     FeatureDataset,
     LabelSpace,
     read_dataset,
+    write_dataset,
 )
 from tailext.curation import (
     Candidate,
@@ -258,7 +259,7 @@ class TestFixtureBackends:
         with pytest.raises(DataError, match=f"line 2.*{key}"):
             FixtureRetriever(p)
 
-    def test_retriever_rows_keep_file_order_across_blocks(self, tmp_path, monkeypatch):
+    def test_retriever_rows_keep_file_order_across_blocks(self, tmp_path):
         rng = np.random.default_rng(2)
         recs = [{"class": ("tabby", "Maine Coon", "lynx")[i % 3], "image_ref": f"i{i}",
                  "caption": "c", "features": rng.normal(size=3).tolist()}
@@ -266,7 +267,6 @@ class TestFixtureBackends:
         recs[4]["features"] = [1, 2, 3]  # integers are numbers too
         p = tmp_path / "corpus.jsonl"
         p.write_text("".join(json.dumps(r) + "\n" for r in recs))
-        monkeypatch.setattr(core, "_CORPUS_BLOCK_ROWS", 2)
         retriever = FixtureRetriever(p)
         for name in ("tabby", "maine coon", "lynx"):
             want = [r for r in recs if normalize_name(r["class"]) == name]
@@ -310,6 +310,27 @@ class TestHeldAsColumns:
             tracemalloc.stop()
         assert len(retriever.retrieve("class 7", 0)) == self.RECORDS // 60
         assert held / self.RECORDS <= 120
+
+    def test_a_load_holds_one_record_of_floats_at_a_time(self, tmp_path, force_parts):
+        # each record's floats go into its row as soon as it is checked, so
+        # the load holds one record's Python floats at a time
+        rng = np.random.default_rng(8)
+        p = tmp_path / "corpus.jsonl"
+        p.write_text("".join(
+            json.dumps({"class": f"Class {i % 80}", "image_ref": f"cand-0000-{i:08d}",
+                        "caption": f"a picture of class {i % 80}",
+                        "features": rng.normal(size=64).tolist()}) + "\n"
+            for i in range(4000)))
+        force_parts(1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            retriever = FixtureRetriever(p)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(retriever.retrieve("class 7", 0)) == 50
+        assert peak - held < 1 << 20
 
 
 def _corpus_lines(count=30, features=(0.25, 0.75)):
@@ -378,7 +399,7 @@ class TestSplitCorpus:
                           "the corpus has 2"] * 3
 
     def test_an_earlier_bad_line_is_reported_first(self, tmp_path, force_parts):
-        # line 9 is only caught when its block is converted, line 12 at once
+        # line 9 is caught by the finite-sum check, line 12 when it is parsed
         lines = _corpus_lines()
         rec = json.loads(lines[8])
         rec["features"][0] = float("inf")
@@ -388,6 +409,31 @@ class TestSplitCorpus:
         p.write_text("\n".join(lines) + "\n")
         errors = self.load_each_way(p, force_parts)
         assert errors == ["bad corpus record at line 9: non-finite feature value"] * 3
+
+    def test_features_whose_sum_overflows_load_bit_exact(self, tmp_path, force_parts):
+        # every value is finite but no record's sum is, so each record is
+        # checked again in full, and kept
+        rows = [(1e308, 1e308, -1e308), (-1e308, -1e308, 2.5)] * 15
+        lines = _corpus_lines()
+        for i, row in enumerate(rows):
+            rec = json.loads(lines[i])
+            rec["features"] = list(row)
+            lines[i] = json.dumps(rec)
+        p = tmp_path / "corpus.jsonl"
+        p.write_text("\n".join(lines) + "\n")
+        for retriever in self.load_each_way(p, force_parts):
+            got = {c.image_ref: c.feature for name in ("puma", "lynx", "ibex")
+                   for c in retriever.retrieve(name, 0)}
+            assert np.array([got[f"i{i:03d}"] for i in range(30)]).tobytes() == (
+                np.array(rows).tobytes())
+        # a manifest without its cache is read by the same code
+        ds = FeatureDataset(np.array(rows), np.arange(30) % 3)
+        path = tmp_path / "d.jsonl"
+        write_dataset(ds, LabelSpace(num_target=3), path)
+        path.with_suffix(".cache.npy").unlink()
+        for parts in (1, 2, 3):
+            force_parts(parts)
+            assert read_dataset(path)[0].features.tobytes() == ds.features.tobytes()
 
     def test_an_empty_corpus_loads(self, tmp_path, force_parts):
         p = tmp_path / "corpus.jsonl"

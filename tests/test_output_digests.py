@@ -13,10 +13,16 @@ def test_digests_cover_every_output_and_repeat():
     home = os.getcwd()
     first = output_digests.collect()
     assert os.getcwd() == home
-    runs = ["pilot", "data", "train-no-aux", *output_digests.VARIANTS]
+    runs = ["pilot", "data", "train-no-aux", "eval", "train-no-cache", "curate",
+            *output_digests.VARIANTS]
     assert {key.split("/")[0] for key in first} == {*runs, "ablation", "method_pair"}
-    for run in ("train-no-aux", *output_digests.VARIANTS):
+    for run in ("train-no-aux", "train-no-cache", *output_digests.VARIANTS):
         for name in ("checkpoint.json", "train_log.json", "manifest.json"):
             assert f"{run}/{name}" in first
+    for name in ("aux.jsonl", "aux.cache.npy", "aux.meta.json", "curation_report.json"):
+        assert f"curate/{name}" in first
+    assert "eval/report.json" in first
+    # the manifests parsed from their text train the same weights
+    assert first["train-no-cache/checkpoint.json"] == first["train/checkpoint.json"]
     assert all(len(v) == 64 and set(v) <= set("0123456789abcdef") for v in first.values())
     assert output_digests.collect() == first

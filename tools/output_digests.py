@@ -14,11 +14,17 @@ paths it was given, compares across checkouts. It covers:
 - the argv of the A8 determinism test (``test_a8_cli_determinism``): the
   pilot grid, the synth data, and the train run;
 - toy train variants on that synth data: each of ``VARIANTS``;
+- ``eval`` of the A8 train run on the synth test data;
+- the A8 train run on copies of its manifests without their binary caches,
+  so both are parsed from their JSONL text;
+- ``curate`` on a copy of ``tests/fixtures/curation``, whose manifest has
+  no cache either, with its fixture corpus and LLM responses;
 - a tiny ablation cell's reports, and a tiny method pair's method state and
   train log.
 
 The map's keys are output paths relative to the temporary directory, and
-``ablation/reports``, ``method_pair/state`` and ``method_pair/log``.
+``ablation/reports``, ``method_pair/state`` and ``method_pair/log``. The
+copied inputs are not in it.
 """
 from __future__ import annotations
 
@@ -32,12 +38,14 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
 
 PILOT = ["pilot", "--superclasses", "3,5", "--imbalances", "1.0,0.1", "--seeds", "0,1",
          "--num-classes", "15", "--feature-dim", "8", "--max-count", "50",
@@ -57,6 +65,15 @@ VARIANTS = {
     "train-all": ["--momentum", "0.9", "--hidden-dim", "16", "--lambda-s", "0"],
     "train-cap": ["--cap", "2", "--ratio", "1:1:1"],
 }
+EVAL = ["eval", "--checkpoint", "train/checkpoint.json", "--test", "data/test.jsonl",
+        "--out", "eval"]
+# the A8 train run on the copies of its manifests in "data-no-cache"
+TRAIN_NO_CACHE = ["train", "--data", "data-no-cache/train.jsonl",
+                  "--aux", "data-no-cache/aux.jsonl", *TRAIN[5:], "--out", "train-no-cache"]
+CURATE = ["curate", "--data", "fixture/train.jsonl", "--llm-fixture", "fixture",
+          "--corpus", "fixture/candidates.jsonl", "--out", "curate"]
+# inputs copied into the temporary directory, not outputs
+COPIES = ("fixture", "data-no-cache")
 # the tiny geometry of perfbench's ablation_mlp smoke run
 GEOMETRY = dict(num_classes=12, num_superclasses=3, feature_dim=8, max_count=150,
                 imbalance=0.02, test_per_class=10, per_target=2, samples_per_aux=20)
@@ -67,21 +84,28 @@ def _sha(data: bytes) -> str:
 
 
 def cli_digests() -> dict[str, str]:
-    """Run the A8 argv and the train variants in the current directory;
-    the sha256 of every file they leave, by relative path."""
+    """Run the A8 argv, the train variants, eval, the cache-less train run
+    and curate in the current directory; the sha256 of every file they
+    leave, by relative path."""
     from tailext.cli import main
 
     runs = [PILOT, SYNTH]
     runs += [[*TRAIN, *flags, "--out", out] for out, flags in VARIANTS.items()]
     no_aux = TRAIN[:3] + TRAIN[5:]
     runs.append([*no_aux, "--out", "train-no-aux"])
+    runs += [EVAL, TRAIN_NO_CACHE, CURATE]
+    shutil.copytree(REPO / "tests" / "fixtures" / "curation", "fixture")
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
         warnings.simplefilter("ignore")  # lambda_s 1.5 warns by design
         for argv in runs:
+            if argv is TRAIN_NO_CACHE:  # synth has written the manifests
+                os.mkdir("data-no-cache")
+                for name in ("train.jsonl", "train.meta.json", "aux.jsonl", "aux.meta.json"):
+                    shutil.copy(Path("data") / name, "data-no-cache")
             if main(argv) != 0:
                 raise SystemExit(f"exit code != 0: {' '.join(argv)}")
     return {p.as_posix(): _sha(p.read_bytes())
-            for p in sorted(Path(".").rglob("*")) if p.is_file()}
+            for p in sorted(Path(".").rglob("*")) if p.is_file() and p.parts[0] not in COPIES}
 
 
 def experiment_digests() -> dict[str, str]:
