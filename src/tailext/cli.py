@@ -79,11 +79,17 @@ def _parse_ratio(text: str) -> tuple[float, float, float] | None:
     return ratio  # type: ignore[return-value]
 
 
-def _parse_list(text: str, kind: type) -> list:
+def _parse_list(text: str, kind: type, sep: str = ",") -> list:
+    """The ``sep``-separated values of ``text`` as ``kind``, blanks skipped;
+    a value given twice is refused, as it would run or count twice."""
     try:
-        return [kind(p) for p in text.split(",") if p.strip() != ""]
+        values = [kind(p) for p in text.split(sep) if p.strip() != ""]
     except ValueError:
         raise ConfigError(f"expected comma-separated {kind.__name__} values, got {text!r}")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"value {value!r} repeated in {text!r}")
+    return values
 
 
 def _load_config_file(path: str, command: str) -> dict:
@@ -399,7 +405,7 @@ def cmd_sweep(cfg: dict, out: Path) -> None:
     if cfg["values"] is None:
         values = SWEEP_OPTIONS[axis]
     elif axis == "ratio":
-        values = [v for v in cfg["values"].split("/") if v]
+        values = _parse_list(cfg["values"], str, "/")
     else:  # of the type of the built-in options
         values = _parse_list(cfg["values"], type(SWEEP_OPTIONS[axis][0]))
     seeds = _parse_list(cfg["seeds"], int)

@@ -9,7 +9,10 @@ The epoch. Each epoch has its own class set, counts and loss, all built by
 take the ids after L with their post-cap counts, and those left out drop
 out of the denominator entirely. The batch loss is bound once per epoch to
 those counts: neighbor silencing if an auxiliary class is attached, else
-balanced CE.
+balanced CE. The draw runs over the auxiliary set's row numbers, not its
+features, so an epoch is its labels and the auxiliary rows it drew, and
+each batch gathers its rows from the target and auxiliary arrays; no
+epoch copies a feature.
 
 One mini-batch loop (``_fit``) serves both ``train`` and
 ``linear_probe_retrain``: the probe hands it the frozen hidden layer's
@@ -21,10 +24,10 @@ plus the auxiliary rows attached that epoch, ascending (``_epoch``). At
 the start of the epoch the output layer's weights, bias and velocities for
 those rows are copied into one contiguous block; every batch of the epoch
 runs forward, loss, backward and step on the block in place, and the block
-is copied back at the end of the epoch. The per-batch buffers (the hidden
-features H, the logits, the output and hidden gradients, dA and 1 - H^2)
-are allocated once per epoch; the last, partial batch uses leading views of
-them.
+is copied back at the end of the epoch. The per-batch buffers (the input
+rows, the hidden features H, the logits, the output and hidden gradients,
+dA and 1 - H^2) are allocated once per epoch; the last, partial batch uses
+leading views of them.
 
 Update rule. Plain SGD steps ``p -= lr * g``; with momentum each parameter
 keeps a velocity, ``v = momentum * v + g``, and steps ``p -= lr * v``.
@@ -220,40 +223,45 @@ def _epoch(
     target_counts: np.ndarray,
     space: LabelSpace,
     cfg: RunConfig,
-    aux: FeatureDataset | None,
+    numbered: FeatureDataset | None,
     plan: AuxSamplingPlan | None,
     epoch: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable, dict]:
-    """One epoch's mixed data, active output rows and batch loss.
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, Callable, dict]:
+    """One epoch's auxiliary rows, labels, active output rows and batch loss.
 
     With a ``plan``, the epoch's auxiliary draw follows the target data and
     the classes it attached take the ids after L; those left out have no
-    row, so every count the loss sees is >= 1. Returns (features, labels,
-    rows, loss, log fields). ``loss(Z, labels)`` is the silencing loss at
+    row, so every count the loss sees is >= 1. The draw runs on
+    ``numbered``, the auxiliary set's row numbers as a one-column dataset
+    (``_fit``), so it copies no features. Returns (aux rows, labels, rows,
+    loss, log fields): the epoch's rows of the auxiliary set, which take the
+    positions after the N target rows (None without a plan), and the labels
+    of all positions. ``loss(Z, labels)`` is the silencing loss at
     cfg.lambda_s when an auxiliary class is attached, balanced CE otherwise.
     Only a plan gives log fields: ``aux_active``, ``aux_effective_counts``.
     """
     L = space.num_target
-    feats, labels, rows, counts, fields = (
-        dataset.features, dataset.labels, np.arange(L), target_counts, {}
+    aux_rows, labels, rows, counts, fields = (
+        None, dataset.labels, np.arange(L), target_counts, {}
     )
     if plan is not None:
-        subset, eff = sample_epoch(aux, space, plan, cfg.seed, epoch)
+        subset, eff = sample_epoch(numbered, space, plan, cfg.seed, epoch)
         active = np.flatnonzero(eff > 0) + L
         fields = {"aux_active": active.tolist(),
                   "aux_effective_counts": {str(c): int(eff[c - L]) for c in active.tolist()}}
         remap = np.full(space.num_classes, -1, dtype=np.int64)
         remap[active] = np.arange(L, L + active.size)
-        feats = np.concatenate([feats, subset.features])
+        aux_rows = subset.features[:, 0].astype(np.int64)
         labels = np.concatenate([labels, remap[subset.labels]])
         rows = np.concatenate([rows, active])
         counts = np.concatenate([counts, eff[active - L]])
     stats = ClassStats(counts)
     if rows.size == L:
-        return feats, labels, rows, lambda Z, y: bal_ce_batch(Z, y, stats), fields
+        return aux_rows, labels, rows, lambda Z, y: bal_ce_batch(Z, y, stats), fields
     view = LabelSpace(num_target=L, num_auxiliary=rows.size - L, neighbor_of=dict(zip(
         range(L, rows.size), space.query_target[rows[L:]].tolist())))
-    return feats, labels, rows, lambda Z, y: ns_ce_batch(Z, y, stats, view, cfg.lambda_s), fields
+    return (aux_rows, labels, rows, lambda Z, y: ns_ce_batch(Z, y, stats, view, cfg.lambda_s),
+            fields)
 
 
 def _diverged(epoch: int, batch: int, reason: str) -> DivergenceError:
@@ -302,11 +310,19 @@ def _fit(
     if cfg.momentum:
         velocity = {name: np.zeros_like(p) for name, p in {**out_layer, **hidden}.items()}
 
+    # the auxiliary set's row numbers, exact in float64 below 2**53, with its
+    # labels: sample_epoch's draw reads only labels, so drawing from this
+    # stand-in names the epoch's rows without copying a feature or an id
+    numbered = None
+    if plan is not None:
+        numbered = FeatureDataset(np.arange(len(aux), dtype=np.float64)[:, None], aux.labels)
+    feats, N = dataset.features, len(dataset)
+
     entries = []
     first_loss = None
     for epoch in range(cfg.epochs):
-        feats, labels, rows, loss, log_fields = _epoch(dataset, target_counts, space, cfg,
-                                                       aux, plan, epoch)
+        aux_rows, labels, rows, loss, log_fields = _epoch(dataset, target_counts, space, cfg,
+                                                          numbered, plan, epoch)
 
         # gather the output layer into one row block (see the module docstring)
         block = rows
@@ -319,6 +335,7 @@ def _fit(
         grad_W, grad_b = grads["weights"][: rows.size], grads["bias"][: rows.size]
         n = labels.size
         width = min(cfg.batch_size, n)
+        X_buf = np.empty((width, feats.shape[1]))
         Z_buf = np.empty((width, rows.size))
         if hidden:
             H_buf = np.empty((width, state.hidden_weights.shape[0]))
@@ -329,8 +346,19 @@ def _fit(
         loss_total = 0.0
         for batch, start in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[start : start + cfg.batch_size]
-            Xb, yb = feats[idx], labels[idx]
             B = idx.size
+            # positions below N are target rows, the rest the epoch's
+            # auxiliary rows, gathered in perm's order
+            Xb, yb = X_buf[:B], labels[idx]
+            if aux_rows is None:
+                # every position is below N; "clip" writes straight into
+                # the buffer, where the default "raise" goes through a copy
+                np.take(feats, idx, axis=0, out=Xb, mode="clip")
+            else:
+                lo = idx < N
+                Xb[lo] = feats[idx[lo]]
+                hi = ~lo
+                Xb[hi] = aux.features[aux_rows[idx[hi] - N]]
             H = state._represent(Xb, out=H_buf[:B] if hidden else None)
             Z = Z_buf[:B]
             np.matmul(H, W.T, out=Z)
@@ -376,8 +404,8 @@ def _fit(
                     v += g
                     g = v
                 p -= cfg.learning_rate * g
-        # the mixed arrays go before the next epoch draws its own
-        del feats, labels
+        # the epoch's arrays go before the next epoch draws its own
+        del aux_rows, labels, perm
 
         for name, full in out_layer.items():
             full[block] = params[name]

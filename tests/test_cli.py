@@ -838,6 +838,26 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    # a repeated value would run twice and count twice in pilot.csv
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["pilot", "--superclasses", "2,2"], "value 2 repeated in '2,2'",
+                     id="pilot-superclasses"),
+        pytest.param(["pilot", "--imbalances", "0.1,1,1.0"], "value 1.0 repeated in '0.1,1,1.0'",
+                     id="pilot-imbalances"),
+        pytest.param(["pilot", "--seeds", "3,3"], "value 3 repeated in '3,3'", id="pilot-seeds"),
+        pytest.param(["sweep", "--axis", "lambda_s", "--values", "0.1,0.1"],
+                     "value 0.1 repeated in '0.1,0.1'", id="sweep-values"),
+        pytest.param(["sweep", "--axis", "ratio", "--values", "1:1:3/1:1:1/1:1:3"],
+                     "value '1:1:3' repeated in '1:1:3/1:1:1/1:1:3'", id="sweep-ratio-values"),
+        pytest.param(["sweep", "--axis", "lambda_s", "--seeds", "0,1,0"],
+                     "value 0 repeated in '0,1,0'", id="sweep-seeds"),
+    ])
+    def test_repeated_list_value_is_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        assert run(*argv, "--out", out) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     # each command's argv, valid and small, given the small_run directory
     @pytest.mark.parametrize("argv", [
         pytest.param(lambda base: ["synth", *SMALL_SYNTH], id="synth"),

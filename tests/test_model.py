@@ -1,5 +1,7 @@
 """Training loop, parameter gradients, masking, probes, checkpoints."""
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from tailext.core import (
     build_label_space,
     derive_rng,
 )
+from tailext.experiments import MLP_CONFIG, build_benchmark
 from tailext.losses import bal_ce, bal_ce_batch, ns_ce_batch
 from tailext.metrics import assign_splits
 from tailext.model import (
@@ -396,6 +399,25 @@ class TestMatchesDenseReference:
         want = reference_bal_ce_batch(Z, labels, stats)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert np.array_equal(Z, Z0) and np.array_equal(labels, labels0)
+
+
+class TestEpochFromRowNumbers:
+    """Each epoch's auxiliary draw names rows of the auxiliary set, and every
+    batch is gathered into one per-epoch buffer, so an epoch copies no
+    features: at the benchmark geometry one MLP train's traced peak stays
+    under 6 MB above its inputs (copying each draw into a subset and
+    concatenating it after the target features peaked at about 13.5 MB)."""
+
+    def test_mlp_train_peak(self):
+        tr, _, aux, merged = build_benchmark(1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            train(tr, aux, merged, MLP_CONFIG.with_overrides(epochs=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestDivergence:

@@ -14,9 +14,9 @@ def test_digests_cover_every_output_and_repeat():
     first = output_digests.collect()
     assert os.getcwd() == home
     runs = ["pilot", "data", "train-no-aux", "eval", "train-no-cache", "curate",
-            *output_digests.VARIANTS]
+            "train-curated", *output_digests.VARIANTS]
     assert {key.split("/")[0] for key in first} == {*runs, "ablation", "method_pair"}
-    for run in ("train-no-aux", "train-no-cache", *output_digests.VARIANTS):
+    for run in ("train-no-aux", "train-no-cache", "train-curated", *output_digests.VARIANTS):
         for name in ("checkpoint.json", "train_log.json", "manifest.json"):
             assert f"{run}/{name}" in first
     for name in ("aux.jsonl", "aux.cache.npy", "aux.meta.json", "curation_report.json"):

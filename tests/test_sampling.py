@@ -196,36 +196,58 @@ def reference_sample_epoch(aux, space, plan, seed, epoch):
     return aux.subset(idx), eff
 
 
+def random_draw(seed):
+    """A random (aux, space, plan, epoch): targets with zero to three
+    auxiliary classes, one target with none, some classes without samples,
+    the classes' rows interleaved, and a random cap, ratio and expansion."""
+    rng = derive_rng(seed, "sample-ref")
+    L = int(rng.integers(2, 7))
+    per_target = rng.integers(0, 4, size=L)
+    per_target[int(rng.integers(0, L))] = 0  # a target with no auxiliaries
+    owners = rng.permutation(np.repeat(np.arange(L), per_target))
+    space = build_label_space(L, [(L + k, int(t)) for k, t in enumerate(owners)])
+    # some auxiliary classes have no samples at all
+    pools = {L + k: int(n) for k, n in enumerate(rng.integers(0, 40, size=owners.size))}
+    pools = {c: n for c, n in pools.items() if n}
+    if pools:
+        aux = make_aux(pools, seed=seed)
+    else:
+        aux = FeatureDataset(np.zeros((0, 4)), np.zeros(0, dtype=int))
+    aux = aux.subset(rng.permutation(len(aux)))  # interleave the classes
+    tags = ("many", "medium", "few")
+    plan = AuxSamplingPlan(
+        per_class_cap=int(rng.integers(1, 30)),
+        ratio=tuple(float(r) for r in rng.choice([0, 0.5, 1, 2, 3], size=3)),
+        expanded_targets={
+            t: tags[int(rng.integers(0, 3))] for t in range(L) if rng.random() < 0.8
+        },
+    )
+    return aux, space, plan, int(rng.integers(0, 5))
+
+
 class TestSampleEpochReference:
     @given(st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_matches_per_class_reference(self, seed):
-        rng = derive_rng(seed, "sample-ref")
-        L = int(rng.integers(2, 7))
-        per_target = rng.integers(0, 4, size=L)
-        per_target[int(rng.integers(0, L))] = 0  # a target with no auxiliaries
-        owners = rng.permutation(np.repeat(np.arange(L), per_target))
-        space = build_label_space(L, [(L + k, int(t)) for k, t in enumerate(owners)])
-        # some auxiliary classes have no samples at all
-        pools = {L + k: int(n) for k, n in enumerate(rng.integers(0, 40, size=owners.size))}
-        pools = {c: n for c, n in pools.items() if n}
-        if pools:
-            aux = make_aux(pools, seed=seed)
-        else:
-            aux = FeatureDataset(np.zeros((0, 4)), np.zeros(0, dtype=int))
-        aux = aux.subset(rng.permutation(len(aux)))  # interleave the classes
-        tags = ("many", "medium", "few")
-        plan = AuxSamplingPlan(
-            per_class_cap=int(rng.integers(1, 30)),
-            ratio=tuple(float(r) for r in rng.choice([0, 0.5, 1, 2, 3], size=3)),
-            expanded_targets={
-                t: tags[int(rng.integers(0, 3))] for t in range(L) if rng.random() < 0.8
-            },
-        )
-        epoch = int(rng.integers(0, 5))
+        aux, space, plan, epoch = random_draw(seed)
         got, got_eff = sample_epoch(aux, space, plan, seed, epoch)
         want, want_eff = reference_sample_epoch(aux, space, plan, seed, epoch)
         np.testing.assert_array_equal(got_eff, want_eff)
+        assert got.sample_ids() == want.sample_ids()
+        np.testing.assert_array_equal(got.labels, want.labels)
+        np.testing.assert_array_equal(got.features, want.features)
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_draw_reads_only_labels(self, seed):
+        """A draw over the auxiliary set's row numbers, as training makes
+        it, names the rows of the draw over the set itself."""
+        aux, space, plan, epoch = random_draw(seed)
+        numbered = FeatureDataset(np.arange(len(aux), dtype=np.float64)[:, None], aux.labels)
+        drawn, drawn_eff = sample_epoch(numbered, space, plan, seed, epoch)
+        want, want_eff = sample_epoch(aux, space, plan, seed, epoch)
+        got = aux.subset(drawn.features[:, 0].astype(np.int64))
+        np.testing.assert_array_equal(drawn_eff, want_eff)
         assert got.sample_ids() == want.sample_ids()
         np.testing.assert_array_equal(got.labels, want.labels)
         np.testing.assert_array_equal(got.features, want.features)

@@ -19,6 +19,9 @@ paths it was given, compares across checkouts. It covers:
   so both are parsed from their JSONL text;
 - ``curate`` on a copy of ``tests/fixtures/curation``, whose manifest has
   no cache either, with its fixture corpus and LLM responses;
+- a train run on that fixture's targets and the curated auxiliary set,
+  whose ingested rows carry ids, at a cap of 3 so that most classes are
+  drawn from rather than taken whole;
 - a tiny ablation cell's reports, and a tiny method pair's method state and
   train log.
 
@@ -72,6 +75,8 @@ TRAIN_NO_CACHE = ["train", "--data", "data-no-cache/train.jsonl",
                   "--aux", "data-no-cache/aux.jsonl", *TRAIN[5:], "--out", "train-no-cache"]
 CURATE = ["curate", "--data", "fixture/train.jsonl", "--llm-fixture", "fixture",
           "--corpus", "fixture/candidates.jsonl", "--out", "curate"]
+TRAIN_CURATED = ["train", "--data", "fixture/train.jsonl", "--aux", "curate/aux.jsonl",
+                 *TRAIN[5:], "--cap", "3", "--out", "train-curated"]
 # inputs copied into the temporary directory, not outputs
 COPIES = ("fixture", "data-no-cache")
 # the tiny geometry of perfbench's ablation_mlp smoke run
@@ -84,16 +89,16 @@ def _sha(data: bytes) -> str:
 
 
 def cli_digests() -> dict[str, str]:
-    """Run the A8 argv, the train variants, eval, the cache-less train run
-    and curate in the current directory; the sha256 of every file they
-    leave, by relative path."""
+    """Run the A8 argv, the train variants, eval, the cache-less train run,
+    curate and the train run on its output in the current directory; the
+    sha256 of every file they leave, by relative path."""
     from tailext.cli import main
 
     runs = [PILOT, SYNTH]
     runs += [[*TRAIN, *flags, "--out", out] for out, flags in VARIANTS.items()]
     no_aux = TRAIN[:3] + TRAIN[5:]
     runs.append([*no_aux, "--out", "train-no-aux"])
-    runs += [EVAL, TRAIN_NO_CACHE, CURATE]
+    runs += [EVAL, TRAIN_NO_CACHE, CURATE, TRAIN_CURATED]
     shutil.copytree(REPO / "tests" / "fixtures" / "curation", "fixture")
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
         warnings.simplefilter("ignore")  # lambda_s 1.5 warns by design
