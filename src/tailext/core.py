@@ -19,7 +19,7 @@ import reprlib
 import sys
 import threading
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import InitVar, asdict, dataclass, field, replace
 from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -172,16 +172,27 @@ def _hash_component(part: int | str) -> int:
     return int.from_bytes(digest, "little")
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` as an int; ConfigError unless it is in [0, 2**64), where no
+    two seeds give a generator the same entropy. Both boundaries that take a
+    seed call this: ``derive_rng`` and ``RunConfig``."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def derive_rng(seed: int, *path: int | str) -> np.random.Generator:
     """Derive an independent generator for the stream named by ``path``.
 
     The same (seed, path) always yields an identical stream; distinct paths
     yield statistically independent streams. Components may be ints (epoch or
     class indices) or strings (subsystem names), hashed to spawn keys of a
-    Philox counter-based generator.
+    Philox counter-based generator. ConfigError for a seed outside
+    [0, 2**64) (``check_seed``) or a negative int component.
     """
     key = tuple(_hash_component(p) for p in path)
-    seq = np.random.SeedSequence(entropy=int(seed) & 0xFFFFFFFFFFFFFFFF, spawn_key=key)
+    seq = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=key)
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -708,11 +719,12 @@ def write_dataset(
 
     One record per line: ``{"id": str, "label": int, "features": [float...]}``;
     an id that is not a string raises DataError before any file is made.
-    The sidecar records C, L, K, the neighbor relation, and any provenance
-    metadata the caller supplies (generator spec, seed). ``<stem>.cache.npy``
-    holds the same features, labels and ids as three arrays back to back; the
-    sidecar names it with the sha256 of both files, so ``read_dataset`` can
-    skip parsing float text while the two still match.
+    The sidecar records C, the label space (L, K, the neighbor relation) and
+    any provenance metadata the caller supplies (generator spec, seed).
+    ``<stem>.cache.npy`` holds the same features, labels and ids as three
+    arrays back to back; the sidecar names it with the sha256 of both files,
+    so ``read_dataset`` can skip parsing float text while the two still
+    match.
 
     The rows are formatted in contiguous ranges, one per process (see
     ``_process_count``): this process writes the first straight to the
@@ -771,8 +783,6 @@ def write_dataset(
             cache_out.write(memoryview(data).cast("B"))
     meta = {
         "feature_dim": dataset.feature_dim,
-        "num_target": space.num_target,
-        "num_auxiliary": space.num_auxiliary,
         "label_space": space.to_json(),
         "provenance": dataset.provenance,
     }
@@ -895,13 +905,15 @@ class RunConfig:
     The determinism contract: identical RunConfig plus identical inputs must
     produce bit-identical metric outputs. Defaults follow the recommended
     operating point: lambda_s=0.1, per-class cap 50, plain SGD at lr 0.15.
-    Plain SGD (momentum 0) is the default because the crowded pilot cells do
-    worse under momentum. On ``run_pilot_cell`` at S = 5, seeds 0-5, the
-    largest batch mean loss reached 22-39 times the first batch's under
-    plain SGD and 87-156 times under momentum 0.9, and the balanced-data
-    rank gap was 0.6 +- 5.7 points against -6.3 +- 4.4. Plain SGD does not
-    settle the S = 5 cells either: at S = 25 the same ratio stays within
-    4.8-8.1.
+    Training has no momentum because the crowded pilot cells do worse under
+    it. On ``run_pilot_cell`` at S = 5, seeds 0-5, the largest batch mean
+    loss reached 22-39 times the first batch's under plain SGD and 87-156
+    times under momentum 0.9, and the balanced-data rank gap was 0.6 +- 5.7
+    points against -6.3 +- 4.4. Plain SGD does not settle the S = 5 cells
+    either: at S = 25 the same ratio stays within 4.8-8.1. ``momentum`` is
+    no field: it is accepted only at 0, the plain SGD that training does,
+    so that code that still passes ``momentum=0.0`` (the A1 acceptance
+    test does) constructs.
     ``aux_ratio`` of None means derive the head:medium:tail attachment
     counts from split totals by ceiling division.
     """
@@ -913,10 +925,13 @@ class RunConfig:
     epochs: int = 30
     batch_size: int = 128
     learning_rate: float = 0.15
-    momentum: float = 0.0
     hidden_dim: int | None = None
+    momentum: InitVar[float] = 0.0
 
-    def __post_init__(self):
+    def __post_init__(self, momentum):
+        if momentum != 0:
+            raise ConfigError(f"momentum must be 0 (training is plain SGD), got {momentum}")
+        check_seed(self.seed)
         check_lambda_s(self.lambda_s, ConfigError)
         if self.lambda_s > 1:
             # name the caller's line: past this module's frames, the generated
@@ -933,8 +948,6 @@ class RunConfig:
         # written so that NaN fails every bound
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not 0 <= self.momentum < 1:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         width = self.hidden_dim
         if width is not None and (
             isinstance(width, bool) or not isinstance(width, (int, np.integer)) or width < 1

@@ -21,22 +21,16 @@ described below and the divergence guard (``DIVERGENCE_RATIO``).
 
 Epoch block layout. An epoch's active output rows are the L target rows
 plus the auxiliary rows attached that epoch, ascending (``_epoch``). At
-the start of the epoch the output layer's weights, bias and velocities for
-those rows are copied into one contiguous block; every batch of the epoch
-runs forward, loss, backward and step on the block in place, and the block
-is copied back at the end of the epoch. The per-batch buffers (the input
+the start of the epoch the output layer's weights and bias for those rows
+are copied into one contiguous block; every batch of the epoch runs
+forward, loss, backward and step on the block in place, and the block is
+copied back at the end of the epoch. The per-batch buffers (the input
 rows, the hidden features H, the logits, the output and hidden gradients,
 dA and 1 - H^2) are allocated once per epoch; the last, partial batch uses
 leading views of them.
 
-Update rule. Plain SGD steps ``p -= lr * g``; with momentum each parameter
-keeps a velocity, ``v = momentum * v + g``, and steps ``p -= lr * v``.
-
-Idle-row rule. A row outside the epoch's active rows has a zero gradient,
-which leaves it unchanged under plain SGD. Under momentum its velocity still
-moves it, so the block holds the idle rows after the active ones, and their
-gradient stays zero. The update is elementwise, so stepping a block gives
-the same bits as stepping the full arrays.
+Update rule. Plain SGD steps ``p -= lr * g`` and keeps no state; a row
+outside the epoch's active rows has a zero gradient, so it stays as it is.
 """
 from __future__ import annotations
 
@@ -77,8 +71,8 @@ CHECKPOINT_VERSION = 1
 # loss stops training as diverged. The output layer starts at zero, so the
 # first loss is fixed by the class counts and the batch's labels alone. The
 # largest multiple measured on working runs is 39 (crowded, imbalanced pilot
-# cells at the default learning rate); SGD at lr 1e9, and at lr 1e3 with
-# momentum 0.9, pass 6,000 within their first batches.
+# cells at the default learning rate); SGD at lr 1e9 passes 6,000 within its
+# first batches.
 DIVERGENCE_RATIO = 1000.0
 
 # predict_batch scores at most this many rows at a time, in balanced chunks
@@ -305,10 +299,6 @@ def _fit(
     hidden: dict[str, np.ndarray] = {}
     if state.hidden_weights is not None:
         hidden = {"hidden_weights": state.hidden_weights, "hidden_bias": state.hidden_bias}
-    # one velocity per parameter under momentum; plain SGD keeps none
-    velocity: dict[str, np.ndarray] = {}
-    if cfg.momentum:
-        velocity = {name: np.zeros_like(p) for name, p in {**out_layer, **hidden}.items()}
 
     # the auxiliary set's row numbers, exact in float64 below 2**53, with its
     # labels: sample_epoch's draw reads only labels, so drawing from this
@@ -325,14 +315,10 @@ def _fit(
                                                           numbered, plan, epoch)
 
         # gather the output layer into one row block (see the module docstring)
-        block = rows
-        if cfg.momentum and rows.size < space.num_classes:
-            block = np.concatenate([rows, np.setdiff1d(np.arange(space.num_classes), rows)])
-        params = {**hidden, **{name: full[block] for name, full in out_layer.items()}}
-        vel = {name: v[block] if name in out_layer else v for name, v in velocity.items()}
+        params = {**hidden, **{name: full[rows] for name, full in out_layer.items()}}
         grads = {name: np.zeros_like(p) for name, p in params.items()}
-        W, b = params["weights"][: rows.size], params["bias"][: rows.size]
-        grad_W, grad_b = grads["weights"][: rows.size], grads["bias"][: rows.size]
+        W, b = params["weights"], params["bias"]
+        grad_W, grad_b = grads["weights"], grads["bias"]
         n = labels.size
         width = min(cfg.batch_size, n)
         X_buf = np.empty((width, feats.shape[1]))
@@ -397,20 +383,12 @@ def _fit(
                 np.matmul(dA.T, Xb, out=grads["hidden_weights"])
                 np.sum(dA, axis=0, out=grads["hidden_bias"])
             for name, p in params.items():
-                g = grads[name]
-                if cfg.momentum:
-                    v = vel[name]
-                    v *= cfg.momentum
-                    v += g
-                    g = v
-                p -= cfg.learning_rate * g
+                p -= cfg.learning_rate * grads[name]
         # the epoch's arrays go before the next epoch draws its own
         del aux_rows, labels, perm
 
         for name, full in out_layer.items():
-            full[block] = params[name]
-            if cfg.momentum:
-                velocity[name][block] = vel[name]
+            full[rows] = params[name]
 
         entries.append(
             {"epoch": epoch, "mean_loss": loss_total / n, "mixed_size": int(n), **log_fields}

@@ -52,6 +52,13 @@ class TestDeriveRng:
         with pytest.raises(ConfigError):
             derive_rng(0, -1)
 
+    def test_seed_outside_64_bits_rejected(self):
+        # masked to 64 bits, each of these gave another seed's stream
+        for seed in (2**64, -(2**64), -1, 2**65 + 3):
+            with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\*\*64\)"):
+                derive_rng(seed, "x")
+        derive_rng(2**64 - 1, "x")
+
     @given(st.integers(0, 2**32), st.text(max_size=20), st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_replayable_for_arbitrary_paths(self, seed, name, idx):
@@ -192,6 +199,17 @@ class TestRoundtrip:
         assert back.sample_ids() == ds.sample_ids()
         assert space2 == space
         assert meta["note"] == 1
+
+    def test_sidecar_holds_the_sizes_once(self, tmp_path):
+        ds = FeatureDataset(np.zeros((3, 2)), np.array([0, 1, 3]))
+        space = build_label_space(3, [(3, 1)])
+        path = tmp_path / "d.jsonl"
+        write_dataset(ds, space, path)
+        sidecar = json.loads(path.with_suffix(".meta.json").read_text())
+        assert sorted(sidecar) == ["binary_cache", "feature_dim", "label_space", "provenance"]
+        # an older sidecar's top-level sizes are ignored, even when stale
+        _edit_sidecar(path, lambda meta: meta.update(num_target=9, num_auxiliary=0))
+        assert read_dataset(path)[1] == space
 
     def test_missing_sidecar(self, tmp_path):
         p = tmp_path / "d.jsonl"
@@ -760,7 +778,8 @@ class TestRunConfig:
         cfg = RunConfig()
         assert cfg.lambda_s == 0.1
         assert cfg.per_class_cap == 50
-        assert (cfg.learning_rate, cfg.momentum) == (0.15, 0.0)
+        assert cfg.learning_rate == 0.15
+        assert "momentum" not in cfg.to_json()  # training is plain SGD
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -772,14 +791,15 @@ class TestRunConfig:
         nan, inf = float("nan"), float("inf")
         for bad in (
             dict(hidden_dim=0), dict(hidden_dim=-1), dict(hidden_dim=2.0),
-            dict(hidden_dim=True), dict(momentum=-0.1), dict(momentum=1.0),
-            dict(momentum=nan), dict(learning_rate=nan), dict(learning_rate=inf),
+            dict(hidden_dim=True), dict(momentum=0.9), dict(momentum=nan),
+            dict(seed=-1), dict(seed=2**64), dict(learning_rate=nan), dict(learning_rate=inf),
             dict(lambda_s=nan), dict(lambda_s=inf), dict(aux_ratio=(1, nan, 3)),
             dict(aux_ratio=(1, 1, inf)),
         ):
             with pytest.raises(ConfigError):
                 RunConfig(**bad)
-        assert RunConfig(hidden_dim=np.int64(3), momentum=0.9).hidden_dim == 3
+        assert RunConfig(hidden_dim=np.int64(3), momentum=0.0).hidden_dim == 3
+        assert RunConfig(seed=2**64 - 1).seed == 2**64 - 1
 
     def test_lambda_above_one_warns(self):
         with pytest.warns(UserWarning):

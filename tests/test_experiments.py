@@ -191,7 +191,6 @@ def test_forked_pilot_grid_under_blas_threads(tmp_path):
 class TestConfigsAndRatios:
     def test_preset_fields(self):
         assert BENCH_CONFIG == RunConfig(aux_ratio=(1, 1, 3))
-        assert BENCH_CONFIG.momentum == 0.0
         assert BENCH_CONFIG.hidden_dim is None
         assert MLP_CONFIG.hidden_dim == 128
         assert BENCH_CONFIG.lambda_s == pytest.approx(0.1)

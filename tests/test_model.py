@@ -57,7 +57,7 @@ def mean_loss_fn(W, b, X, y, stats, hidden=None):
 
 
 class TestParameterGradients:
-    """One full-batch SGD step (momentum 0) moves params by exactly
+    """One full-batch SGD step moves params by exactly
     -lr * grad(mean loss), so the analytic chain rule can be checked against
     finite differences of an independent forward pass."""
 
@@ -65,7 +65,7 @@ class TestParameterGradients:
         ds = toy_dataset()
         space = LabelSpace(num_target=3)
         lr = 0.01
-        cfg = RunConfig(epochs=1, batch_size=1024, learning_rate=lr, momentum=0.0)
+        cfg = RunConfig(epochs=1, batch_size=1024, learning_rate=lr)
         state, _ = train(ds, None, space, cfg)
         stats = ClassStats(ds.class_counts(3))
         W0, b0 = np.zeros((3, 3)), np.zeros(3)
@@ -97,7 +97,7 @@ class TestParameterGradients:
         space = LabelSpace(num_target=3)
         lr, H, D = 0.01, 4, 3
         cfg = RunConfig(
-            epochs=1, batch_size=1024, learning_rate=lr, momentum=0.0,
+            epochs=1, batch_size=1024, learning_rate=lr,
             hidden_dim=H, seed=7,
         )
         state, _ = train(ds, None, space, cfg)
@@ -136,7 +136,7 @@ class TestParameterGradients:
 class TestTraining:
     def test_separable_data_learned(self):
         ds = toy_dataset(n_per=8)
-        cfg = RunConfig(epochs=20, learning_rate=0.5, momentum=0.0)
+        cfg = RunConfig(epochs=20, learning_rate=0.5)
         state, log = train(ds, None, LabelSpace(num_target=3), cfg)
         acc = float((state.predict_batch(ds.features) == ds.labels).mean())
         assert acc == 1.0
@@ -144,7 +144,7 @@ class TestTraining:
 
     def test_full_batch_loss_nonincreasing(self):
         ds = toy_dataset(seed=2, n_per=6)
-        cfg = RunConfig(epochs=15, batch_size=1024, learning_rate=0.05, momentum=0.0)
+        cfg = RunConfig(epochs=15, batch_size=1024, learning_rate=0.05)
         _, log = train(ds, None, LabelSpace(num_target=3), cfg)
         losses = [e["mean_loss"] for e in log.epochs]
         for prev, cur in zip(losses, losses[1:]):
@@ -174,10 +174,10 @@ class TestTraining:
         rng = derive_rng(8, "auxfeat")
         aux = FeatureDataset(rng.normal(size=(10, 3)), np.full(10, 3))
         a, loga = train(
-            ds, aux, space, RunConfig(epochs=3, lambda_s=0.0, momentum=0.0, aux_ratio=(1, 1, 3))
+            ds, aux, space, RunConfig(epochs=3, lambda_s=0.0, aux_ratio=(1, 1, 3))
         )
         b, _ = train(
-            ds, aux, space, RunConfig(epochs=3, lambda_s=1.0, momentum=0.0, aux_ratio=(1, 1, 3))
+            ds, aux, space, RunConfig(epochs=3, lambda_s=1.0, aux_ratio=(1, 1, 3))
         )
         assert not np.array_equal(a.weights, b.weights)
         entry = loga.epochs[0]
@@ -250,15 +250,10 @@ def reference_bal_ce_batch(Z, labels, stats):
     return m + np.log(total) - u[rows, labels], grads
 
 
-def reference_step(params, grads, velocity, cfg):
-    """SGD on whole arrays: p -= lr * g, or with momentum v = momentum * v + g
-    and p -= lr * v, each velocity kept in ``velocity`` by parameter name."""
+def reference_step(params, grads, cfg):
+    """SGD on whole arrays: p -= lr * g."""
     for name, p in params.items():
-        if cfg.momentum:
-            velocity[name] = cfg.momentum * velocity[name] + grads[name]
-            p -= cfg.learning_rate * velocity[name]
-        else:
-            p -= cfg.learning_rate * grads[name]
+        p -= cfg.learning_rate * grads[name]
 
 
 def reference_train(dataset, aux, space, cfg):
@@ -279,7 +274,6 @@ def reference_train(dataset, aux, space, cfg):
     if state.hidden_weights is not None:
         params["hidden_weights"] = state.hidden_weights
         params["hidden_bias"] = state.hidden_bias
-    velocity = {name: np.zeros_like(p) for name, p in params.items()}
     log = TrainLog(
         seed=cfg.seed, config=cfg.to_json(),
         plan=plan.to_json() if plan is not None else None,
@@ -323,7 +317,7 @@ def reference_train(dataset, aux, space, cfg):
                 dA = (Gm @ W) * (1.0 - H * H)
                 grads["hidden_weights"] = dA.T @ Xb
                 grads["hidden_bias"] = dA.sum(axis=0)
-            reference_step(params, grads, velocity, cfg)
+            reference_step(params, grads, cfg)
         entry = {"epoch": epoch, "mean_loss": loss_total / n, "mixed_size": int(n)}
         if use_aux:
             active = (np.flatnonzero(eff > 0) + L).tolist()
@@ -351,8 +345,7 @@ def rotating_aux_problem():
 
 
 OPTIMIZERS = {
-    "sgd": dict(momentum=0.0, learning_rate=0.3),
-    "sgd-momentum": dict(momentum=0.9, learning_rate=0.1),
+    "sgd": dict(learning_rate=0.3),
 }
 
 
@@ -513,7 +506,6 @@ def reference_probe(state, dataset, cfg):
     weights = np.zeros((L, rep.shape[1]))
     bias = np.zeros(L)
     params = {"weights": weights, "bias": bias}
-    velocity = {name: np.zeros_like(p) for name, p in params.items()}
     n = len(dataset)
     for epoch in range(cfg.epochs):
         perm = derive_rng(cfg.seed, "probe-shuffle", epoch).permutation(n)
@@ -523,7 +515,7 @@ def reference_probe(state, dataset, cfg):
             Z = Hb @ weights.T + bias
             _, G = bal_ce_batch(Z, yb, stats)
             G /= idx.size
-            reference_step(params, {"weights": G.T @ Hb, "bias": G.sum(axis=0)}, velocity, cfg)
+            reference_step(params, {"weights": G.T @ Hb, "bias": G.sum(axis=0)}, cfg)
     return weights, bias
 
 
@@ -556,7 +548,7 @@ class TestProbe:
         space = build_label_space(3, [(3, 0)])
         aux = FeatureDataset(derive_rng(9, "aux").normal(size=(6, 3)), np.full(6, 3))
         cfg = RunConfig(
-            epochs=10, learning_rate=0.3, momentum=0.0, hidden_dim=8, aux_ratio=(1, 1, 3)
+            epochs=10, learning_rate=0.3, hidden_dim=8, aux_ratio=(1, 1, 3)
         )
         state, _ = train(ds, aux, space, cfg)
         probe = linear_probe_retrain(state, ds, cfg)

@@ -63,9 +63,8 @@ VARIANTS = {
     "train": [],
     "train-lambda0": ["--lambda-s", "0"],
     "train-lambda1.5": ["--lambda-s", "1.5"],
-    "train-momentum": ["--momentum", "0.9"],
     "train-hidden": ["--hidden-dim", "16"],
-    "train-all": ["--momentum", "0.9", "--hidden-dim", "16", "--lambda-s", "0"],
+    "train-all": ["--hidden-dim", "16", "--lambda-s", "0"],
     "train-cap": ["--cap", "2", "--ratio", "1:1:1"],
 }
 EVAL = ["eval", "--checkpoint", "train/checkpoint.json", "--test", "data/test.jsonl",
