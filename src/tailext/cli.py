@@ -28,6 +28,7 @@ from .core import (
     _map_runs,
     _sidecar_path,
     check_json,
+    check_seed,
     read_dataset,
     read_json,
     write_dataset,
@@ -40,6 +41,7 @@ from .metrics import (
     EvalReport,
     assign_splits,
     evaluate,
+    expand_splits,
     expansion_targets,
     read_report,
     reports_to_csv,
@@ -171,18 +173,22 @@ _SYNTH_DEFAULTS = {
 
 
 def cmd_synth(cfg: dict, out: Path) -> None:
+    check_seed(cfg["seed"])
     profile = CountProfile(cfg["profile"], cfg["num_classes"], cfg["max_count"],
                            imbalance=cfg["imbalance"], alpha=cfg["alpha"])
-    counts = make_counts(profile, cfg["seed"])
-    # checked even when no auxiliary data is made
-    targets = expansion_targets(counts, cfg["expand"])
     spec = HierarchySpec(**{field.name: cfg[field.name] for field in fields(HierarchySpec)})
-    train_ds, test_ds = make_hierarchy(spec, counts, cfg["seed"], cfg["test_per_class"])
-
+    # checked even when no auxiliary data is made
+    splits = expand_splits(cfg["expand"])
+    # the names file is read after the settings are checked and before any
+    # data is drawn
     names = read_json(cfg["names"], {int: str}, DataError, "names file") if cfg["names"] else None
     if names and max(names) >= cfg["num_classes"]:
         raise DataError(f"{cfg['names']}: bad names file: class id {max(names)} is outside "
                         f"[0, {cfg['num_classes']})")
+    counts = make_counts(profile, cfg["seed"])
+    targets = expansion_targets(counts, splits)
+    train_ds, test_ds = make_hierarchy(spec, counts, cfg["seed"], cfg["test_per_class"])
+
     space = LabelSpace(num_target=cfg["num_classes"], class_names=names)
     # made before any file is written, so that its checks leave none behind
     aux = None
@@ -216,6 +222,9 @@ def cmd_pilot(cfg: dict, out: Path) -> None:
     seeds = _parse_list(cfg["seeds"], int)
     if not s_grid or not b_grid or not seeds:
         raise ConfigError("pilot grid needs superclasses, imbalances, and seeds")
+    # every seed is checked before the first cell
+    for seed in seeds:
+        check_seed(seed)
 
     rows = run_pilot_grid(
         s_grid, b_grid, seeds, **{key: cfg[key] for key in _PILOT_GEOMETRY}
@@ -263,7 +272,9 @@ _CURATE_DEFAULTS = {
 def cmd_curate(cfg: dict, out: Path) -> None:
     from .curation import FixtureLLMClient, FixtureRetriever, HttpLLMClient, curate
 
-    # every setting is checked before the inputs are read
+    # every setting is checked before the inputs are read; nothing draws
+    # from the seed, which the manifest records
+    check_seed(cfg["seed"])
     cur_cfg = CurationConfig(**{f.name: cfg[_CURATE_FLAGS.get(f.name, f.name)]
                                 for f in fields(CurationConfig)})
     if not cfg["data"]:
@@ -350,6 +361,8 @@ _EVAL_DEFAULTS = {
 
 
 def cmd_eval(cfg: dict, out: Path) -> None:
+    # nothing draws from the seed, which the report records
+    check_seed(cfg["seed"])
     if not cfg["checkpoint"] or not cfg["test"]:
         raise ConfigError("eval needs --checkpoint and --test")
     state = load_checkpoint(cfg["checkpoint"])

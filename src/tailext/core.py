@@ -22,7 +22,7 @@ import warnings
 from dataclasses import InitVar, asdict, dataclass, field, replace
 from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "check_json",
     "decode_json",
     "derive_rng",
+    "derive_streams",
     "write_dataset",
     "read_dataset",
     "read_json",
@@ -174,8 +175,10 @@ def _hash_component(part: int | str) -> int:
 
 def check_seed(seed: int) -> int:
     """``seed`` as an int; ConfigError unless it is in [0, 2**64), where no
-    two seeds give a generator the same entropy. Both boundaries that take a
-    seed call this: ``derive_rng`` and ``RunConfig``."""
+    two seeds give a generator the same entropy. The boundaries that take a
+    seed call this: ``derive_rng``, ``derive_streams`` and ``RunConfig``, and
+    the commands that check theirs before any work or draw nothing from it
+    (``cli``)."""
     seed = int(seed)
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
@@ -194,6 +197,117 @@ def derive_rng(seed: int, *path: int | str) -> np.random.Generator:
     key = tuple(_hash_component(p) for p in path)
     seq = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=key)
     return np.random.Generator(np.random.Philox(seq))
+
+
+# SeedSequence's constants (numpy/random/bit_generator.pyx) and its
+# 4-word pool
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_M32 = 0xFFFFFFFF
+
+# The port below works on words that are ints or uint32 arrays alike: an
+# int is masked to 32 bits after each step, and uint32 arithmetic wraps as
+# the Cython original's does.
+
+
+def _words(n: int) -> list[int]:
+    """SeedSequence's uint32 words of the int ``n`` >= 0, least significant
+    first ([0] for 0)."""
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+def _hashmix(value, const: int):
+    """SeedSequence's hashmix of ``value``; returns the hashed word and the
+    next hash constant."""
+    following = const * _MULT_A & _M32
+    value = (value ^ const) * following & _M32
+    return value ^ value >> 16, following
+
+
+def _mix(x, y):
+    mixed = (_MIX_L * x & _M32) - (_MIX_R * y & _M32) & _M32
+    return mixed ^ mixed >> 16
+
+
+def _philox_keys(entropy: list) -> np.ndarray:
+    """``SeedSequence(...).generate_state(2, np.uint64)``, the key Philox
+    takes from a SeedSequence, for n assembled entropies at once: each word
+    of ``entropy`` is an int that all of them share or a uint32 array of n,
+    and at least one word past the pool is an array. Returns (n, 2)
+    uint64."""
+    const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        hashed, const = _hashmix(word, const)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            hashed, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], hashed)
+    const = _INIT_B
+    state = []
+    for word in pool:
+        following = const * _MULT_B & _M32
+        word = (word ^ const) * following
+        state.append((word ^ word >> 16).astype(np.uint64))
+        const = following
+    return np.stack([state[0] | state[1] << np.uint64(32), state[2] | state[3] << np.uint64(32)],
+                    axis=1)
+
+
+def derive_streams(seed: int, *path: int | str, ids) -> Iterator[np.random.Generator]:
+    """The generators ``derive_rng(seed, *path, i)`` for each i of ``ids``,
+    in order, from one vectorized pass over their keys.
+
+    Each yielded generator draws exactly what derive_rng's would. It is one
+    reused Generator whose Philox is re-keyed for each id, so it serves
+    until the next id's is drawn. ``ids`` is a sequence of ints in
+    [0, 2**64); ConfigError for one outside it, and as ``derive_rng`` for
+    the seed and the path.
+    """
+    try:
+        ids = np.array([_hash_component(i) for i in np.asarray(ids, dtype=object).tolist()],
+                       dtype=np.uint64)
+    except OverflowError:
+        raise ConfigError(f"stream ids must be below 2**64, got {reprlib.repr(ids)}") from None
+    # SeedSequence pads the seed's words to the pool size when a spawn key
+    # follows, and appends the key's words: the path's, then the id's
+    head = _words(check_seed(seed))
+    head += [0] * (_POOL_SIZE - len(head))
+    for part in path:
+        head += _words(_hash_component(part))
+    keys = np.empty((ids.size, 2), dtype=np.uint64)
+    low, high = (ids & _M32).astype(np.uint32), (ids >> 32).astype(np.uint32)
+    # an id below 2**32 is one word, any other two
+    for wide in (False, True):
+        at = np.flatnonzero((high > 0) == wide)
+        if at.size:
+            keys[at] = _philox_keys(head + [low[at], high[at]][: 1 + wide])
+    return _rekeyed(keys)
+
+
+def _rekeyed(keys: np.ndarray) -> Iterator[np.random.Generator]:
+    """One Generator, its Philox set for each key in turn as Philox(key=k)
+    starts: counter 0 and an empty buffer. A generator of its own, so that
+    ``derive_streams`` checks its arguments when it is called."""
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+    zeros = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key in keys:
+        state["state"]["key"] = key
+        bits.state = state
+        yield gen
 
 
 # The most classes, L + K, of a label space (up to about 24 MB of derived

@@ -146,6 +146,8 @@ def ns_ce_batch(
     stats: ClassStats,
     space: LabelSpace,
     lambda_s: float,
+    silenced: tuple[np.ndarray, np.ndarray] | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized neighbor-silencing loss over a batch of logit rows.
 
@@ -157,6 +159,12 @@ def ns_ce_batch(
     shift is the plain row maximum; with lambda_s = 0 the fully silenced
     terms are dropped before the shift, so a dominant silenced logit can
     neither push the reference above every surviving term nor overflow.
+
+    ``silenced`` is the batch's (row, column) pairs that weigh lambda_s, as
+    ``_silenced(space, labels)`` gives them, in any order; None computes
+    them. The gradients are written into ``out``, a (B, M) float64 array
+    that may be Z itself, when given. Every check runs before ``out`` is
+    written, so a call that raises leaves it as it was.
     """
     Z, labels = _batch_inputs(Z, labels, stats)
     if len(stats) != space.num_classes:
@@ -165,10 +173,11 @@ def ns_ce_batch(
         )
     check_lambda_s(lambda_s, DataError)
     # one (B, M) work array goes u -> t -> the tail's shift, exp and gradient
-    work = Z + stats.log_counts()[None, :]
+    work = np.add(Z, stats.log_counts()[None, :], out=out)
     work -= work[np.arange(Z.shape[0]), labels][:, None]
     # every weight other than the silenced pairs' lambda_s is 1
-    silenced = _silenced(space, labels)
+    if silenced is None:
+        silenced = _silenced(space, labels)
     if lambda_s == 0:
         # silenced terms leave the shift and the sum: their exponent becomes
         # exp(-inf) = 0, where 0 * exp(t - m) would overflow to 0 * inf = nan
@@ -195,12 +204,17 @@ def ns_ce(
 
 
 def bal_ce_batch(
-    Z: np.ndarray, labels: np.ndarray, stats: ClassStats
+    Z: np.ndarray, labels: np.ndarray, stats: ClassStats, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`bal_ce`; returns (losses (B,), gradients (B, M))."""
+    """Vectorized :func:`bal_ce`; returns (losses (B,), gradients (B, M)).
+
+    The gradients are written into ``out``, a (B, M) float64 array that may
+    be Z itself, when given. Every check runs before ``out`` is written, so
+    a call that raises leaves it as it was.
+    """
     Z, labels = _batch_inputs(Z, labels, stats)
     # one (B, M) work array goes u -> the tail's shift, exp and gradient
-    work = Z + stats.log_counts()[None, :]
+    work = np.add(Z, stats.log_counts()[None, :], out=out)
     u_true = work[np.arange(Z.shape[0]), labels]
     log_total, grads = _softmax_tail(work, labels)
     return log_total - u_true, grads

@@ -3,16 +3,20 @@ trained with mini-batch gradient descent on the mixed target + auxiliary set
 and masked back to the target rows at inference. Masking restricts a view
 and never mutates trained weights.
 
-The epoch. Each epoch has its own class set, counts and loss, all built by
-``_epoch``. Under an auxiliary sampling plan it mixes the epoch's draw
-(``sample_epoch``) after the target data; the auxiliary classes attached
-take the ids after L with their post-cap counts, and those left out drop
-out of the denominator entirely. The batch loss is bound once per epoch to
-those counts: neighbor silencing if an auxiliary class is attached, else
-balanced CE. The draw runs over the auxiliary set's row numbers, not its
-features, so an epoch is its labels and the auxiliary rows it drew, and
-each batch gathers its rows from the target and auxiliary arrays; no
-epoch copies a feature.
+The epoch. Each epoch has its own class set, counts, loss and batches, all
+built by ``_epoch`` before its first batch. Under an auxiliary sampling
+plan it mixes the epoch's draw (``sample_epoch``) after the target data;
+the auxiliary classes attached take the ids after L with their post-cap
+counts, and those left out drop out of the denominator entirely. The batch
+loss is bound once per epoch to those counts: neighbor silencing if an
+auxiliary class is attached, else balanced CE. The draw runs over the
+auxiliary set's row numbers, not its features, so no epoch copies a
+feature. ``_epoch`` also draws the epoch's permutation and plans every
+batch from it: the labels in batch order, the target rows and auxiliary
+rows each batch gathers, and, for a silencing epoch, each batch's
+silenced (row, column) pairs, from one ``_silenced`` call. The batch loop
+(``_descend``) only slices that plan; it does no work that the weights do
+not decide.
 
 One mini-batch loop (``_fit``) serves both ``train`` and
 ``linear_probe_retrain``: the probe hands it the frozen hidden layer's
@@ -25,20 +29,26 @@ the start of the epoch the output layer's weights and bias for those rows
 are copied into one contiguous block; every batch of the epoch runs
 forward, loss, backward and step on the block in place, and the block is
 copied back at the end of the epoch. The per-batch buffers (the input
-rows, the hidden features H, the logits, the output and hidden gradients,
-dA and 1 - H^2) are allocated once per epoch; the last, partial batch uses
-leading views of them.
+rows, the stage a mixed batch gathers its target and auxiliary rows into
+before they take batch order, the hidden features H, the logits, the
+output and hidden gradients, dA and 1 - H^2) are allocated once per
+epoch, and freed before the next epoch plans its batches; the last,
+partial batch uses leading views of them. The loss writes its gradient
+over the logits, which nothing reads afterwards, so a batch allocates no
+array the size of its features or logits.
 
-Update rule. Plain SGD steps ``p -= lr * g`` and keeps no state; a row
-outside the epoch's active rows has a zero gradient, so it stays as it is.
+Update rule. Plain SGD steps ``g *= lr; p -= g``, the bits of
+``p -= lr * g`` without its temporary, and keeps no state; a row outside
+the epoch's active rows has a zero gradient, so it stays as it is.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -52,7 +62,7 @@ from .core import (
     derive_rng,
     read_json,
 )
-from .losses import bal_ce_batch, ns_ce_batch
+from .losses import _silenced, bal_ce_batch, ns_ce_batch
 from .metrics import assign_splits
 from .sampling import AuxSamplingPlan, build_plan, sample_epoch
 
@@ -217,24 +227,35 @@ def _epoch(
     target_counts: np.ndarray,
     space: LabelSpace,
     cfg: RunConfig,
+    stream: str,
     numbered: FeatureDataset | None,
     plan: AuxSamplingPlan | None,
     epoch: int,
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, Callable, dict]:
-    """One epoch's auxiliary rows, labels, active output rows and batch loss.
+) -> tuple[np.ndarray, Iterator[tuple], Callable, dict, int]:
+    """One epoch's active output rows, batches and batch loss.
 
     With a ``plan``, the epoch's auxiliary draw follows the target data and
     the classes it attached take the ids after L; those left out have no
     row, so every count the loss sees is >= 1. The draw runs on
     ``numbered``, the auxiliary set's row numbers as a one-column dataset
-    (``_fit``), so it copies no features. Returns (aux rows, labels, rows,
-    loss, log fields): the epoch's rows of the auxiliary set, which take the
-    positions after the N target rows (None without a plan), and the labels
-    of all positions. ``loss(Z, labels)`` is the silencing loss at
-    cfg.lambda_s when an auxiliary class is attached, balanced CE otherwise.
-    Only a plan gives log fields: ``aux_active``, ``aux_effective_counts``.
+    (``_fit``), so it copies no features. The epoch's positions, the N
+    target rows and then the auxiliary rows drawn, are shuffled from the
+    stream (cfg.seed, ``stream``, epoch) and cut into batches of
+    cfg.batch_size.
+
+    Returns (rows, batches, loss, log fields, size). ``batches`` yields, per
+    batch, views of the epoch's arrays, sliced as it is drawn: (labels,
+    target rows, auxiliary rows, order, silenced pairs). The target rows
+    and the auxiliary set's rows are those the batch gathers, each in
+    batch order; ``order`` is each position's row of the two stacked, and
+    None when the epoch drew no auxiliary row, so that the target rows are
+    the batch. ``loss(Z, labels, silenced pairs)`` writes its gradient
+    into Z: the silencing loss at cfg.lambda_s when an auxiliary class is
+    attached, with the batch's pairs from one ``_silenced`` call over the
+    epoch, and balanced CE otherwise, with no pairs. Only a plan gives log
+    fields: ``aux_active``, ``aux_effective_counts``.
     """
-    L = space.num_target
+    L, N = space.num_target, len(dataset)
     aux_rows, labels, rows, counts, fields = (
         None, dataset.labels, np.arange(L), target_counts, {}
     )
@@ -249,13 +270,49 @@ def _epoch(
         labels = np.concatenate([labels, remap[subset.labels]])
         rows = np.concatenate([rows, active])
         counts = np.concatenate([counts, eff[active - L]])
+    n, size = labels.size, cfg.batch_size
+    perm = derive_rng(cfg.seed, stream, epoch).permutation(n)
+    labels = labels[perm]
+    starts = range(0, n, size)
     stats = ClassStats(counts)
     if rows.size == L:
-        return aux_rows, labels, rows, lambda Z, y: bal_ce_batch(Z, y, stats), fields
-    view = LabelSpace(num_target=L, num_auxiliary=rows.size - L, neighbor_of=dict(zip(
-        range(L, rows.size), space.query_target[rows[L:]].tolist())))
-    return (aux_rows, labels, rows, lambda Z, y: ns_ce_batch(Z, y, stats, view, cfg.lambda_s),
-            fields)
+        loss = lambda Z, y, silenced: bal_ce_batch(Z, y, stats, out=Z)
+        pairs = itertools.repeat(None)
+    else:
+        view = LabelSpace(num_target=L, num_auxiliary=rows.size - L, neighbor_of=dict(zip(
+            range(L, rows.size), space.query_target[rows[L:]].tolist())))
+        loss = lambda Z, y, silenced: ns_ce_batch(Z, y, stats, view, cfg.lambda_s,
+                                                  silenced=silenced, out=Z)
+        # the epoch's pairs by position, cut at the batches, with rows local
+        # to their batch
+        pair_rows, pair_cols = _silenced(view, labels)
+        by_row = np.argsort(pair_rows, kind="stable")
+        pair_rows, pair_cols = pair_rows[by_row], pair_cols[by_row]
+        cut = np.append(np.searchsorted(pair_rows, starts), pair_rows.size).tolist()
+        pair_rows %= size
+        pairs = ((pair_rows[i:j], pair_cols[i:j]) for i, j in zip(cut, cut[1:]))
+    if aux_rows is None or not aux_rows.size:
+        gathers = ((perm[s : s + size], None, None) for s in starts)
+    else:
+        is_target = perm < N
+        target_rows = perm[is_target]
+        aux_rows = aux_rows[perm[~is_target] - N]
+        # each position's row of its batch's stage: for a target row, the
+        # target rows before it in the batch; for an auxiliary row, all the
+        # batch's target rows and the auxiliary rows before it in the batch
+        before = np.cumsum(is_target) - is_target  # target rows before each position
+        first = np.append(before[::size], N)  # and before each batch
+        own = before - np.repeat(first[:-1], size)[:n]  # and before each in its batch
+        order = np.where(is_target, own,
+                         np.repeat(np.diff(first), size)[:n] + np.arange(n) % size - own)
+        first = first.tolist()
+        gathers = ((target_rows[first[k] : first[k + 1]],
+                    aux_rows[s - first[k] : min(s + size, n) - first[k + 1]],
+                    order[s : s + size])
+                   for k, s in enumerate(starts))
+    batches = ((labels[s : s + size], *gather, silenced)
+               for s, gather, silenced in zip(starts, gathers, pairs))
+    return rows, batches, loss, fields, n
 
 
 def _diverged(epoch: int, batch: int, reason: str) -> DivergenceError:
@@ -288,112 +345,135 @@ def _fit(
     """The mini-batch loop: train ``state`` in place for cfg.epochs epochs
     and return the per-epoch log entries.
 
-    ``_epoch`` builds each epoch's data and loss, with an auxiliary draw
-    under a ``plan``; the epoch shuffles from the stream (cfg.seed,
-    ``stream``, epoch). Raises DivergenceError, naming the epoch and batch,
-    when a logit or batch loss turns non-finite or a batch loss exceeds
-    DIVERGENCE_RATIO times the first batch's.
+    ``_epoch`` builds each epoch's data, batches and loss, with an
+    auxiliary draw under a ``plan``, and ``_descend`` runs its batches.
+    Raises DivergenceError, naming the epoch and batch, when a logit or
+    batch loss turns non-finite or a batch loss exceeds DIVERGENCE_RATIO
+    times the first batch's.
     """
-    space = state.space
-    out_layer = {"weights": state.weights, "bias": state.bias}
-    hidden: dict[str, np.ndarray] = {}
-    if state.hidden_weights is not None:
-        hidden = {"hidden_weights": state.hidden_weights, "hidden_bias": state.hidden_bias}
-
     # the auxiliary set's row numbers, exact in float64 below 2**53, with its
     # labels: sample_epoch's draw reads only labels, so drawing from this
     # stand-in names the epoch's rows without copying a feature or an id
     numbered = None
     if plan is not None:
         numbered = FeatureDataset(np.arange(len(aux), dtype=np.float64)[:, None], aux.labels)
-    feats, N = dataset.features, len(dataset)
 
     entries = []
     first_loss = None
     for epoch in range(cfg.epochs):
-        aux_rows, labels, rows, loss, log_fields = _epoch(dataset, target_counts, space, cfg,
-                                                          numbered, plan, epoch)
-
-        # gather the output layer into one row block (see the module docstring)
-        params = {**hidden, **{name: full[rows] for name, full in out_layer.items()}}
-        grads = {name: np.zeros_like(p) for name, p in params.items()}
-        W, b = params["weights"], params["bias"]
-        grad_W, grad_b = grads["weights"], grads["bias"]
-        n = labels.size
-        width = min(cfg.batch_size, n)
-        X_buf = np.empty((width, feats.shape[1]))
-        Z_buf = np.empty((width, rows.size))
-        if hidden:
-            H_buf = np.empty((width, state.hidden_weights.shape[0]))
-            dA_buf = np.empty_like(H_buf)
-            slope_buf = np.empty_like(H_buf)
-
-        perm = derive_rng(cfg.seed, stream, epoch).permutation(n)
-        loss_total = 0.0
-        for batch, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = perm[start : start + cfg.batch_size]
-            B = idx.size
-            # positions below N are target rows, the rest the epoch's
-            # auxiliary rows, gathered in perm's order
-            Xb, yb = X_buf[:B], labels[idx]
-            if aux_rows is None:
-                # every position is below N; "clip" writes straight into
-                # the buffer, where the default "raise" goes through a copy
-                np.take(feats, idx, axis=0, out=Xb, mode="clip")
-            else:
-                lo = idx < N
-                Xb[lo] = feats[idx[lo]]
-                hi = ~lo
-                Xb[hi] = aux.features[aux_rows[idx[hi] - N]]
-            H = state._represent(Xb, out=H_buf[:B] if hidden else None)
-            Z = Z_buf[:B]
-            np.matmul(H, W.T, out=Z)
-            Z += b
-            try:
-                losses, G = loss(Z, yb)
-            except DataError:
-                if np.isfinite(Z).all():
-                    raise
-                raise _diverged(epoch, batch, "non-finite logits") from None
-            batch_loss = float(losses.sum())
-            loss_total += batch_loss
-            mean_loss = batch_loss / B
-            if first_loss is None:
-                first_loss = mean_loss
-            # a first loss of 0 (no class competes with any label) leaves
-            # only the non-finite check
-            if not math.isfinite(mean_loss) or (
-                first_loss > 0 and mean_loss > DIVERGENCE_RATIO * first_loss
-            ):
-                raise _diverged(
-                    epoch, batch, f"mean batch loss {mean_loss:.6g}, first batch's "
-                    f"{first_loss:.6g}, limit {DIVERGENCE_RATIO:g} times the first",
-                )
-
-            G /= B
-            np.matmul(G.T, H, out=grad_W)
-            np.sum(G, axis=0, out=grad_b)
-            if hidden:
-                dA = dA_buf[:B]
-                slope = slope_buf[:B]
-                np.matmul(G, W, out=dA)
-                np.multiply(H, H, out=slope)
-                np.subtract(1.0, slope, out=slope)
-                dA *= slope
-                np.matmul(dA.T, Xb, out=grads["hidden_weights"])
-                np.sum(dA, axis=0, out=grads["hidden_bias"])
-            for name, p in params.items():
-                p -= cfg.learning_rate * grads[name]
-        # the epoch's arrays go before the next epoch draws its own
-        del aux_rows, labels, perm
-
-        for name, full in out_layer.items():
-            full[rows] = params[name]
-
+        rows, batches, loss, log_fields, n = _epoch(dataset, target_counts, state.space, cfg,
+                                                    stream, numbered, plan, epoch)
+        # the epoch's buffers go with _descend's frame, and its arrays with
+        # the spent batches, before the next epoch plans its own
+        loss_total, first_loss = _descend(
+            state, rows, batches, loss, dataset.features, None if aux is None else aux.features,
+            min(cfg.batch_size, n), cfg.learning_rate, epoch, first_loss,
+        )
         entries.append(
             {"epoch": epoch, "mean_loss": loss_total / n, "mixed_size": int(n), **log_fields}
         )
     return entries
+
+
+def _descend(
+    state: ClassifierState,
+    rows: np.ndarray,
+    batches: Iterator[tuple],
+    loss: Callable,
+    features: np.ndarray,
+    aux_features: np.ndarray | None,
+    width: int,
+    learning_rate: float,
+    epoch: int,
+    first_loss: float | None,
+) -> tuple[float, float]:
+    """One epoch of SGD on ``state``: each of ``_epoch``'s ``batches``, at
+    most ``width`` rows, gathers its rows of ``features`` and
+    ``aux_features`` and runs forward, ``loss``, backward and step on the
+    block of output ``rows`` (module docstring). Returns the epoch's summed
+    loss and the first batch's mean loss of the training, ``first_loss``
+    when one is given; DivergenceError as ``_fit`` describes.
+    """
+    out_layer = {"weights": state.weights, "bias": state.bias}
+    hidden: dict[str, np.ndarray] = {}
+    if state.hidden_weights is not None:
+        hidden = {"hidden_weights": state.hidden_weights, "hidden_bias": state.hidden_bias}
+    # gather the output layer into one row block (see the module docstring)
+    params = {**hidden, **{name: full[rows] for name, full in out_layer.items()}}
+    grads = {name: np.zeros_like(p) for name, p in params.items()}
+    W, b = params["weights"], params["bias"]
+    grad_W, grad_b = grads["weights"], grads["bias"]
+    X_buf = np.empty((width, features.shape[1]))
+    stage = None if aux_features is None else np.empty_like(X_buf)
+    Z_buf = np.empty((width, rows.size))
+    if hidden:
+        H_buf = np.empty((width, state.hidden_weights.shape[0]))
+        dA_buf = np.empty_like(H_buf)
+        slope_buf = np.empty_like(H_buf)
+
+    loss_total = 0.0
+    for batch, (yb, target_rows, aux_rows, order, silenced) in enumerate(batches):
+        B = yb.size
+        # "clip" writes straight into the buffer, where the default "raise"
+        # goes through a copy; every row number is in range
+        Xb = X_buf[:B]
+        if order is None:
+            np.take(features, target_rows, axis=0, out=Xb, mode="clip")
+        else:
+            # the target rows, then the auxiliary rows, into the stage; from
+            # there into batch order
+            t = target_rows.size
+            np.take(features, target_rows, axis=0, out=stage[:t], mode="clip")
+            np.take(aux_features, aux_rows, axis=0, out=stage[t:B], mode="clip")
+            np.take(stage, order, axis=0, out=Xb, mode="clip")
+        H = state._represent(Xb, out=H_buf[:B] if hidden else None)
+        Z = Z_buf[:B]
+        np.matmul(H, W.T, out=Z)
+        Z += b
+        try:
+            # the gradient G is written over Z
+            losses, G = loss(Z, yb, silenced)
+        except DataError:
+            # the loss writes Z only after its checks, so Z holds the logits
+            if np.isfinite(Z).all():
+                raise
+            raise _diverged(epoch, batch, "non-finite logits") from None
+        batch_loss = float(losses.sum())
+        loss_total += batch_loss
+        mean_loss = batch_loss / B
+        if first_loss is None:
+            first_loss = mean_loss
+        # a first loss of 0 (no class competes with any label) leaves only
+        # the non-finite check
+        if not math.isfinite(mean_loss) or (
+            first_loss > 0 and mean_loss > DIVERGENCE_RATIO * first_loss
+        ):
+            raise _diverged(
+                epoch, batch, f"mean batch loss {mean_loss:.6g}, first batch's "
+                f"{first_loss:.6g}, limit {DIVERGENCE_RATIO:g} times the first",
+            )
+
+        G /= B
+        np.matmul(G.T, H, out=grad_W)
+        np.sum(G, axis=0, out=grad_b)
+        if hidden:
+            dA = dA_buf[:B]
+            slope = slope_buf[:B]
+            np.matmul(G, W, out=dA)
+            np.multiply(H, H, out=slope)
+            np.subtract(1.0, slope, out=slope)
+            dA *= slope
+            np.matmul(dA.T, Xb, out=grads["hidden_weights"])
+            np.sum(dA, axis=0, out=grads["hidden_bias"])
+        # p -= lr * g, bit for bit, with no temporary
+        for name, p in params.items():
+            g = grads[name]
+            g *= learning_rate
+            p -= g
+
+    for name, full in out_layer.items():
+        full[rows] = params[name]
+    return loss_total, first_loss
 
 
 def train(

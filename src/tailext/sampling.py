@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import (
-    ConfigError, DataError, FeatureDataset, LabelSpace, check_cap_and_ratio, derive_rng
+    ConfigError, DataError, FeatureDataset, LabelSpace, check_cap_and_ratio, derive_streams
 )
 from .metrics import SPLIT_NAMES, SplitAssignment, check_splits
 
@@ -122,36 +122,32 @@ def sample_epoch(
     end = np.cumsum(counts)
     start = end - counts
 
-    chosen: list[np.ndarray] = []
+    # the attached classes, by target; the keys of every rotation, and then
+    # of every capped class's draw, come from one pass (derive_streams)
+    groups = []
     for target in sorted(plan.expanded_targets):
-        tag = plan.expanded_targets[target]
         # the target's auxiliary ids with samples, ascending
         group = space.aux_by_target[space.aux_start[target] : space.aux_start[target + 1]]
         categories = group[counts[group] > 0]
-        if not categories.size:
-            continue
-        n_attach = min(categories.size, plan.categories_for(tag))
-        if n_attach == 0:
-            continue
-        if n_attach < categories.size:
-            rng = derive_rng(seed, "aux-attach", epoch, target)
-            order = rng.permutation(categories.size)[:n_attach]
-            attached = categories[np.sort(order)]
-        else:
-            attached = categories
-        for c in attached:
-            pool = by_label[start[c] : end[c]]
-            take = min(pool.size, plan.per_class_cap)
-            if take < pool.size:
-                rng = derive_rng(seed, "aux-sample", epoch, c)
-                picked = pool[np.sort(rng.choice(pool.size, size=take, replace=False))]
-            else:
-                picked = pool
-            chosen.append(picked)
-            eff[c - L] = take
-
-    if chosen:
-        idx = np.concatenate(chosen)
-    else:
-        idx = np.empty(0, dtype=np.int64)
-    return aux.subset(idx), eff
+        n_attach = min(categories.size, plan.categories_for(plan.expanded_targets[target]))
+        if n_attach:
+            groups.append((target, categories, n_attach))
+    rotations = derive_streams(seed, "aux-attach", epoch,
+                               ids=[t for t, categories, n in groups if n < categories.size])
+    attached = [
+        categories[np.sort(next(rotations).permutation(categories.size)[:n])]
+        if n < categories.size else categories
+        for _, categories, n in groups
+    ]
+    attached = np.concatenate(attached) if attached else np.empty(0, dtype=np.int64)
+    pools = counts[attached]
+    take = np.minimum(pools, plan.per_class_cap)
+    draws = derive_streams(seed, "aux-sample", epoch, ids=attached[take < pools])
+    chosen = []
+    for c, n in zip(attached.tolist(), take.tolist()):
+        pool = by_label[start[c] : end[c]]
+        if n < pool.size:
+            pool = pool[np.sort(next(draws).choice(pool.size, size=n, replace=False))]
+        chosen.append(pool)
+    eff[attached - L] = take
+    return aux.subset(np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)), eff

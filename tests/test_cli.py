@@ -509,13 +509,18 @@ class TestExitCodes:
         None, '{"0": "cat",', '{"zero": "cat"}', '{"0": "cat", "00": "dog"}',
         '{"0": {"name": "cat"}}', '{"99": "cat"}',
     ])
-    def test_bad_names_file_is_3(self, tmp_path, capsys, names):
+    def test_bad_names_file_is_3(self, tmp_path, capsys, monkeypatch, names):
+        # the file is read before any data is drawn
+        drawn = []
+        for name in ("make_counts", "make_hierarchy", "make_auxiliary"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: drawn.append(name))
         path = tmp_path / "names.json"
         if names is not None:
             path.write_text(names)
         assert run("synth", "--out", tmp_path / "data", *SMALL_SYNTH,
                    "--names", path) == 3
         assert "names file" in capsys.readouterr().err
+        assert drawn == []
 
     @pytest.mark.parametrize("command, key", [
         ("train", "gamma1"), ("train", "gamma2"), ("pilot", "jobs"), ("sweep", "jobs"),
@@ -857,8 +862,9 @@ class TestExitCodes:
         assert not out.exists()
 
     # masked to 64 bits, such a seed gave another seed's streams: synth wrote
-    # seed 0's data, and pilot ran one cell twice; train refuses it before
-    # it reads its (here absent) data
+    # seed 0's data, and pilot ran one cell twice. Every command refuses it
+    # before its work starts: no draw, no pilot cell and no input read; curate
+    # and eval draw nothing from it, and check it all the same
     @pytest.mark.parametrize("argv", [
         pytest.param(["synth", *SMALL_SYNTH[:-2], "--seed", str(2**64)], id="synth"),
         pytest.param(["synth", *SMALL_SYNTH[:-2], "--seed", str(-(2**64))],
@@ -866,12 +872,21 @@ class TestExitCodes:
         pytest.param(["pilot", "--superclasses", "3", "--imbalances", "1.0",
                       "--seeds", f"0,{2**64}", "--num-classes", "15", "--feature-dim", "8",
                       "--max-count", "50", "--test-per-class", "5"], id="pilot"),
+        pytest.param(["curate", "--data", FIXTURES / "train.jsonl", "--llm-fixture", FIXTURES,
+                      "--corpus", FIXTURES / "candidates.jsonl", "--seed", str(2**64)],
+                     id="curate"),
         pytest.param(["train", "--data", "absent.jsonl", "--seed", str(2**64)], id="train"),
+        pytest.param(["eval", "--checkpoint", "absent.json", "--test", "absent.jsonl",
+                      "--seed", str(2**64)], id="eval"),
     ])
-    def test_seed_outside_64_bits_is_2(self, tmp_path, capsys, argv):
+    def test_seed_outside_64_bits_is_2(self, tmp_path, capsys, monkeypatch, argv):
+        started = []
+        for name in ("make_counts", "run_pilot_grid", "read_dataset", "load_checkpoint"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: started.append(name))
         out = tmp_path / "o"
         assert run(*argv, "--out", out) == 2
         assert "config error: seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert started == []
         assert not out.exists()
 
     # each command's argv, valid and small, given the small_run directory

@@ -24,6 +24,7 @@ from tailext.core import (
     RunConfig,
     build_label_space,
     derive_rng,
+    derive_streams,
     read_dataset,
     write_dataset,
 )
@@ -65,6 +66,77 @@ class TestDeriveRng:
         a = derive_rng(seed, name, idx).integers(0, 1 << 30, size=4)
         b = derive_rng(seed, name, idx).integers(0, 1 << 30, size=4)
         np.testing.assert_array_equal(a, b)
+
+
+# seeds, path components and ids at the edges of SeedSequence's 32-bit
+# words: zero, one word, two words and the largest of each
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 2, 2**64 - 1)
+EDGE_PATHS = ((), ("aux-sample",), ("aux-attach", 0), ("aux-sample", 2**32 - 1),
+              ("aux-sample", 2**32), ("shuffle", 2**40, "x"), ("", 2**64 - 1), (2**70,))
+# one- and two-word ids, out of order
+EDGE_IDS = (0, 1, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1, 7, 2**33 + 5, 3)
+
+
+def _seed_sequence_key(seed, *path):
+    spawn_key = tuple(core._hash_component(p) for p in path)
+    return np.random.SeedSequence(seed, spawn_key=spawn_key).generate_state(2, np.uint64)
+
+
+def _stream_keys(seed, *path, ids):
+    return [g.bit_generator.state["state"]["key"].copy()
+            for g in derive_streams(seed, *path, ids=ids)]
+
+
+class TestDeriveStreams:
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_keys_are_seed_sequences(self, seed):
+        for path in EDGE_PATHS:
+            got = _stream_keys(seed, *path, ids=list(EDGE_IDS))
+            assert len(got) == len(EDGE_IDS)
+            for i, key in zip(EDGE_IDS, got):
+                np.testing.assert_array_equal(key, _seed_sequence_key(seed, *path, i))
+
+    @given(st.integers(0, 2**64 - 1),
+           st.lists(st.one_of(st.text(max_size=8), st.integers(0, 2**70)), max_size=3),
+           st.lists(st.integers(0, 2**64 - 1), max_size=6))
+    @settings(max_examples=50, deadline=None)
+    def test_keys_for_arbitrary_streams(self, seed, path, ids):
+        got = _stream_keys(seed, *path, ids=np.array(ids, dtype=np.uint64))
+        assert len(got) == len(ids)
+        for i, key in zip(ids, got):
+            np.testing.assert_array_equal(key, _seed_sequence_key(seed, *path, i))
+
+    def test_draws_are_derive_rngs(self):
+        """Each id's draws equal derive_rng's, though the generator before
+        it left a half-used 64-bit word and a drawn buffer behind."""
+        ids = np.array([0, 5, 2**32 + 1, 3, 5])
+        for i, gen in zip(ids.tolist(), derive_streams(11, "aux-sample", 4, ids=ids)):
+            ref = derive_rng(11, "aux-sample", 4, i)
+            np.testing.assert_array_equal(gen.permutation(40), ref.permutation(40))
+            np.testing.assert_array_equal(gen.choice(90, size=17, replace=False),
+                                          ref.choice(90, size=17, replace=False))
+            np.testing.assert_array_equal(gen.integers(0, 2**32, size=3, dtype=np.uint32),
+                                          ref.integers(0, 2**32, size=3, dtype=np.uint32))
+
+    def test_no_ids_no_streams(self):
+        assert list(derive_streams(0, "x", ids=[])) == []
+        assert list(derive_streams(0, "x", ids=np.empty(0, dtype=np.int64))) == []
+
+    @pytest.mark.parametrize("ids", [[-1], [3, -2], np.array([0, -1])])
+    def test_negative_id_rejected(self, ids):
+        # at the call, before any stream is drawn
+        with pytest.raises(ConfigError, match="must be non-negative"):
+            derive_streams(0, "x", ids=ids)
+
+    def test_id_beyond_64_bits_rejected(self):
+        with pytest.raises(ConfigError, match=r"stream ids must be below 2\*\*64"):
+            derive_streams(0, "x", ids=[1, 2**64])
+
+    def test_seed_and_path_checked_as_derive_rngs(self):
+        with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\*\*64\)"):
+            derive_streams(2**64, "x", ids=[1])
+        with pytest.raises(ConfigError, match="must be non-negative"):
+            derive_streams(0, "x", -1, ids=[1])
 
 
 class TestLabelSpace:

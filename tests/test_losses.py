@@ -225,6 +225,64 @@ class TestBatchForms:
             ns_ce_batch(np.zeros((1, 3)), np.array([0]), stats, space, 0.1)
 
 
+    @given(st.integers(0, 10**6), st.sampled_from([0.0, 0.1, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_in_place_with_given_pairs_keeps_the_bits(self, seed, lam):
+        """Gradients written over Z, or into another buffer, and the pairs
+        passed in shuffled order give the defaults' losses and gradients
+        bit for bit."""
+        rng = derive_rng(seed, "in-place")
+        space = random_space(rng)
+        M = space.num_classes
+        stats = ClassStats(rng.integers(1, 300, size=M))
+        labels = rng.integers(0, M, size=9)
+        Z = rng.normal(scale=5.0, size=(9, M))
+        rows, cols = _silenced(space, labels)
+        shuffled = rng.permutation(rows.size)
+        pairs = (rows[shuffled], cols[shuffled])
+        calls = {
+            "ns": (lambda Z, **kw: ns_ce_batch(Z, labels, stats, space, lam, **kw),
+                   [{}, {"silenced": pairs}]),
+            "bal": (lambda Z, **kw: bal_ce_batch(Z, labels, stats, **kw), [{}]),
+        }
+        for loss, extra in calls.values():
+            want_losses, want_grads = loss(Z)
+            for kw in extra:
+                work = Z.copy()
+                losses, grads = loss(work, out=work, **kw)
+                assert grads is work
+                assert losses.tobytes() == want_losses.tobytes()
+                assert grads.tobytes() == want_grads.tobytes()
+                out = np.empty_like(Z)
+                losses, grads = loss(Z.copy(), out=out, **kw)
+                assert grads is out and grads.tobytes() == want_grads.tobytes()
+
+    def test_raising_call_leaves_z_untouched(self):
+        """Every check runs before the gradients are written over Z, so the
+        divergence guard reads the logits the loss refused."""
+        stats = ClassStats(np.array([3, 1, 2]))
+        space = LabelSpace(num_target=2, num_auxiliary=1, neighbor_of={2: 0})
+        finite = np.array([[0.5, -1.0, 2.0], [1.5, 0.0, -0.25]])
+        bad_logits = finite.copy()
+        bad_logits[1, 2] = np.inf
+        labels = np.array([0, 2])
+        calls = [
+            (bad_logits, lambda Z: bal_ce_batch(Z, labels, stats, out=Z)),
+            (bad_logits, lambda Z: ns_ce_batch(Z, labels, stats, space, 0.1, out=Z)),
+            (finite, lambda Z: bal_ce_batch(Z, np.array([0, 3]), stats, out=Z)),
+            (finite, lambda Z: ns_ce_batch(Z, np.array([-1, 0]), stats, space, 0.1, out=Z)),
+            (finite, lambda Z: ns_ce_batch(Z, labels, stats, space, -0.5, out=Z)),
+            (finite, lambda Z: ns_ce_batch(Z, labels, stats, space, np.nan, out=Z)),
+            (finite, lambda Z: ns_ce_batch(Z, labels, stats, LabelSpace(num_target=4), 0.1,
+                                           silenced=(np.array([0]), np.array([2])), out=Z)),
+        ]
+        for logits, call in calls:
+            Z = logits.copy()
+            with pytest.raises(DataError):
+                call(Z)
+            assert Z.tobytes() == logits.tobytes()
+
+
 class TestSilenceWeights:
     """The silenced pairs ``_silenced`` reads off the label space's groups,
     and the lambda_s checks of the loss and of ``RunConfig``."""

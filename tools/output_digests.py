@@ -1,10 +1,17 @@
 """Print, as JSON, the sha256 of every output a refactor of the training path
-must leave byte-identical.
+must leave byte-identical, with the platform record of the machine that
+computed them.
 
 Run it on two checkouts and compare the two maps:
 
     python3 tools/output_digests.py > after.json
     python3 ../parent-checkout/tools/output_digests.py > before.json
+
+``tests/output_digests.json`` pins the map, and ``tests/test_output_digests.py``
+compares a fresh one with it wherever the platform record matches. A change
+that means to alter an output's bytes writes the file anew:
+
+    python3 tools/output_digests.py > tests/output_digests.json
 
 It imports tailext from the src/ of the checkout it sits in, with BLAS
 pinned to one thread before numpy loads. The CLI runs in a fresh temporary
@@ -38,9 +45,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import contextlib  # noqa: E402
+import ctypes  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import platform  # noqa: E402
 import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -131,6 +140,52 @@ def experiment_digests() -> dict[str, str]:
     }
 
 
+def _blas_core() -> str | None:
+    """The kernel set the loaded OpenBLAS picked for this CPU, or None.
+
+    A DYNAMIC_ARCH build picks it when it loads, so one BLAS version can
+    multiply with other kernels, and so other last bits, on another CPU.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                       "openblas_get_corename"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                fn.argtypes = []
+                return fn().decode()
+    return None
+
+
+def platform_record() -> dict:
+    """What the digests' bytes may depend on besides the code: numpy, its
+    BLAS and the kernels it picked, Python and the machine type."""
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    # a numpy older than 1.26 has no such record
+    except (TypeError, KeyError, AttributeError):
+        blas = None
+    return {
+        "numpy": np.__version__,
+        "blas": blas,
+        "blas_core": _blas_core(),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+    }
+
+
 def collect() -> dict[str, str]:
     """Every digest, computed in a fresh temporary directory."""
     home = os.getcwd()
@@ -143,4 +198,5 @@ def collect() -> dict[str, str]:
 
 
 if __name__ == "__main__":
-    print(json.dumps(collect(), indent=1, sort_keys=True))
+    print(json.dumps({"digests": collect(), "platform": platform_record()}, indent=1,
+                     sort_keys=True))
