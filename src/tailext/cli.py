@@ -29,6 +29,7 @@ from .core import (
     _sidecar_path,
     check_json,
     check_seed,
+    check_size,
     read_dataset,
     read_json,
     write_dataset,
@@ -51,7 +52,6 @@ from .model import load_checkpoint, save_checkpoint, train
 from .synth import (
     CountProfile,
     HierarchySpec,
-    check_per_target,
     make_auxiliary,
     make_counts,
     make_hierarchy,
@@ -435,7 +435,8 @@ def cmd_sweep(cfg: dict, out: Path) -> None:
             ) from None
     else:
         if axis == "aux_count":
-            check_per_target(min(values), "aux_count values")
+            for value in values:
+                check_size(value, "aux_count values")
         settings = [{} if axis == "aux_count" else {axis: v} for v in values]
     base_cfg = BENCH_CONFIG.with_overrides(epochs=cfg["epochs"])
     # every run's config is built, and so checked, before the first run

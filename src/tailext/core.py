@@ -37,6 +37,7 @@ __all__ = [
     "RunConfig",
     "build_label_space",
     "check_json",
+    "check_size",
     "decode_json",
     "derive_rng",
     "derive_streams",
@@ -183,6 +184,26 @@ def check_seed(seed: int) -> int:
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
     return seed
+
+
+# The largest size setting: a count of classes, samples, features, hidden
+# units, batch rows or epochs. A 64-bit x86 or ARM process addresses at most
+# 2**48 bytes, so no array it allocates holds more elements; past 2**63 a
+# size would not even fit numpy's int64.
+MAX_SIZE = 2**48
+
+
+def check_size(value: int, name: str, low: int = 1) -> None:
+    """ConfigError naming ``name`` unless the size setting ``value`` is in
+    [``low``, MAX_SIZE]. Every boundary that takes a size calls this:
+    ``RunConfig``, ``check_cap_and_ratio``, the synthetic data's
+    ``CountProfile``, ``HierarchySpec``, ``make_hierarchy`` and
+    ``make_auxiliary``, and ``tailext sweep`` for its aux_count values."""
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    if value > MAX_SIZE:
+        raise ConfigError(f"{name} must be at most 2**48, more than any process can "
+                          f"allocate, got {value}")
 
 
 def derive_rng(seed: int, *path: int | str) -> np.random.Generator:
@@ -998,11 +1019,11 @@ def check_lambda_s(lambda_s: float, error: type[ValueError]) -> None:
 
 def check_cap_and_ratio(per_class_cap: int, ratio, ratio_name: str):
     """The attachment ratio as three floats, or None (derive it) as given;
-    ConfigError unless the cap is >= 1 and every ratio entry finite and >= 0.
+    ConfigError unless the cap is a size (``check_size``) and every ratio
+    entry finite and >= 0.
     Both boundaries that take them call this, naming the ratio as they do:
     ``RunConfig`` (aux_ratio) and ``sampling.AuxSamplingPlan`` (ratio)."""
-    if per_class_cap < 1:
-        raise ConfigError(f"per_class_cap must be >= 1, got {per_class_cap}")
+    check_size(per_class_cap, "per_class_cap")
     if ratio is None:
         return None
     ratio = tuple(float(r) for r in ratio)
@@ -1057,16 +1078,16 @@ class RunConfig:
                           "instead of silencing it", stacklevel=level)
         object.__setattr__(self, "aux_ratio",
                            check_cap_and_ratio(self.per_class_cap, self.aux_ratio, "aux_ratio"))
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
+        check_size(self.epochs, "epochs")
+        check_size(self.batch_size, "batch_size")
         # written so that NaN fails every bound
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         width = self.hidden_dim
-        if width is not None and (
-            isinstance(width, bool) or not isinstance(width, (int, np.integer)) or width < 1
-        ):
-            raise ConfigError(f"hidden_dim must be None or an integer >= 1, got {width!r}")
+        if width is not None:
+            if isinstance(width, bool) or not isinstance(width, (int, np.integer)):
+                raise ConfigError(f"hidden_dim must be None or an integer, got {width!r}")
+            check_size(width, "hidden_dim")
 
     def with_overrides(self, **kwargs) -> "RunConfig":
         return replace(self, **kwargs)

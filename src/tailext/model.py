@@ -11,12 +11,13 @@ counts, and those left out drop out of the denominator entirely. The batch
 loss is bound once per epoch to those counts: neighbor silencing if an
 auxiliary class is attached, else balanced CE. The draw runs over the
 auxiliary set's row numbers, not its features, so no epoch copies a
-feature. ``_epoch`` also draws the epoch's permutation and plans every
-batch from it: the labels in batch order, the target rows and auxiliary
-rows each batch gathers, and, for a silencing epoch, each batch's
-silenced (row, column) pairs, from one ``_silenced`` call. The batch loop
-(``_descend``) only slices that plan; it does no work that the weights do
-not decide.
+feature. ``_epoch`` also draws the epoch's permutation, and its plan is
+two flat arrays in batch order: the labels and each position's row, a
+target row below N (the target row count) or N plus an auxiliary row. For
+a silencing epoch the loss slices each batch's silenced (row, column)
+pairs from one ``_silenced`` call over the epoch. The batch loop
+(``_descend``) slices that plan; it does no work that the weights do not
+decide.
 
 One mini-batch loop (``_fit``) serves both ``train`` and
 ``linear_probe_retrain``: the probe hands it the frozen hidden layer's
@@ -29,13 +30,15 @@ the start of the epoch the output layer's weights and bias for those rows
 are copied into one contiguous block; every batch of the epoch runs
 forward, loss, backward and step on the block in place, and the block is
 copied back at the end of the epoch. The per-batch buffers (the input
-rows, the stage a mixed batch gathers its target and auxiliary rows into
-before they take batch order, the hidden features H, the logits, the
-output and hidden gradients, dA and 1 - H^2) are allocated once per
-epoch, and freed before the next epoch plans its batches; the last,
-partial batch uses leading views of them. The loss writes its gradient
-over the logits, which nothing reads afterwards, so a batch allocates no
-array the size of its features or logits.
+rows, the hidden features H, the logits, the output and hidden gradients,
+dA and 1 - H^2) are allocated once per epoch, and freed with the epoch's
+plan before the next epoch plans its batches; the last, partial batch uses
+leading views of them. A batch takes its rows into the input buffer with
+one ``np.take`` over the target features; a batch that holds auxiliary
+rows then copies those over their positions, through one temporary of
+their features. The loss writes its gradient over the logits, which
+nothing reads afterwards, so no batch allocates an array the size of its
+logits.
 
 Update rule. Plain SGD steps ``g *= lr; p -= g``, the bits of
 ``p -= lr * g`` without its temporary, and keeps no state; a row outside
@@ -43,12 +46,11 @@ the epoch's active rows has a zero gradient, so it stays as it is.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -231,33 +233,30 @@ def _epoch(
     numbered: FeatureDataset | None,
     plan: AuxSamplingPlan | None,
     epoch: int,
-) -> tuple[np.ndarray, Iterator[tuple], Callable, dict, int]:
-    """One epoch's active output rows, batches and batch loss.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable, dict]:
+    """One epoch's active output rows, plan and batch loss.
 
     With a ``plan``, the epoch's auxiliary draw follows the target data and
     the classes it attached take the ids after L; those left out have no
     row, so every count the loss sees is >= 1. The draw runs on
-    ``numbered``, the auxiliary set's row numbers as a one-column dataset
-    (``_fit``), so it copies no features. The epoch's positions, the N
-    target rows and then the auxiliary rows drawn, are shuffled from the
-    stream (cfg.seed, ``stream``, epoch) and cut into batches of
-    cfg.batch_size.
+    ``numbered``, whose one column numbers the auxiliary set's rows from N,
+    the target row count (``_fit``), so it copies no features. The epoch's
+    positions, the N target rows and then the auxiliary rows drawn, are
+    shuffled from the stream (cfg.seed, ``stream``, epoch).
 
-    Returns (rows, batches, loss, log fields, size). ``batches`` yields, per
-    batch, views of the epoch's arrays, sliced as it is drawn: (labels,
-    target rows, auxiliary rows, order, silenced pairs). The target rows
-    and the auxiliary set's rows are those the batch gathers, each in
-    batch order; ``order`` is each position's row of the two stacked, and
-    None when the epoch drew no auxiliary row, so that the target rows are
-    the batch. ``loss(Z, labels, silenced pairs)`` writes its gradient
-    into Z: the silencing loss at cfg.lambda_s when an auxiliary class is
-    attached, with the batch's pairs from one ``_silenced`` call over the
-    epoch, and balanced CE otherwise, with no pairs. Only a plan gives log
-    fields: ``aux_active``, ``aux_effective_counts``.
+    Returns (rows, labels, src, loss, log fields). ``labels`` and ``src``
+    are in batch order: batch k is their slice [k * size, (k + 1) * size)
+    for size cfg.batch_size, and ``src`` holds each position's row, a
+    target row below N or N plus a row of the auxiliary set.
+    ``loss(Z, labels, k)`` writes batch k's gradient into Z: the silencing
+    loss at cfg.lambda_s when an auxiliary class is attached, with the
+    batch's silenced pairs sliced from one ``_silenced`` call over the
+    epoch, and balanced CE otherwise. Only a plan gives log fields:
+    ``aux_active``, ``aux_effective_counts``.
     """
     L, N = space.num_target, len(dataset)
-    aux_rows, labels, rows, counts, fields = (
-        None, dataset.labels, np.arange(L), target_counts, {}
+    src, labels, rows, counts, fields = (
+        np.arange(N), dataset.labels, np.arange(L), target_counts, {}
     )
     if plan is not None:
         subset, eff = sample_epoch(numbered, space, plan, cfg.seed, epoch)
@@ -266,53 +265,33 @@ def _epoch(
                   "aux_effective_counts": {str(c): int(eff[c - L]) for c in active.tolist()}}
         remap = np.full(space.num_classes, -1, dtype=np.int64)
         remap[active] = np.arange(L, L + active.size)
-        aux_rows = subset.features[:, 0].astype(np.int64)
+        src = np.concatenate([src, subset.features[:, 0].astype(np.int64)])
         labels = np.concatenate([labels, remap[subset.labels]])
         rows = np.concatenate([rows, active])
         counts = np.concatenate([counts, eff[active - L]])
-    n, size = labels.size, cfg.batch_size
-    perm = derive_rng(cfg.seed, stream, epoch).permutation(n)
-    labels = labels[perm]
-    starts = range(0, n, size)
+    perm = derive_rng(cfg.seed, stream, epoch).permutation(labels.size)
+    src, labels = src[perm], labels[perm]
     stats = ClassStats(counts)
     if rows.size == L:
-        loss = lambda Z, y, silenced: bal_ce_batch(Z, y, stats, out=Z)
-        pairs = itertools.repeat(None)
-    else:
-        view = LabelSpace(num_target=L, num_auxiliary=rows.size - L, neighbor_of=dict(zip(
-            range(L, rows.size), space.query_target[rows[L:]].tolist())))
-        loss = lambda Z, y, silenced: ns_ce_batch(Z, y, stats, view, cfg.lambda_s,
-                                                  silenced=silenced, out=Z)
-        # the epoch's pairs by position, cut at the batches, with rows local
-        # to their batch
-        pair_rows, pair_cols = _silenced(view, labels)
-        by_row = np.argsort(pair_rows, kind="stable")
-        pair_rows, pair_cols = pair_rows[by_row], pair_cols[by_row]
-        cut = np.append(np.searchsorted(pair_rows, starts), pair_rows.size).tolist()
-        pair_rows %= size
-        pairs = ((pair_rows[i:j], pair_cols[i:j]) for i, j in zip(cut, cut[1:]))
-    if aux_rows is None or not aux_rows.size:
-        gathers = ((perm[s : s + size], None, None) for s in starts)
-    else:
-        is_target = perm < N
-        target_rows = perm[is_target]
-        aux_rows = aux_rows[perm[~is_target] - N]
-        # each position's row of its batch's stage: for a target row, the
-        # target rows before it in the batch; for an auxiliary row, all the
-        # batch's target rows and the auxiliary rows before it in the batch
-        before = np.cumsum(is_target) - is_target  # target rows before each position
-        first = np.append(before[::size], N)  # and before each batch
-        own = before - np.repeat(first[:-1], size)[:n]  # and before each in its batch
-        order = np.where(is_target, own,
-                         np.repeat(np.diff(first), size)[:n] + np.arange(n) % size - own)
-        first = first.tolist()
-        gathers = ((target_rows[first[k] : first[k + 1]],
-                    aux_rows[s - first[k] : min(s + size, n) - first[k + 1]],
-                    order[s : s + size])
-                   for k, s in enumerate(starts))
-    batches = ((labels[s : s + size], *gather, silenced)
-               for s, gather, silenced in zip(starts, gathers, pairs))
-    return rows, batches, loss, fields, n
+        loss = lambda Z, y, batch: bal_ce_batch(Z, y, stats, out=Z)
+        return rows, labels, src, loss, fields
+    view = LabelSpace(num_target=L, num_auxiliary=rows.size - L, neighbor_of=dict(zip(
+        range(L, rows.size), space.query_target[rows[L:]].tolist())))
+    # the epoch's pairs by position, cut at the batches, with rows local to
+    # their batch
+    size = cfg.batch_size
+    pair_rows, pair_cols = _silenced(view, labels)
+    by_row = np.argsort(pair_rows, kind="stable")
+    pair_rows, pair_cols = pair_rows[by_row], pair_cols[by_row]
+    cut = np.searchsorted(pair_rows, np.arange(0, labels.size + size, size)).tolist()
+    pair_rows %= size
+
+    def loss(Z, y, batch):
+        i, j = cut[batch], cut[batch + 1]
+        return ns_ce_batch(Z, y, stats, view, cfg.lambda_s,
+                           silenced=(pair_rows[i:j], pair_cols[i:j]), out=Z)
+
+    return rows, labels, src, loss, fields
 
 
 def _diverged(epoch: int, batch: int, reason: str) -> DivergenceError:
@@ -345,30 +324,36 @@ def _fit(
     """The mini-batch loop: train ``state`` in place for cfg.epochs epochs
     and return the per-epoch log entries.
 
-    ``_epoch`` builds each epoch's data, batches and loss, with an
-    auxiliary draw under a ``plan``, and ``_descend`` runs its batches.
+    ``_epoch`` plans each epoch and binds its loss, with an auxiliary
+    draw under a ``plan``, and ``_descend`` runs its batches.
     Raises DivergenceError, naming the epoch and batch, when a logit or
     batch loss turns non-finite or a batch loss exceeds DIVERGENCE_RATIO
     times the first batch's.
     """
-    # the auxiliary set's row numbers, exact in float64 below 2**53, with its
-    # labels: sample_epoch's draw reads only labels, so drawing from this
-    # stand-in names the epoch's rows without copying a feature or an id
+    # the auxiliary set's row numbers after the N target rows, exact in
+    # float64 below 2**53, with its labels: sample_epoch's draw reads only
+    # labels, so drawing from this stand-in names the epoch's rows without
+    # copying a feature or an id
     numbered = None
     if plan is not None:
-        numbered = FeatureDataset(np.arange(len(aux), dtype=np.float64)[:, None], aux.labels)
+        N = len(dataset)
+        numbered = FeatureDataset(np.arange(N, N + len(aux), dtype=np.float64)[:, None],
+                                  aux.labels)
 
     entries = []
     first_loss = None
     for epoch in range(cfg.epochs):
-        rows, batches, loss, log_fields, n = _epoch(dataset, target_counts, state.space, cfg,
-                                                    stream, numbered, plan, epoch)
-        # the epoch's buffers go with _descend's frame, and its arrays with
-        # the spent batches, before the next epoch plans its own
+        rows, labels, src, loss, log_fields = _epoch(dataset, target_counts, state.space, cfg,
+                                                     stream, numbered, plan, epoch)
+        n = labels.size
+        # the epoch's buffers go with _descend's frame, and its plan with
+        # the del, before the next epoch plans its own
         loss_total, first_loss = _descend(
-            state, rows, batches, loss, dataset.features, None if aux is None else aux.features,
+            state, rows, labels, src, loss, dataset.features,
+            None if numbered is None else aux.features,
             min(cfg.batch_size, n), cfg.learning_rate, epoch, first_loss,
         )
+        del rows, labels, src, loss
         entries.append(
             {"epoch": epoch, "mean_loss": loss_total / n, "mixed_size": int(n), **log_fields}
         )
@@ -378,22 +363,25 @@ def _fit(
 def _descend(
     state: ClassifierState,
     rows: np.ndarray,
-    batches: Iterator[tuple],
+    labels: np.ndarray,
+    src: np.ndarray,
     loss: Callable,
     features: np.ndarray,
     aux_features: np.ndarray | None,
-    width: int,
+    size: int,
     learning_rate: float,
     epoch: int,
     first_loss: float | None,
 ) -> tuple[float, float]:
-    """One epoch of SGD on ``state``: each of ``_epoch``'s ``batches``, at
-    most ``width`` rows, gathers its rows of ``features`` and
-    ``aux_features`` and runs forward, ``loss``, backward and step on the
+    """One epoch of SGD on ``state``: each batch, a slice of ``size``
+    positions of ``_epoch``'s ``labels`` and ``src``, gathers its rows of
+    ``features`` (rows below N, their row count) and ``aux_features`` (the
+    rest, less N) and runs forward, ``loss``, backward and step on the
     block of output ``rows`` (module docstring). Returns the epoch's summed
     loss and the first batch's mean loss of the training, ``first_loss``
     when one is given; DivergenceError as ``_fit`` describes.
     """
+    N = features.shape[0]
     out_layer = {"weights": state.weights, "bias": state.bias}
     hidden: dict[str, np.ndarray] = {}
     if state.hidden_weights is not None:
@@ -403,36 +391,33 @@ def _descend(
     grads = {name: np.zeros_like(p) for name, p in params.items()}
     W, b = params["weights"], params["bias"]
     grad_W, grad_b = grads["weights"], grads["bias"]
-    X_buf = np.empty((width, features.shape[1]))
-    stage = None if aux_features is None else np.empty_like(X_buf)
-    Z_buf = np.empty((width, rows.size))
+    X_buf = np.empty((size, features.shape[1]))
+    Z_buf = np.empty((size, rows.size))
     if hidden:
-        H_buf = np.empty((width, state.hidden_weights.shape[0]))
+        H_buf = np.empty((size, state.hidden_weights.shape[0]))
         dA_buf = np.empty_like(H_buf)
         slope_buf = np.empty_like(H_buf)
 
     loss_total = 0.0
-    for batch, (yb, target_rows, aux_rows, order, silenced) in enumerate(batches):
+    for batch, start in enumerate(range(0, labels.size, size)):
+        yb, idx = labels[start : start + size], src[start : start + size]
         B = yb.size
         # "clip" writes straight into the buffer, where the default "raise"
-        # goes through a copy; every row number is in range
+        # goes through a copy; it takes an auxiliary position's row number
+        # down to N - 1, and that row is then written over. np.take gathers
+        # the auxiliary rows faster than indexing, and at a lower peak RSS
         Xb = X_buf[:B]
-        if order is None:
-            np.take(features, target_rows, axis=0, out=Xb, mode="clip")
-        else:
-            # the target rows, then the auxiliary rows, into the stage; from
-            # there into batch order
-            t = target_rows.size
-            np.take(features, target_rows, axis=0, out=stage[:t], mode="clip")
-            np.take(aux_features, aux_rows, axis=0, out=stage[t:B], mode="clip")
-            np.take(stage, order, axis=0, out=Xb, mode="clip")
+        np.take(features, idx, axis=0, out=Xb, mode="clip")
+        if aux_features is not None:
+            aux_at = np.flatnonzero(idx >= N)
+            Xb[aux_at] = np.take(aux_features, idx[aux_at] - N, axis=0)
         H = state._represent(Xb, out=H_buf[:B] if hidden else None)
         Z = Z_buf[:B]
         np.matmul(H, W.T, out=Z)
         Z += b
         try:
             # the gradient G is written over Z
-            losses, G = loss(Z, yb, silenced)
+            losses, G = loss(Z, yb, batch)
         except DataError:
             # the loss writes Z only after its checks, so Z holds the logits
             if np.isfinite(Z).all():

@@ -21,6 +21,7 @@ from .core import (
     DataError,
     FeatureDataset,
     LabelSpace,
+    check_size,
     derive_rng,
 )
 
@@ -52,10 +53,8 @@ class CountProfile:
     def __post_init__(self):
         if self.kind not in ("exponential", "pareto"):
             raise ConfigError(f"unknown count profile kind {self.kind!r}")
-        if self.num_classes < 1:
-            raise ConfigError("num_classes must be >= 1")
-        if self.max_count < 1:
-            raise ConfigError("max_count must be >= 1")
+        check_size(self.num_classes, "num_classes")
+        check_size(self.max_count, "max_count")
         if self.kind == "exponential":
             if self.imbalance is None or not (0.0 < self.imbalance <= 1.0):
                 raise ConfigError(
@@ -123,8 +122,8 @@ class HierarchySpec:
                 f"need 1 <= num_superclasses <= num_classes, got "
                 f"{self.num_superclasses} and {self.num_classes}"
             )
-        if self.feature_dim < 2:
-            raise ConfigError("feature_dim must be >= 2, the fine-class ring's plane")
+        # the fine-class ring's plane
+        check_size(self.feature_dim, "feature_dim", low=2)
         if not math.inf > self.sigma_super > self.sigma_fine > self.sigma_sample > 0:
             raise ConfigError(
                 "spreads must be finite and satisfy "
@@ -161,8 +160,7 @@ def make_hierarchy(
         raise DataError(
             f"profile has {len(counts)} classes, hierarchy expects {spec.num_classes}"
         )
-    if test_per_class < 1:
-        raise ConfigError("test_per_class must be >= 1")
+    check_size(test_per_class, "test_per_class")
     C = spec.feature_dim
     super_centers = derive_rng(seed, "super-centers").normal(
         0.0, spec.sigma_super, size=(spec.num_superclasses, C)
@@ -212,15 +210,6 @@ def make_hierarchy(
     return train_ds, test_ds
 
 
-def check_per_target(per_target: int, name: str) -> None:
-    """ConfigError unless ``per_target``, the neighbor categories made per
-    target class, is >= 1. Both boundaries that take it call this, naming
-    it as they do: ``make_auxiliary`` (per_target) and ``tailext sweep``
-    (aux_count values)."""
-    if per_target < 1:
-        raise ConfigError(f"{name} must be >= 1, got {per_target}")
-
-
 def make_auxiliary(
     base: FeatureDataset,
     space: LabelSpace,
@@ -238,9 +227,8 @@ def make_auxiliary(
     neighbors between the fine-class spread and the superclass spread, close
     enough to compete with their target but not identical to it.
     """
-    check_per_target(per_target, "per_target")
-    if samples_per_aux < 1:
-        raise ConfigError(f"samples_per_aux must be >= 1, got {samples_per_aux}")
+    check_size(per_target, "per_target")
+    check_size(samples_per_aux, "samples_per_aux")
     if not math.isfinite(offset):
         raise ConfigError(f"offset must be finite, got {offset}")
     if space.num_auxiliary:

@@ -564,6 +564,43 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists() or not list(out.iterdir())
 
+    # every size setting at 2**62, past any array, and at 2**70, past int64;
+    # train's settings are checked before its --data is read
+    @pytest.mark.parametrize("size", [2**62, 2**70], ids=["2**62", "2**70"])
+    @pytest.mark.parametrize("argv, setting", [
+        pytest.param(["train", "--data", "absent.jsonl", "--cap"], "per_class_cap",
+                     id="train-cap"),
+        pytest.param(["train", "--data", "absent.jsonl", "--batch-size"], "batch_size",
+                     id="train-batch-size"),
+        pytest.param(["train", "--data", "absent.jsonl", "--hidden-dim"], "hidden_dim",
+                     id="train-hidden-dim"),
+        pytest.param(["train", "--data", "absent.jsonl", "--epochs"], "epochs",
+                     id="train-epochs"),
+        pytest.param(["sweep", "--axis", "per_class_cap", "--values"], "per_class_cap",
+                     id="sweep-cap"),
+        pytest.param(["sweep", "--axis", "aux_count", "--values"], "aux_count values",
+                     id="sweep-aux-count"),
+        *(pytest.param(["synth", *SMALL_SYNTH, *flags], setting, id=f"synth-{setting}")
+          for flags, setting in [
+              (["--num-classes"], "num_classes"),
+              (["--max-count"], "max_count"),
+              (["--test-per-class"], "test_per_class"),
+              (["--feature-dim"], "feature_dim"),
+              (["--aux-per-target"], "per_target"),
+              (["--aux-per-target", "1", "--samples-per-aux"], "samples_per_aux"),
+          ]),
+        *(pytest.param(["pilot", "--superclasses", "2", "--imbalances", "1", "--seeds", "0",
+                        flag], flag[2:].replace("-", "_"), id=f"pilot{flag[1:]}")
+          for flag in ["--num-classes", "--max-count", "--test-per-class", "--feature-dim"]),
+    ])
+    def test_size_past_the_address_space_is_2(self, tmp_path, capsys, argv, setting, size):
+        out = tmp_path / "o"
+        assert run(*argv, size, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: {setting} must be at most 2**48, more than any "
+                       f"process can allocate, got {size}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--values", "0.1", "--seeds", ""], ["--values", ""]])
     def test_sweep_over_an_empty_list_is_2(self, tmp_path, capsys, flags):
         out = tmp_path / "sw"

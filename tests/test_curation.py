@@ -498,11 +498,14 @@ class _Handler(BaseHTTPRequestHandler):
 def http_endpoint():
     _Handler.hits = 0
     server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for the serving loop's next poll, 0.5 s by default
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
     thread.join(timeout=5)
+    server.server_close()
 
 
 class TestHttpLLMClient:

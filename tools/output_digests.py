@@ -75,6 +75,7 @@ VARIANTS = {
     "train-hidden": ["--hidden-dim", "16"],
     "train-all": ["--hidden-dim", "16", "--lambda-s", "0"],
     "train-cap": ["--cap", "2", "--ratio", "1:1:1"],
+    "train-ratio0": ["--ratio", "0:0:0"],
 }
 EVAL = ["eval", "--checkpoint", "train/checkpoint.json", "--test", "data/test.jsonl",
         "--out", "eval"]
