@@ -52,6 +52,7 @@ from .model import load_checkpoint, save_checkpoint, train
 from .synth import (
     CountProfile,
     HierarchySpec,
+    check_auxiliary,
     make_auxiliary,
     make_counts,
     make_hierarchy,
@@ -177,8 +178,10 @@ def cmd_synth(cfg: dict, out: Path) -> None:
     profile = CountProfile(cfg["profile"], cfg["num_classes"], cfg["max_count"],
                            imbalance=cfg["imbalance"], alpha=cfg["alpha"])
     spec = HierarchySpec(**{field.name: cfg[field.name] for field in fields(HierarchySpec)})
+    check_size(cfg["test_per_class"], "test_per_class")
     # checked even when no auxiliary data is made
     splits = expand_splits(cfg["expand"])
+    check_auxiliary(cfg["aux_per_target"], cfg["samples_per_aux"], cfg["aux_offset"], low=0)
     # the names file is read after the settings are checked and before any
     # data is drawn
     names = read_json(cfg["names"], {int: str}, DataError, "names file") if cfg["names"] else None

@@ -198,7 +198,10 @@ def check_size(value: int, name: str, low: int = 1) -> None:
     [``low``, MAX_SIZE]. Every boundary that takes a size calls this:
     ``RunConfig``, ``check_cap_and_ratio``, the synthetic data's
     ``CountProfile``, ``HierarchySpec``, ``make_hierarchy`` and
-    ``make_auxiliary``, and ``tailext sweep`` for its aux_count values."""
+    ``check_auxiliary``, and ``tailext sweep`` for its aux_count values. So
+    do the allocations whose element count multiplies size settings, with
+    ``value`` that product: ``make_hierarchy``'s and ``make_auxiliary``'s
+    feature arrays and ``model``'s hidden-layer weights."""
     if value < low:
         raise ConfigError(f"{name} must be >= {low}, got {value}")
     if value > MAX_SIZE:
@@ -227,62 +230,20 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _M32 = 0xFFFFFFFF
 
-# The port below works on words that are ints or uint32 arrays alike: an
-# int is masked to 32 bits after each step, and uint32 arithmetic wraps as
-# the Cython original's does.
 
-
-def _words(n: int) -> list[int]:
-    """SeedSequence's uint32 words of the int ``n`` >= 0, least significant
-    first ([0] for 0)."""
-    words = [n & _M32]
-    while n := n >> 32:
-        words.append(n & _M32)
-    return words
-
-
-def _hashmix(value, const: int):
-    """SeedSequence's hashmix of ``value``; returns the hashed word and the
-    next hash constant."""
-    following = const * _MULT_A & _M32
-    value = (value ^ const) * following & _M32
+def _hashmix(value: np.ndarray, const: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix of the uint32 array ``value``, whose arithmetic
+    wraps as the Cython original's does; returns the hashed words and the
+    next hash constant. With ``mult`` _MULT_B it is ``generate_state``'s
+    hash of a pool word."""
+    following = const * mult & _M32
+    value = (value ^ const) * following
     return value ^ value >> 16, following
 
 
-def _mix(x, y):
-    mixed = (_MIX_L * x & _M32) - (_MIX_R * y & _M32) & _M32
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = _MIX_L * x - _MIX_R * y
     return mixed ^ mixed >> 16
-
-
-def _philox_keys(entropy: list) -> np.ndarray:
-    """``SeedSequence(...).generate_state(2, np.uint64)``, the key Philox
-    takes from a SeedSequence, for n assembled entropies at once: each word
-    of ``entropy`` is an int that all of them share or a uint32 array of n,
-    and at least one word past the pool is an array. Returns (n, 2)
-    uint64."""
-    const = _INIT_A
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
-        hashed, const = _hashmix(word, const)
-        pool.append(hashed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], hashed)
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            hashed, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], hashed)
-    const = _INIT_B
-    state = []
-    for word in pool:
-        following = const * _MULT_B & _M32
-        word = (word ^ const) * following
-        state.append((word ^ word >> 16).astype(np.uint64))
-        const = following
-    return np.stack([state[0] | state[1] << np.uint64(32), state[2] | state[3] << np.uint64(32)],
-                    axis=1)
 
 
 def derive_streams(seed: int, *path: int | str, ids) -> Iterator[np.random.Generator]:
@@ -294,26 +255,39 @@ def derive_streams(seed: int, *path: int | str, ids) -> Iterator[np.random.Gener
     until the next id's is drawn. ``ids`` is a sequence of ints in
     [0, 2**64); ConfigError for one outside it, and as ``derive_rng`` for
     the seed and the path.
+
+    Every id's entropy starts with the seed's and the path's words, so one
+    SeedSequence of (seed, path) mixes those for all ids. The port below
+    goes on from its pool as SeedSequence would: it mixes in each id's
+    words, then hashes the pool into the key as ``generate_state(2,
+    np.uint64)`` does.
     """
     try:
         ids = np.array([_hash_component(i) for i in np.asarray(ids, dtype=object).tolist()],
                        dtype=np.uint64)
     except OverflowError:
         raise ConfigError(f"stream ids must be below 2**64, got {reprlib.repr(ids)}") from None
-    # SeedSequence pads the seed's words to the pool size when a spawn key
-    # follows, and appends the key's words: the path's, then the id's
-    head = _words(check_seed(seed))
-    head += [0] * (_POOL_SIZE - len(head))
-    for part in path:
-        head += _words(_hash_component(part))
-    keys = np.empty((ids.size, 2), dtype=np.uint64)
+    head = np.random.SeedSequence(check_seed(seed),
+                                  spawn_key=tuple(_hash_component(p) for p in path))
+    # An id's SeedSequence pads the seed to the pool's 4 words. With an
+    # empty path the head leaves the seed, at most 2 words, unpadded, which
+    # mixes into the same pool. The head's hash constant moved once per pool
+    # word, once per ordered pair of pool words and 4 times per path word
+    # (an int is at least one 32-bit word).
+    path_words = sum(max(1, -(-key.bit_length() // 32)) for key in head.spawn_key)
+    const = _INIT_A * pow(_MULT_A, 4 * (_POOL_SIZE + path_words), 2**32) & _M32
     low, high = (ids & _M32).astype(np.uint32), (ids >> 32).astype(np.uint32)
     # an id below 2**32 is one word, any other two
-    for wide in (False, True):
-        at = np.flatnonzero((high > 0) == wide)
-        if at.size:
-            keys[at] = _philox_keys(head + [low[at], high[at]][: 1 + wide])
-    return _rekeyed(keys)
+    wide = high > 0
+    pool = np.repeat(head.pool[:, None], ids.size, axis=1)
+    for word, at in ((low, slice(None)), (high[wide], wide)):
+        for dst in range(_POOL_SIZE):
+            hashed, const = _hashmix(word, const)
+            pool[dst, at] = _mix(pool[dst, at], hashed)
+    const = _INIT_B
+    for dst in range(_POOL_SIZE):
+        pool[dst], const = _hashmix(pool[dst], const, _MULT_B)
+    return _rekeyed(np.ascontiguousarray(pool.T, dtype="<u4").view("<u8").astype(np.uint64))
 
 
 def _rekeyed(keys: np.ndarray) -> Iterator[np.random.Generator]:

@@ -61,6 +61,7 @@ from .core import (
     FeatureDataset,
     LabelSpace,
     RunConfig,
+    check_size,
     derive_rng,
     read_json,
 )
@@ -213,6 +214,8 @@ def _init_state(space: LabelSpace, feature_dim: int, cfg: RunConfig) -> Classifi
         return ClassifierState(
             weights=np.zeros((M, feature_dim)), bias=np.zeros(M), space=space
         )
+    check_size(M * cfg.hidden_dim, "classes * hidden_dim")
+    check_size(cfg.hidden_dim * feature_dim, "hidden_dim * feature_dim")
     rng = derive_rng(cfg.seed, "init-hidden")
     bound = 1.0 / np.sqrt(feature_dim)
     return ClassifierState(

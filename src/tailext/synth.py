@@ -31,6 +31,7 @@ __all__ = [
     "make_counts",
     "make_hierarchy",
     "make_auxiliary",
+    "check_auxiliary",
 ]
 
 
@@ -162,6 +163,12 @@ def make_hierarchy(
         )
     check_size(test_per_class, "test_per_class")
     C = spec.feature_dim
+    n_train = counts.counts
+    # each array below multiplies settings, and numpy meets a shape past its
+    # own limit with a bare ValueError
+    check_size(spec.num_superclasses * C, "num_superclasses * feature_dim")
+    check_size(sum(n_train.tolist()) * C, "train samples * feature_dim")
+    check_size(spec.num_classes * test_per_class * C, "num_classes * test_per_class * feature_dim")
     super_centers = derive_rng(seed, "super-centers").normal(
         0.0, spec.sigma_super, size=(spec.num_superclasses, C)
     )
@@ -178,7 +185,6 @@ def make_hierarchy(
         for local, y in enumerate(ys):
             ring_slot[y] = (int(order[local]), len(ys), rot)
     L = spec.num_classes
-    n_train = counts.counts
     train_X = np.empty((int(n_train.sum()), C))
     test_X = np.empty((L * test_per_class, C))
     start = 0
@@ -210,6 +216,18 @@ def make_hierarchy(
     return train_ds, test_ds
 
 
+def check_auxiliary(per_target: int, samples_per_aux: int, offset: float, low: int = 1) -> None:
+    """ConfigError naming the setting unless ``make_auxiliary`` takes it:
+    ``per_target`` and ``samples_per_aux`` are sizes (``check_size``), of at
+    least ``low`` and 1, and ``offset`` is finite. ``tailext synth`` checks
+    its settings with ``low`` 0, which makes no auxiliary data, before it
+    draws anything."""
+    check_size(per_target, "per_target", low)
+    check_size(samples_per_aux, "samples_per_aux")
+    if not math.isfinite(offset):
+        raise ConfigError(f"offset must be finite, got {offset}")
+
+
 def make_auxiliary(
     base: FeatureDataset,
     space: LabelSpace,
@@ -227,10 +245,7 @@ def make_auxiliary(
     neighbors between the fine-class spread and the superclass spread, close
     enough to compete with their target but not identical to it.
     """
-    check_size(per_target, "per_target")
-    check_size(samples_per_aux, "samples_per_aux")
-    if not math.isfinite(offset):
-        raise ConfigError(f"offset must be finite, got {offset}")
+    check_auxiliary(per_target, samples_per_aux, offset)
     if space.num_auxiliary:
         raise ConfigError("base label space already has auxiliary classes")
     L = space.num_target
@@ -245,6 +260,7 @@ def make_auxiliary(
 
     C = base.feature_dim
     K = len(chosen) * per_target
+    check_size(K * samples_per_aux * C, "auxiliary classes * samples_per_aux * feature_dim")
     feats = np.empty((K * samples_per_aux, C))
     neighbor_of: dict[int, int] = {}
     next_id = L

@@ -475,6 +475,16 @@ BAD_CORPUS_RECORDS = {
 }
 
 
+@pytest.fixture
+def drawn(monkeypatch) -> list[str]:
+    """The synthetic-data draws ``tailext synth`` makes, recorded in place
+    of being made."""
+    calls = []
+    for name in ("make_counts", "make_hierarchy", "make_auxiliary"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: calls.append(name))
+    return calls
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -509,11 +519,8 @@ class TestExitCodes:
         None, '{"0": "cat",', '{"zero": "cat"}', '{"0": "cat", "00": "dog"}',
         '{"0": {"name": "cat"}}', '{"99": "cat"}',
     ])
-    def test_bad_names_file_is_3(self, tmp_path, capsys, monkeypatch, names):
+    def test_bad_names_file_is_3(self, tmp_path, capsys, drawn, names):
         # the file is read before any data is drawn
-        drawn = []
-        for name in ("make_counts", "make_hierarchy", "make_auxiliary"):
-            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: drawn.append(name))
         path = tmp_path / "names.json"
         if names is not None:
             path.write_text(names)
@@ -589,16 +596,44 @@ class TestExitCodes:
               (["--aux-per-target"], "per_target"),
               (["--aux-per-target", "1", "--samples-per-aux"], "samples_per_aux"),
           ]),
+        # checked though no auxiliary data is made
+        pytest.param(["synth", *SMALL_SYNTH, "--samples-per-aux"], "samples_per_aux",
+                     id="synth-samples_per_aux-without-aux"),
         *(pytest.param(["pilot", "--superclasses", "2", "--imbalances", "1", "--seeds", "0",
                         flag], flag[2:].replace("-", "_"), id=f"pilot{flag[1:]}")
           for flag in ["--num-classes", "--max-count", "--test-per-class", "--feature-dim"]),
     ])
-    def test_size_past_the_address_space_is_2(self, tmp_path, capsys, argv, setting, size):
+    def test_size_past_the_address_space_is_2(self, tmp_path, capsys, drawn, argv, setting,
+                                              size):
         out = tmp_path / "o"
         assert run(*argv, size, "--out", out) == 2
         err = capsys.readouterr().err
         assert err == (f"config error: {setting} must be at most 2**48, more than any "
                        f"process can allocate, got {size}\n")
+        assert not out.exists()
+        assert drawn == []
+
+    # each setting is within 2**48, but not an array that multiplies them
+    @pytest.mark.parametrize("argv, product", [
+        pytest.param(["synth", "--num-classes", "65536", "--num-superclasses", "65536",
+                      "--feature-dim", 2**48], "num_superclasses * feature_dim", id="synth"),
+        pytest.param(["synth", *SMALL_SYNTH, "--aux-per-target", 2**24,
+                      "--samples-per-aux", 2**24],
+                     "auxiliary classes * samples_per_aux * feature_dim", id="synth-aux"),
+        pytest.param(["pilot", "--superclasses", "65536", "--imbalances", "1.0", "--seeds", "0",
+                      "--num-classes", "65536", "--feature-dim", 2**48],
+                     "num_superclasses * feature_dim", id="pilot"),
+        pytest.param(["train", "--data", FIXTURES / "train.jsonl", "--hidden-dim", 2**48],
+                     "classes * hidden_dim", id="train"),
+    ])
+    def test_product_of_sizes_past_the_address_space_is_2(self, tmp_path, capsys, argv,
+                                                          product):
+        out = tmp_path / "o"
+        assert run(*argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {product} must be at most 2**48, more than any "
+                              "process can allocate, got ")
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--values", "0.1", "--seeds", ""], ["--values", ""]])
@@ -835,15 +870,18 @@ class TestExitCodes:
     @pytest.mark.parametrize("flags, field", [
         pytest.param(["--aux-per-target", "1", "--aux-offset", "nan"], "offset",
                      id="aux-offset-nan"),
+        # checked though no auxiliary data is made
+        pytest.param(["--aux-offset", "nan"], "offset", id="aux-offset-nan-without-aux"),
         pytest.param(["--sigma-super", "inf"], "spreads", id="sigma-super-inf"),
         pytest.param(["--profile", "pareto", "--alpha", "nan"], "alpha", id="alpha-nan"),
         pytest.param(["--profile", "pareto", "--alpha", "inf"], "alpha", id="alpha-inf"),
     ])
-    def test_non_finite_synth_geometry_is_2(self, tmp_path, capsys, flags, field):
+    def test_non_finite_synth_geometry_is_2(self, tmp_path, capsys, drawn, flags, field):
         out = tmp_path / "data"
         assert run("synth", "--out", out, *SMALL_SYNTH, *flags) == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
+        assert drawn == []
 
     def test_synth_expand_checked_without_auxiliary_data(self, tmp_path, capsys):
         out = tmp_path / "data"
@@ -864,19 +902,23 @@ class TestExitCodes:
                      id="sweep-ratio-bad"),
         pytest.param(["sweep", "--axis", "aux_count", "--values", "3,0"],
                      "aux_count values must be >= 1, got 0", id="sweep-aux-count"),
+        # only 0 asks for no auxiliary data
+        pytest.param(["synth", *SMALL_SYNTH, "--aux-per-target", "-1"],
+                     "per_target must be >= 0, got -1", id="synth-negative-aux-per-target"),
         # the settings are checked before --data is read
         pytest.param(["curate", "--data", "absent.jsonl", "--llm-fixture", FIXTURES],
                      "no retriever configured", id="curate-no-corpus"),
         pytest.param(["curate", "--data", "absent.jsonl", "--corpus", "absent.jsonl"],
                      "no LLM endpoint", id="curate-no-llm"),
     ])
-    def test_config_error_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch, argv,
+    def test_config_error_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch, drawn, argv,
                                             message):
         monkeypatch.delenv("TAILEXT_LLM_URL", raising=False)
         out = tmp_path / "o"
         assert run(*argv, "--out", out) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+        assert drawn == []
 
     # a repeated value would run twice and count twice in pilot.csv
     @pytest.mark.parametrize("argv, message", [

@@ -72,7 +72,8 @@ class TestDeriveRng:
 # words: zero, one word, two words and the largest of each
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 2, 2**64 - 1)
 EDGE_PATHS = ((), ("aux-sample",), ("aux-attach", 0), ("aux-sample", 2**32 - 1),
-              ("aux-sample", 2**32), ("shuffle", 2**40, "x"), ("", 2**64 - 1), (2**70,))
+              ("aux-sample", 2**32), ("shuffle", 2**40, "x"), ("", 2**64 - 1), (2**70,),
+              ("aux-sample", np.int64(7)))
 # one- and two-word ids, out of order
 EDGE_IDS = (0, 1, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1, 7, 2**33 + 5, 3)
 
