@@ -56,6 +56,7 @@ from .synth import (
     make_auxiliary,
     make_counts,
     make_hierarchy,
+    named_rows,
 )
 
 __all__ = ["main"]
@@ -202,10 +203,12 @@ def cmd_synth(cfg: dict, out: Path) -> None:
     generator = {"profile": profile.to_json(), "hierarchy": spec.to_json(), "seed": cfg["seed"]}
     meta = {"generator": generator, "train_counts": counts.counts.tolist()}
     out.mkdir(parents=True, exist_ok=True)
-    write_dataset(train_ds, space, out / "train.jsonl", extra_meta=meta)
-    write_dataset(test_ds, space, out / "test.jsonl", extra_meta=meta)
+    # each file's ids are made as it is written, so one set of id strings is held at a time
+    write_dataset(named_rows(train_ds, "train"), space, out / "train.jsonl", extra_meta=meta)
+    write_dataset(named_rows(test_ds, "test"), space, out / "test.jsonl", extra_meta=meta)
     if aux is not None:
-        write_dataset(*aux, out / "aux.jsonl", extra_meta=meta)
+        aux_ds, aux_space = aux
+        write_dataset(named_rows(aux_ds, "aux"), aux_space, out / "aux.jsonl", extra_meta=meta)
     print(f"wrote {len(train_ds)} train / {len(test_ds)} test samples to {out}")
 
 

@@ -454,7 +454,11 @@ class FeatureDataset:
     """Labeled feature-vector samples, the universal training currency.
 
     ``features`` is (N, C) float64, ``labels`` (N,) int64. ``ids`` are stable
-    per-sample identifiers used in manifests; generated if omitted.
+    per-sample identifiers used in manifests. With ``ids`` None, as the
+    generators in ``synth`` leave them, ``sample_ids()`` numbers the rows
+    by position (``synth-000000``, ...): a caller that writes a generated
+    dataset gets those unless it names the rows first, as ``tailext synth``
+    does with ``synth.named_rows``.
     """
 
     features: np.ndarray

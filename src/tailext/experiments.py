@@ -169,24 +169,31 @@ def run_ablation_cell(seed: int, cfg: RunConfig | None = None, **geometry) -> di
     Compares silencing strengths 0.1 vs 1.0 (the latter is the plain merged
     balanced CE) and, for the 0.1 model, masking vs linear-probe re-training.
     Pass MLP_CONFIG to run it in the representation-learning regime where
-    the silencing strength has a visible effect. The 0.1 arm and its probe
-    run in this process, the 1.0 arm possibly in a forked child (see
-    ``core._map_runs``).
+    the silencing strength has a visible effect.
+
+    It runs in two phases. First each arm trains and evaluates its model:
+    the 0.1 arm in this process, which keeps its state, the 1.0 arm
+    possibly in a forked child (see ``core._map_runs``), which sends back
+    its report. Then this process frees the auxiliary set, the largest
+    array of the cell, and only then re-trains the 0.1 model's probe on the
+    target data and evaluates it, so the probe's frozen hidden features
+    fit under the peak of training instead of adding to it.
     """
     cfg = (cfg or BENCH_CONFIG).with_overrides(seed=seed)
     train_ds, test_ds, aux_ds, merged = build_benchmark(seed, **geometry)
     L = merged.num_target
     splits = assign_splits(ClassStats(train_ds.class_counts(L)))
 
-    def arm(lam: float) -> list:
-        """Reports of the lambda_s = lam model and, at 0.1, of its probe."""
+    def arm(lam: float):
+        """The report of the lambda_s = lam model, and at 0.1 the model."""
         state, _ = train(train_ds, aux_ds, merged, cfg.with_overrides(lambda_s=lam))
-        models = [state]
-        if lam == 0.1:
-            models.append(linear_probe_retrain(state, train_ds, cfg))
-        return [evaluate(m, test_ds, splits, mask=True, seed=seed) for m in models]
+        report = evaluate(state, test_ds, splits, mask=True, seed=seed)
+        return (report, state) if lam == 0.1 else report
 
-    (masked, probe), (plain,) = _map_runs(arm, (0.1, 1.0))
+    (masked, state), plain = _map_runs(arm, (0.1, 1.0))
+    del aux_ds  # empties the cell ``arm`` reads it from too: nothing holds it now
+    probe = evaluate(linear_probe_retrain(state, train_ds, cfg), test_ds, splits, mask=True,
+                     seed=seed)
     return {
         "seed": seed,
         "lambda_0.1": masked,

@@ -9,8 +9,10 @@ classes crowded into each cluster, i.e. a finer-grained label space.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import asdict, dataclass
+from collections import defaultdict
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +33,7 @@ __all__ = [
     "make_counts",
     "make_hierarchy",
     "make_auxiliary",
+    "named_rows",
     "check_auxiliary",
 ]
 
@@ -155,7 +158,10 @@ def make_hierarchy(
     """Draw a long-tail train set and an exactly balanced test set.
 
     All randomness flows through per-purpose derived streams, so any one
-    class's samples can be regenerated independently of the others.
+    class's samples can be regenerated independently of the others. Rows
+    are grouped by class in ascending order, and the datasets hold no ids
+    (``ids`` None); ``named_rows`` names them as ``tailext synth`` writes
+    them.
     """
     if len(counts) != spec.num_classes:
         raise DataError(
@@ -177,20 +183,22 @@ def make_hierarchy(
         np.linalg.qr(derive_rng(seed, "fine-basis", s).normal(size=(C, 2)))[0]
         for s in range(spec.num_superclasses)
     ]
+    L = spec.num_classes
+    # each superclass's classes, in ascending order
+    members: list[list[int]] = [[] for _ in range(spec.num_superclasses)]
+    for y in range(L):
+        members[spec.superclass_of(y)].append(y)
     ring_slot = {}
-    for s in range(spec.num_superclasses):
-        ys = [y for y in range(spec.num_classes) if spec.superclass_of(y) == s]
+    for s, ys in enumerate(members):
         rot = derive_rng(seed, "ring-rot", s).uniform(0.0, 2.0 * np.pi)
         order = derive_rng(seed, "ring-order", s).permutation(len(ys))
         for local, y in enumerate(ys):
-            ring_slot[y] = (int(order[local]), len(ys), rot)
-    L = spec.num_classes
+            ring_slot[y] = (s, int(order[local]), len(ys), rot)
     train_X = np.empty((int(n_train.sum()), C))
     test_X = np.empty((L * test_per_class, C))
     start = 0
     for y in range(L):
-        s = spec.superclass_of(y)
-        slot, k_s, rot = ring_slot[y]
+        s, slot, k_s, rot = ring_slot[y]
         jitter = derive_rng(seed, "fine-center", y)
         angle = rot + 2.0 * np.pi * (slot + jitter.uniform(-0.25, 0.25)) / k_s
         radius = np.sqrt(2.0) * spec.sigma_fine * (1.0 + 0.05 * jitter.normal())
@@ -203,17 +211,16 @@ def make_hierarchy(
               derive_rng(seed, "test", y), spec.sigma_sample)
         start += n_y
     classes = np.arange(L, dtype=np.int64)
-    train_ds = FeatureDataset(
-        features=train_X,
-        labels=np.repeat(classes, n_train),
-        ids=tuple(f"syn-train-{y}-{i}" for y in range(L) for i in range(int(n_train[y]))),
-    )
-    test_ds = FeatureDataset(
-        features=test_X,
-        labels=np.repeat(classes, test_per_class),
-        ids=tuple(f"syn-test-{y}-{i}" for y in range(L) for i in range(test_per_class)),
-    )
-    return train_ds, test_ds
+    return (FeatureDataset(train_X, np.repeat(classes, n_train)),
+            FeatureDataset(test_X, np.repeat(classes, test_per_class)))
+
+
+def named_rows(ds: FeatureDataset, kind: str) -> FeatureDataset:
+    """``ds`` with each row named ``syn-<kind>-<class>-<i>``, where i counts
+    the rows of its class before it: the ids ``tailext synth`` writes."""
+    counters = defaultdict(itertools.count)
+    return replace(ds, ids=tuple(f"syn-{kind}-{y}-{next(counters[y])}"
+                                 for y in ds.labels.tolist()))
 
 
 def check_auxiliary(per_target: int, samples_per_aux: int, offset: float, low: int = 1) -> None:
@@ -243,7 +250,10 @@ def make_auxiliary(
     `offset` along a random unit direction, and its samples spread around it
     with unit standard deviation; with the default geometry that puts
     neighbors between the fine-class spread and the superclass spread, close
-    enough to compete with their target but not identical to it.
+    enough to compete with their target but not identical to it. Auxiliary
+    class ids follow the target ids, L onward; their rows are grouped by
+    class in ascending order, and the dataset holds no ids, as
+    ``make_hierarchy``'s.
     """
     check_auxiliary(per_target, samples_per_aux, offset)
     if space.num_auxiliary:
@@ -277,11 +287,8 @@ def make_auxiliary(
                   derive_rng(seed, "aux-sample", t, j), 1.0)
             neighbor_of[next_id] = t
             next_id += 1
-    aux_ds = FeatureDataset(
-        features=feats,
-        labels=np.repeat(np.arange(L, next_id, dtype=np.int64), samples_per_aux),
-        ids=tuple(f"syn-aux-{a}-{i}" for a in range(L, next_id) for i in range(samples_per_aux)),
-    )
+    labels = np.repeat(np.arange(L, next_id, dtype=np.int64), samples_per_aux)
+    aux_ds = FeatureDataset(feats, labels)
 
     names = None
     if space.class_names is not None:

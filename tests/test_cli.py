@@ -97,6 +97,23 @@ class TestSynthTrainEval:
         assert rep["num_classes"] == 10 + merged.num_auxiliary
 
 
+def test_synth_names_rows_in_file_order(tmp_path):
+    """``synth`` names row i of class y ``syn-<kind>-<y>-<i>`` as it writes
+    each file, auxiliary classes numbered from the class count."""
+    assert run("synth", "--out", tmp_path, *SMALL_SYNTH,
+               "--aux-per-target", "2", "--samples-per-aux", "7") == 0
+    counts = json.loads((tmp_path / "train.meta.json").read_text())["train_counts"]
+    aux, merged, _ = read_dataset(tmp_path / "aux.jsonl")
+    last_aux = 10 + merged.num_auxiliary - 1
+    expected = {"train": ("syn-train-0-0", f"syn-train-9-{counts[9] - 1}"),
+                "test": ("syn-test-0-0", "syn-test-9-4"),
+                "aux": ("syn-aux-10-0", f"syn-aux-{last_aux}-6")}
+    for kind, ends in expected.items():
+        lines = (tmp_path / f"{kind}.jsonl").read_text().splitlines()
+        assert tuple(json.loads(lines[i])["id"] for i in (0, -1)) == ends
+    assert aux.ids[7] == "syn-aux-11-0"
+
+
 def test_synth_defaults_are_the_benchmarks(tmp_path):
     """``synth`` at its defaults writes ``build_benchmark``'s target data."""
     assert run("synth", "--seed", "3", "--out", tmp_path) == 0

@@ -2,10 +2,12 @@
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
+from tailext import experiments
 from tailext.core import ClassStats, LabelSpace, RunConfig
 from tailext.experiments import (
     BENCH_CONFIG,
@@ -17,7 +19,7 @@ from tailext.experiments import (
     run_pilot_grid,
 )
 from tailext.metrics import EvalReport, expansion_targets
-from tailext.model import ClassifierState
+from tailext.model import ClassifierState, linear_probe_retrain
 from tailext.synth import make_auxiliary
 
 TOY = dict(num_classes=10, num_superclasses=2, feature_dim=8,
@@ -130,6 +132,31 @@ class TestRunsOnEveryCore:
             assert cell["masked"] is cell["lambda_0.1"]
             cells.append(repr(cell))
         assert cells[1] == cells[0] and cells[2] == cells[0]
+
+    def test_ablation_probe_runs_after_the_auxiliary_set_is_freed(self, force_parts,
+                                                                   monkeypatch):
+        """The cell drops the auxiliary set once both arms are done, before
+        this process re-trains the probe; the reports stay the same."""
+        cfg = MLP_CONFIG.with_overrides(epochs=3, hidden_dim=16)
+        expected = repr(run_ablation_cell(0, cfg=cfg, samples_per_aux=10, **TOY))
+        aux_features = []
+        probes = []
+
+        def build(*args, **kwargs):
+            out = build_benchmark(*args, **kwargs)
+            aux_features.append(weakref.ref(out[2].features))
+            return out
+
+        def probe(*args):
+            probes.append(aux_features[-1]() is None)
+            return linear_probe_retrain(*args)
+
+        monkeypatch.setattr(experiments, "build_benchmark", build)
+        monkeypatch.setattr(experiments, "linear_probe_retrain", probe)
+        for parts in (1, 2):
+            force_parts(parts)
+            assert repr(run_ablation_cell(0, cfg=cfg, samples_per_aux=10, **TOY)) == expected
+        assert probes == [True, True]
 
     def test_method_pair(self, force_parts):
         pairs = []

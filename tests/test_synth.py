@@ -131,6 +131,27 @@ class TestHierarchy:
         payload = SPEC.to_json()
         assert HierarchySpec(**payload) == SPEC
 
+    def test_datasets_hold_no_ids(self):
+        train, test = make_hierarchy(SPEC, ClassStats(np.full(12, 3)), seed=0,
+                                     test_per_class=2)
+        assert train.ids is None and test.ids is None
+
+    def test_classes_grouped_by_superclass_in_one_pass(self, monkeypatch):
+        """The ring slots group the classes by superclass once, so
+        ``superclass_of`` runs at most twice per class, not once per
+        (superclass, class) pair and once more per class."""
+        spec = HierarchySpec(num_superclasses=8, num_classes=40, feature_dim=4)
+        calls = []
+        superclass_of = HierarchySpec.superclass_of
+
+        def counted(self, y):
+            calls.append(y)
+            return superclass_of(self, y)
+
+        monkeypatch.setattr(HierarchySpec, "superclass_of", counted)
+        make_hierarchy(spec, ClassStats(np.full(40, 2)), seed=0, test_per_class=1)
+        assert 0 < len(calls) <= 2 * spec.num_classes
+
 
 class TestAuxiliary:
     def setup_method(self):
@@ -152,6 +173,7 @@ class TestAuxiliary:
         aux2, _ = make_auxiliary(self.train, self.space, 2, 15, seed=3,
                                  targets=[1, 4], offset=3.0)
         np.testing.assert_array_equal(aux.features, aux2.features)
+        assert aux.ids is None
 
     def test_offset_controls_displacement(self):
         # tiny offset: aux samples distributed like fresh samples at the class
@@ -211,15 +233,19 @@ def traced_peak(fn):
 
 
 def held_bytes(ds):
-    """Bytes a dataset holds: its feature and label arrays and its ids."""
-    return (ds.features.nbytes + ds.labels.nbytes + sys.getsizeof(ds.ids)
-            + sum(sys.getsizeof(i) for i in ds.ids))
+    """Bytes a dataset holds: its feature and label arrays and, when it has
+    them, its ids."""
+    held = ds.features.nbytes + ds.labels.nbytes
+    if ds.ids is not None:
+        held += sys.getsizeof(ds.ids) + sum(sys.getsizeof(i) for i in ds.ids)
+    return held
 
 
 class TestBuiltInPlace:
     """Each dataset's arrays are allocated once and filled class by class, so
     at the benchmark geometry the traced peak stays within 1.25 times what
-    the returned datasets hold (joining per-class draws with np.concatenate
+    the returned datasets hold, their feature and label arrays, as generated
+    datasets hold no ids (joining per-class draws with np.concatenate
     peaked at about 1.85 times)."""
 
     COUNTS = make_counts(CountProfile("exponential", 100, 300, imbalance=0.01))

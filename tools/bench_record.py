@@ -11,6 +11,15 @@ the code are skipped), and writes, per workload, the median and the
 interquartile range of setup_s, wall_s and peak_rss_mb over the untraced
 runs, and the median of every per-layer metric over the traced runs, with
 the machine record the runs reported.
+
+Compare two such summaries, the parent's first:
+
+    python3 tools/bench_record.py --compare BENCH_x_parent.json BENCH_x.json
+
+For each workload and end-to-end metric (all lower-is-better) it prints both
+medians and quartiles, in how many runs paired by seed the change was lower
+and higher (ties count for neither), and whether the gap between the
+medians exceeds the parent's interquartile range.
 """
 from __future__ import annotations
 
@@ -68,13 +77,55 @@ def summarise(records: list[dict]) -> dict:
     return out
 
 
+def compare(parent: dict, change: dict) -> list[dict]:
+    """Per workload both summaries ran and per end-to-end metric: the two
+    spreads, the runs paired by seed, and the pairs in which the change was
+    lower and higher."""
+    rows = []
+    for name in sorted(parent["workloads"].keys() & change["workloads"].keys()):
+        before, after = parent["workloads"][name], change["workloads"][name]
+        if "end_to_end" not in before or "end_to_end" not in after:
+            continue
+        for metric in END_TO_END:
+            p, c = before["end_to_end"][metric], after["end_to_end"][metric]
+            p_by_seed = dict(zip(before["seeds"], p["values"]))
+            pairs = [(p_by_seed[seed], v) for seed, v in zip(after["seeds"], c["values"])
+                     if seed in p_by_seed]
+            rows.append({
+                "workload": name, "metric": metric, "parent": p, "change": c,
+                "pairs": len(pairs),
+                "lower": sum(v < u for u, v in pairs),
+                "higher": sum(v > u for u, v in pairs),
+                "gap_exceeds_iqr": abs(c["median"] - p["median"]) > p["iqr"],
+            })
+    return rows
+
+
+def _compare_line(row: dict) -> str:
+    p, c = row["parent"], row["change"]
+    verdict = "exceeds" if row["gap_exceeds_iqr"] else "within"
+    return (f"{row['workload']} {row['metric']}: parent {p['median']:.4g} "
+            f"[{p['q1']:.4g}, {p['q3']:.4g}], change {c['median']:.4g} "
+            f"[{c['q1']:.4g}, {c['q3']:.4g}]; lower in {row['lower']} of {row['pairs']} "
+            f"pairs, higher in {row['higher']}; median gap {c['median'] - p['median']:+.4g} "
+            f"{verdict} the parent IQR {p['iqr']:.4g}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--label", help="writes BENCH_<label>.json")
+    mode.add_argument("--compare", nargs=2, type=Path, metavar=("PARENT", "CHANGE"),
+                      help="prints how two BENCH_*.json summaries compare")
     ap.add_argument("--root", type=Path, default=REPO,
                     help="checkout whose src/ and .bench_work/results are summarised")
     args = ap.parse_args(argv)
 
+    if args.compare:
+        parent, change = (json.loads(path.read_text()) for path in args.compare)
+        for row in compare(parent, change):
+            print(_compare_line(row))
+        return 0
     if not args.label.replace("_", "").replace("-", "").isalnum():
         print(f"--label must be letters, digits, '_' or '-', got {args.label!r}",
               file=sys.stderr)
