@@ -32,7 +32,9 @@ from .core import (
     check_size,
     read_dataset,
     read_json,
+    remove_dataset,
     write_dataset,
+    write_file,
     write_json,
 )
 from .curation import CurationConfig
@@ -46,7 +48,6 @@ from .metrics import (
     expansion_targets,
     read_report,
     reports_to_csv,
-    write_report,
 )
 from .model import load_checkpoint, save_checkpoint, train
 from .synth import (
@@ -150,9 +151,12 @@ def _keyword_defaults(fn, *names: str) -> dict:
 # ---------------------------------------------------------------- commands
 #
 # Each command's settings table is the one declaration of its settings:
-# build_parser gives every key a flag, and main resolves the table. A
-# command makes its output directory only just before its first write, so
-# a bad setting leaves none behind.
+# build_parser gives every key a flag, and main resolves the table. Every
+# output goes through core.write_file, whole or not at all, and --out is
+# made at the first write, so a bad setting leaves no directory behind. A
+# synth without auxiliary data, or a curate that keeps nothing, removes the
+# aux.* files an earlier run left in --out, so that train --aux cannot take
+# them.
 
 
 # synth at its defaults writes the benchmark's target data: the geometry
@@ -202,11 +206,12 @@ def cmd_synth(cfg: dict, out: Path) -> None:
 
     generator = {"profile": profile.to_json(), "hierarchy": spec.to_json(), "seed": cfg["seed"]}
     meta = {"generator": generator, "train_counts": counts.counts.tolist()}
-    out.mkdir(parents=True, exist_ok=True)
     # each file's ids are made as it is written, so one set of id strings is held at a time
     write_dataset(named_rows(train_ds, "train"), space, out / "train.jsonl", extra_meta=meta)
     write_dataset(named_rows(test_ds, "test"), space, out / "test.jsonl", extra_meta=meta)
-    if aux is not None:
+    if aux is None:
+        remove_dataset(out / "aux.jsonl")
+    else:
         aux_ds, aux_space = aux
         write_dataset(named_rows(aux_ds, "aux"), aux_space, out / "aux.jsonl", extra_meta=meta)
     print(f"wrote {len(train_ds)} train / {len(test_ds)} test samples to {out}")
@@ -247,8 +252,8 @@ def cmd_pilot(cfg: dict, out: Path) -> None:
             lines.append(
                 f"{s},{b},{float(np.mean(gaps))},{float(np.std(gaps))},{len(gaps)}"
             )
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "pilot.csv").write_text("\n".join(lines) + "\n")
+    summary = "\n".join(lines) + "\n"
+    write_file(out / "pilot.csv", summary.encode())
 
     per_run = ["num_superclasses,imbalance,seed,rank_gap,final_loss"]
     for r in rows:
@@ -256,8 +261,8 @@ def cmd_pilot(cfg: dict, out: Path) -> None:
             f"{r['num_superclasses']},{r['imbalance']},{r['seed']},"
             f"{float(r['rank_gap'])},{float(r['final_loss'])}"
         )
-    (out / "pilot_runs.csv").write_text("\n".join(per_run) + "\n")
-    print((out / "pilot.csv").read_text(), end="")
+    write_file(out / "pilot_runs.csv", ("\n".join(per_run) + "\n").encode())
+    print(summary, end="")
 
 
 # curate flags named differently from the CurationConfig field they set
@@ -300,9 +305,10 @@ def cmd_curate(cfg: dict, out: Path) -> None:
     # the aux features are copies: free the corpus before the write
     del dataset, retriever
 
-    out.mkdir(parents=True, exist_ok=True)
     if len(aux):
         write_dataset(aux, merged, out / "aux.jsonl", extra_meta={"curation": report})
+    else:
+        remove_dataset(out / "aux.jsonl")
     write_json(out / "curation_report.json", report)
     print(
         f"kept {len(aux)} samples in {merged.num_auxiliary} auxiliary classes "
@@ -345,10 +351,15 @@ def cmd_train(cfg: dict, out: Path) -> None:
                 f"aux manifest targets {merged.num_target} != data targets "
                 f"{space.num_target}"
             )
+        # neither synth nor curate makes an empty auxiliary class, so one
+        # means a cut aux.jsonl
+        empty = np.flatnonzero(aux_ds.class_counts(merged.num_classes) == 0)
+        empty = empty[empty >= merged.num_target].tolist()
+        if empty:
+            raise DataError(f"{cfg['aux']}: auxiliary classes {empty} have no rows")
         space = merged
 
     state, log = train(train_ds, aux_ds, space, run_cfg)
-    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(state, out / "checkpoint.json")
     write_json(out / "train_log.json", log.to_json())
     print(
@@ -397,8 +408,7 @@ def cmd_eval(cfg: dict, out: Path) -> None:
     report = evaluate(
         state, test_ds, splits, mask=cfg["mask_aux"], seed=cfg["seed"]
     )
-    out.mkdir(parents=True, exist_ok=True)
-    write_report(report, out / "report.json")
+    write_json(out / "report.json", report.to_json())
     print(report.to_text())
 
 
@@ -463,8 +473,7 @@ def cmd_sweep(cfg: dict, out: Path) -> None:
         return {"axis": axis, "value": value}, rep
 
     rows = _map_runs(run_point, points)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.csv").write_text(reports_to_csv(rows, ("axis", "value")))
+    write_file(out / "sweep.csv", reports_to_csv(rows, ("axis", "value")).encode())
     print(f"swept {axis} over {values} x {len(seeds)} seeds -> {out / 'sweep.csv'}")
 
 
@@ -486,8 +495,7 @@ def cmd_report(args: argparse.Namespace) -> None:
         print(report.to_text())
     if rows and args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.csv").write_text(reports_to_csv(rows, ("source",)))
+        write_file(out / "report.csv", reports_to_csv(rows, ("source",)).encode())
         print(f"wrote {out / 'report.csv'}")
 
 

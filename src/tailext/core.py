@@ -45,6 +45,8 @@ __all__ = [
     "read_dataset",
     "read_json",
     "read_records",
+    "remove_dataset",
+    "write_file",
     "write_json",
 ]
 
@@ -160,9 +162,33 @@ def read_json(path: str | Path, kind, error: Callable[[str], Exception], what: s
                        lambda message: error(f"{path}: bad {what}: {message}"))
 
 
+def write_file(path: str | Path, data: bytes | Callable) -> str:
+    """Write ``data``, bytes or a callable given the open binary file, to
+    ``path`` whole or not at all, and return the file's sha256. The parent
+    directories are made; ``<name>.tmp`` beside ``path`` replaces it once
+    complete, or is removed if anything raises. Every file and directory
+    the package makes is made here."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w+b") as fh:
+            if callable(data):
+                data(fh)
+            else:
+                fh.write(data)
+            fh.seek(0)
+            sha256 = _sha256_of(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return sha256
+
+
 def write_json(path: str | Path, value) -> None:
     """Write ``value`` to ``path`` as JSON indented by 2, keys sorted."""
-    Path(path).write_text(json.dumps(value, indent=2, sort_keys=True) + "\n")
+    write_file(path, (json.dumps(value, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _hash_component(part: int | str) -> int:
@@ -803,18 +829,6 @@ def read_records(
     return feats, columns
 
 
-class _HashingWriter:
-    """Writes bytes to a binary file and keeps the sha256 of all of them."""
-
-    def __init__(self, fh):
-        self.fh = fh
-        self.sha = hashlib.sha256()
-
-    def write(self, data) -> int:
-        self.sha.update(data)
-        return self.fh.write(data)
-
-
 def _sha256_of(fh) -> str:
     sha = hashlib.sha256()
     while chunk := fh.read(_CHUNK):
@@ -844,13 +858,18 @@ def write_dataset(
     manifest, and forked children write the others to part files beside it,
     which are then appended in order. The bytes do not depend on the number
     of ranges.
+
+    Each file, part files too, is written whole or not at all
+    (``write_file``), in this order: the old sidecar is removed, then the
+    JSONL, the cache and the new sidecar are written. A write cut short
+    therefore leaves a manifest without a sidecar, which ``read_dataset``
+    refuses, and never a new JSONL under an old sidecar.
     """
     path = Path(path)
     ids = dataset.sample_ids()
     # the JSONL reader takes only string ids, so no manifest holds another
     if any(not isinstance(bad := sample_id, str) for sample_id in ids):
         raise DataError(f"{path}: ids must be strings, got {reprlib.repr(bad)}")
-    path.parent.mkdir(parents=True, exist_ok=True)
     parts = _process_count(dataset.features.size)
     bounds = [len(dataset) * k // parts for k in range(parts + 1)]
     part_files = {k: path.with_name(f"{path.name}.part{k}") for k in range(1, parts)}
@@ -864,36 +883,37 @@ def write_dataset(
             }
             out.write((json.dumps(rec) + "\n").encode("utf-8"))
 
-    try:
-        with path.open("wb") as fh:
-            out = _HashingWriter(fh)
+    def write_jsonl(fh) -> None:
+        def write_range(part: int) -> None:
+            if part == 0:  # always run by this process
+                write_rows(fh, 0)
+            else:
+                write_file(part_files[part], lambda part_fh: write_rows(part_fh, part))
 
-            def write_range(part: int) -> None:
-                if part == 0:  # always run by this process
-                    write_rows(out, 0)
-                    return
-                with part_files[part].open("wb") as part_fh:
-                    write_rows(part_fh, part)
-
-            _map_runs(write_range, range(parts))
-            for part_file in part_files.values():
-                with part_file.open("rb") as src:
-                    while chunk := src.read(_CHUNK):
-                        out.write(chunk)
-    finally:
+        _map_runs(write_range, range(parts))
         for part_file in part_files.values():
-            part_file.unlink(missing_ok=True)
-    cache = path.with_suffix(".cache.npy")
-    id_bytes = np.frombuffer(json.dumps(list(ids)).encode("utf-8"), dtype=np.uint8)
-    with cache.open("wb") as fh:
-        cache_out = _HashingWriter(fh)
+            with part_file.open("rb") as src:
+                while chunk := src.read(_CHUNK):
+                    fh.write(chunk)
+
+    def write_cache(fh) -> None:
+        id_bytes = np.frombuffer(json.dumps(list(ids)).encode("utf-8"), dtype=np.uint8)
         for array in (dataset.features, dataset.labels, id_bytes):
             # the bytes np.lib.format.write_array writes, without its chunked
             # tobytes copies of the array
             header = np.lib.format.header_data_from_array_1_0(array)
-            np.lib.format.write_array_header_1_0(cache_out, header)
+            np.lib.format.write_array_header_1_0(fh, header)
             data = array.T if header["fortran_order"] else np.ascontiguousarray(array)
-            cache_out.write(memoryview(data).cast("B"))
+            fh.write(memoryview(data).cast("B"))
+
+    _sidecar_path(path).unlink(missing_ok=True)
+    try:
+        jsonl_sha256 = write_file(path, write_jsonl)
+    finally:
+        for part_file in part_files.values():
+            part_file.unlink(missing_ok=True)
+    cache = path.with_suffix(".cache.npy")
+    cache_sha256 = write_file(cache, write_cache)
     meta = {
         "feature_dim": dataset.feature_dim,
         "label_space": space.to_json(),
@@ -901,12 +921,18 @@ def write_dataset(
     }
     if extra_meta:
         meta.update(extra_meta)
-    meta[_CACHE_KEY] = {
-        "file": cache.name,
-        "jsonl_sha256": out.sha.hexdigest(),
-        "cache_sha256": cache_out.sha.hexdigest(),
-    }
+    meta[_CACHE_KEY] = {"file": cache.name, "jsonl_sha256": jsonl_sha256,
+                        "cache_sha256": cache_sha256}
     write_json(_sidecar_path(path), meta)
+
+
+def remove_dataset(path: str | Path) -> None:
+    """Remove what ``write_dataset`` wrote for the manifest ``path``, where
+    it exists: the sidecar first, so that no step leaves a JSONL that
+    ``read_dataset`` takes, then the JSONL and the cache."""
+    path = Path(path)
+    for file in (_sidecar_path(path), path, path.with_suffix(".cache.npy")):
+        file.unlink(missing_ok=True)
 
 
 def _read_cache(path: Path, meta: Mapping, dim: int):

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
-from .core import ClassStats, ConfigError, DataError, FeatureDataset, read_json, write_json
+from .core import ClassStats, ConfigError, DataError, FeatureDataset, read_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .model import ClassifierState
@@ -269,13 +269,9 @@ def reports_to_csv(rows: list[tuple[Mapping, EvalReport]], extra_columns: tuple[
     return buf.getvalue()
 
 
-def write_report(report: EvalReport, path) -> None:
-    write_json(path, report.to_json())
-
-
 def read_report(path) -> EvalReport:
-    """The report ``write_report`` wrote to ``path``; DataError unless the
-    file holds one. Keys it does not know, such as the ``config`` of older
-    reports, are ignored."""
+    """The report in ``path``, JSON as ``EvalReport.to_json`` gives it;
+    DataError unless the file holds one. Keys it does not know, such as the
+    ``config`` of older reports, are ignored."""
     obj = read_json(path, _REPORT_JSON, DataError, "eval report")
     return EvalReport(**{key: obj[key] for key in _REPORT_JSON})

@@ -64,6 +64,7 @@ from .core import (
     check_size,
     derive_rng,
     read_json,
+    write_file,
 )
 from .losses import _silenced, bal_ce_batch, ns_ce_batch
 from .metrics import assign_splits
@@ -543,7 +544,7 @@ def save_checkpoint(state: ClassifierState, path: str | Path) -> None:
             "weights": state.hidden_weights.tolist(),
             "bias": state.hidden_bias.tolist(),
         }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    write_file(path, (json.dumps(payload, sort_keys=True) + "\n").encode())
 
 
 def load_checkpoint(path: str | Path) -> ClassifierState:

@@ -114,6 +114,57 @@ def test_synth_names_rows_in_file_order(tmp_path):
     assert aux.ids[7] == "syn-aux-11-0"
 
 
+class TestRunDirectories:
+    """``--out`` holds no auxiliary set that its last run did not write, and
+    ``train`` refuses one that lost rows."""
+
+    def test_synth_without_auxiliary_data_removes_the_last_runs(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run("synth", "--out", data, *SMALL_SYNTH,
+                   "--aux-per-target", "2", "--samples-per-aux", "20") == 0
+        (data / "notes.txt").write_text("kept")
+        assert run("synth", "--out", data, *SMALL_SYNTH, "--seed", "4") == 0
+        assert sorted(p.name for p in data.iterdir()) == sorted(
+            [f"{kind}.{ext}" for kind in ("train", "test") for ext in ("jsonl", "cache.npy",
+                                                                      "meta.json")]
+            + ["manifest.json", "notes.txt"])
+        capsys.readouterr()
+        assert run("train", "--data", data / "train.jsonl", "--aux", data / "aux.jsonl",
+                   "--epochs", "1", "--out", tmp_path / "run") == 3
+        assert "data error: manifest not found" in capsys.readouterr().err
+
+    def test_curate_that_keeps_nothing_removes_the_last_runs(self, tmp_path, capsys):
+        cur = tmp_path / "cur"
+        argv = ["curate", "--data", FIXTURES / "train.jsonl", "--llm-fixture", FIXTURES,
+                "--corpus", FIXTURES / "candidates.jsonl", "--out", cur]
+        assert run(*argv) == 0
+        assert (cur / "aux.jsonl").exists()
+        assert run(*argv, "--gamma1", "0.9999", "--gamma2", "1.0") == 0
+        assert json.loads((cur / "curation_report.json").read_text())["total_kept_samples"] == 0
+        assert sorted(p.name for p in cur.iterdir()) == ["curation_report.json",
+                                                         "manifest.json"]
+        capsys.readouterr()
+        assert run("train", "--data", FIXTURES / "train.jsonl", "--aux", cur / "aux.jsonl",
+                   "--epochs", "1", "--out", tmp_path / "run") == 3
+        assert "data error: manifest not found" in capsys.readouterr().err
+
+    def test_auxiliary_set_cut_at_a_line_boundary_is_3(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run("synth", "--out", data, *SMALL_SYNTH,
+                   "--aux-per-target", "2", "--samples-per-aux", "20") == 0
+        aux = data / "aux.jsonl"
+        lines = aux.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 400
+        aux.write_bytes(b"".join(lines[:30]))
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert run("train", "--data", data / "train.jsonl", "--aux", aux,
+                   "--epochs", "1", "--out", out) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {aux}: auxiliary classes {list(range(12, 30))} have no rows\n")
+        assert not out.exists()
+
+
 def test_synth_defaults_are_the_benchmarks(tmp_path):
     """``synth`` at its defaults writes ``build_benchmark``'s target data."""
     assert run("synth", "--seed", "3", "--out", tmp_path) == 0
@@ -411,7 +462,7 @@ def _report(text):
     return build
 
 
-# an eval report as write_report writes it
+# an eval report as eval writes it
 REPORT = {
     "overall_acc": 62.5, "many_acc": 92.5, "medium_acc": 73.8, "few_acc": 47.5,
     "head_tail_gap": 45.0, "balanced_error_sum": 37.2, "balanced_error_mean": 0.372,
@@ -1151,6 +1202,7 @@ def _rejected(capsys, argv: list, out: Path) -> None:
     assert "Traceback" not in err and err.startswith(("config error: ", "data error: "))
     written = ("checkpoint.json", "aux.jsonl", "report.json", "report.csv", "train.jsonl")
     assert not [name for name in written if (out / name).exists()]
+    assert not list(out.glob("*.tmp"))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

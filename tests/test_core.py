@@ -26,9 +26,13 @@ from tailext.core import (
     derive_rng,
     derive_streams,
     read_dataset,
+    remove_dataset,
     write_dataset,
+    write_file,
 )
 from tailext.curation import FixtureRetriever
+
+SRC = Path(core.__file__).parent
 
 
 class TestDeriveRng:
@@ -457,6 +461,74 @@ def _awkward_dataset(rows=30):
     return FeatureDataset(feats, np.arange(rows) % 3, ids=ids)
 
 
+class TestWriteFile:
+    def test_bytes_or_a_writer_land_whole(self, tmp_path):
+        path = tmp_path / "a" / "b" / "f.bin"
+        write_file(path, b"one")
+        assert path.read_bytes() == b"one"
+        write_file(path, lambda fh: fh.write(b"two"))
+        assert path.read_bytes() == b"two"
+        assert [p.name for p in path.parent.iterdir()] == ["f.bin"]
+
+    @pytest.mark.parametrize("error", [TypeError, KeyboardInterrupt])
+    def test_a_write_that_raises_leaves_the_old_file(self, tmp_path, error):
+        path = tmp_path / "f.bin"
+        write_file(path, b"old")
+
+        def cut(fh):
+            fh.write(b"new, then cut")
+            raise error("stopped")
+
+        with pytest.raises(error, match="stopped"):
+            write_file(path, cut)
+        assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]
+        assert path.read_bytes() == b"old"
+
+
+# calls that make a file or a directory, by their name
+_CREATING_CALLS = {"write_text", "write_bytes", "mkdir", "makedirs", "touch", "tofile"}
+
+
+def _creates_files(call: ast.Call) -> bool:
+    """Whether ``call`` can make a file or a directory: a creating call,
+    ``open(file, mode)`` or ``path.open(mode)`` with a mode that writes or
+    is not a literal, or ``os.open``, whose flags are not read here."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in _CREATING_CALLS:
+        return True
+    if name != "open":
+        return False
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+        return True
+    mode = (call.args[1:] if isinstance(func, ast.Name) else call.args)[:1]
+    mode += [k.value for k in call.keywords if k.arg == "mode"]
+    if not mode:  # "r"
+        return False
+    literal = isinstance(mode[0], ast.Constant) and isinstance(mode[0].value, str)
+    return not literal or bool(set(mode[0].value) & set("wax+"))
+
+
+def test_only_write_file_makes_files():
+    """Every file and directory the package makes is made by
+    ``core.write_file``; the one other writing ``open`` is the pipe that
+    sends a forked part's results back in ``core._map_runs``."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            sites += [(path.name, owner) for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and _creates_files(node)]
+    assert sorted(sites) == [("core.py", "_map_runs"), ("core.py", "write_file"),
+                             ("core.py", "write_file")]
+    # what the guard finds
+    found = [_creates_files(ast.parse(line).body[0].value) for line in (
+        'p.write_text("x")', 'p.write_bytes(b"")', "p.parent.mkdir()", "os.makedirs(d)",
+        'open(p, "w")', 'p.open(mode="ab")', 'open(p, "r+")', "os.open(p, flags)",
+        "open(p, mode)", 'open("weights.json")', 'p.open("rb")', "p.read_text()")]
+    assert found == [True] * 9 + [False] * 3
+
+
 class TestSplitWrite:
     OUTPUTS = ("d.jsonl", "d.cache.npy", "d.meta.json")
 
@@ -492,8 +564,53 @@ class TestSplitWrite:
             with pytest.raises(TypeError) as exc:
                 write_dataset(ds, LabelSpace(num_target=3), out / "d.jsonl")
             messages.append(str(exc.value))
-            assert [p.name for p in out.iterdir()] == ["d.jsonl"]
+            assert list(out.iterdir()) == []
         assert messages[0] == messages[1]
+
+    # the row that fails is formatted by this process at 2 parts, or by the child
+    @pytest.mark.parametrize("bad_row", [10, 20])
+    def test_interrupted_write_leaves_no_file_under_a_final_name(self, tmp_path, force_parts,
+                                                                 monkeypatch, bad_row):
+        ds = _awkward_dataset()
+        space = LabelSpace(num_target=3)
+
+        def dumps(value, **kwargs):
+            if isinstance(value, dict) and value.get("id") == ds.ids[bad_row]:
+                raise TypeError(f"cannot format {value['id']}")
+            return json.dumps(value, **kwargs)
+
+        for parts in (1, 2):
+            force_parts(parts)
+            fresh, rewritten = tmp_path / f"fresh{parts}", tmp_path / f"rewritten{parts}"
+            write_dataset(ds, space, rewritten / "d.jsonl")
+            old = {name: (rewritten / name).read_bytes() for name in ("d.jsonl", "d.cache.npy")}
+            with monkeypatch.context() as patched:
+                patched.setattr(core, "json", SimpleNamespace(dumps=dumps))
+                for out in (fresh, rewritten):
+                    with pytest.raises(TypeError, match="cannot format"):
+                        write_dataset(ds, space, out / "d.jsonl")
+            assert list(fresh.iterdir()) == []
+            # the old rows stay, without the sidecar that would let them be read
+            assert {p.name: p.read_bytes() for p in rewritten.iterdir()} == old
+            with pytest.raises(DataError, match="header sidecar not found"):
+                read_dataset(rewritten / "d.jsonl")
+
+    def test_remove_dataset_removes_the_sidecar_first(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.jsonl"
+        write_dataset(_awkward_dataset(), LabelSpace(num_target=3), path)
+        (tmp_path / "notes.txt").write_text("kept")
+        removed = []
+        unlink = Path.unlink
+
+        def recorded(self, missing_ok=False):
+            removed.append(self.name)
+            unlink(self, missing_ok=missing_ok)
+
+        monkeypatch.setattr(Path, "unlink", recorded)
+        remove_dataset(path)
+        remove_dataset(path)  # nothing left to remove is no error
+        assert removed == ["d.meta.json", "d.jsonl", "d.cache.npy"] * 2
+        assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
 
     def test_ids_are_strings_on_both_paths(self, tmp_path):
         ds = FeatureDataset(np.ones((3, 2)), np.array([0, 1, 0]), ids=(7, 8, 9))

@@ -15,6 +15,7 @@ from tailext.core import (
     FeatureDataset,
     LabelSpace,
     build_label_space,
+    write_json,
 )
 from tailext.metrics import (
     EVAL_CSV_COLUMNS,
@@ -26,7 +27,6 @@ from tailext.metrics import (
     expansion_targets,
     read_report,
     reports_to_csv,
-    write_report,
 )
 from tailext.model import ClassifierState
 
@@ -173,7 +173,7 @@ def small_report(**over):
 class TestReportSerialization:
     def test_json_roundtrip_preserves_none(self, tmp_path):
         rep = small_report(few_acc=None, head_tail_gap=None)
-        write_report(rep, tmp_path / "r.json")
+        write_json(tmp_path / "r.json", rep.to_json())
         back = read_report(tmp_path / "r.json")
         assert back == rep
         assert back.few_acc is None
@@ -193,9 +193,9 @@ class TestReportSerialization:
 
     def test_write_report_stable(self, tmp_path):
         p = tmp_path / "r.json"
-        write_report(small_report(), p)
+        write_json(p, small_report().to_json())
         first = p.read_bytes()
-        write_report(small_report(), p)
+        write_json(p, small_report().to_json())
         assert p.read_bytes() == first
         assert json.loads(first)["overall_acc"] == 75.0
 
